@@ -20,7 +20,7 @@ import (
 
 // testInstance builds a 30-node random graph with 6 random communities
 // (threshold 2, population benefits).
-func testInstance(t *testing.T, seed uint64) (*graph.Graph, *community.Partition) {
+func testInstance(t testing.TB, seed uint64) (*graph.Graph, *community.Partition) {
 	t.Helper()
 	g, err := gen.RandomDirected(30, 100, 0.4, seed)
 	if err != nil {

@@ -57,7 +57,8 @@ type Options struct {
 	Model diffusion.Model
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers bounds sample-generation parallelism; 0 = GOMAXPROCS.
+	// Workers bounds the parallelism of sample generation and of the
+	// Alg. 6 stop checks; 0 = GOMAXPROCS.
 	Workers int
 	// MaxSamples is a practical safety cap on |R| (Ψ can be astronomically
 	// large for weak α). 0 defaults to 1<<20.
@@ -276,6 +277,11 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 		"k", opts.K, "alpha", alpha, "psi", psi, "lambda", lambda,
 		"initialSamples", initial, "resumeDoublings", resumeFrom)
 
+	// Alg. 6's stopping threshold for the stop checks. A check draws at
+	// most checkTMax(|R|) samples, each adding at most 1 to its mass, so
+	// a round whose TMax is below Λ′ cannot certify.
+	checkLambda := stoppingThreshold(se2, estDelta)
+
 	sol := Solution{Alpha: alpha, Stopped: StopSampleCap}
 	doublings := resumeFrom
 	// Boundary checkpoint before the first (or first resumed) solver
@@ -289,60 +295,69 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 		if err := ctx.Err(); err != nil {
 			return Solution{}, err
 		}
-		seeds, chat, ratio, err := runSolver(ctx, pool, solver, opts)
-		if err != nil {
-			return Solution{}, err
-		}
-		sol.Seeds = seeds
-		sol.CHat = chat
-		sol.SandwichRatio = ratio
-		sol.Samples = pool.NumSamples()
-		sol.Doublings = doublings
-
-		// Alg. 5 line 8: enough influenced samples for a reliable check?
-		coverage := influencedMass(pool, seeds, opts.NuGuided)
-		logger.Debug("imcaf round",
-			"round", doublings, "samples", pool.NumSamples(),
-			"chat", chat, "coverage", coverage)
-		if coverage >= lambda {
-			tmax := int(float64(pool.NumSamples()) * (1 + se2) / (1 - se2) * (se3 * se3) / (se2 * se2))
-			if tmax < 1 {
-				tmax = 1
-			}
-			est, err := EstimateCtx(ctx, g, part, seeds, EstimateOptions{
-				Eps:        se2,
-				Delta:      estDelta,
-				TMax:       tmax,
-				Model:      opts.Model,
-				Seed:       opts.Seed ^ 0x5e5e5e5e5e5e5e5e ^ uint64(doublings)<<32,
-				Fractional: opts.NuGuided,
-			})
+		samples := pool.NumSamples()
+		tmax := checkTMax(samples, se2, se3)
+		certifiable := float64(tmax) >= checkLambda
+		capped := float64(samples) >= psi || samples*2 > opts.MaxSamples
+		if !certifiable && !capped {
+			// The round can neither certify nor hit a cap, so it doubles
+			// whatever its solver pass returns: skip the pass and the check.
+			logger.Debug("imcaf skip",
+				"round", doublings, "samples", samples,
+				"tmax", tmax, "checkLambda", checkLambda)
+		} else {
+			seeds, chat, ratio, err := runSolver(ctx, pool, solver, opts)
 			if err != nil {
 				return Solution{}, err
 			}
-			objective := chat
-			if opts.NuGuided {
-				objective = pool.NuHat(seeds)
+			sol.Seeds = seeds
+			sol.CHat = chat
+			sol.SandwichRatio = ratio
+			sol.Samples = samples
+			sol.Doublings = doublings
+
+			// Alg. 5 line 8: enough influenced samples for a reliable check?
+			coverage := influencedMass(pool, seeds, opts.NuGuided)
+			logger.Debug("imcaf round",
+				"round", doublings, "samples", samples,
+				"chat", chat, "coverage", coverage)
+			if coverage >= lambda && certifiable {
+				est, err := EstimateCtx(ctx, g, part, seeds, EstimateOptions{
+					Eps:        se2,
+					Delta:      estDelta,
+					TMax:       tmax,
+					Model:      opts.Model,
+					Seed:       opts.Seed ^ 0x5e5e5e5e5e5e5e5e ^ uint64(doublings)<<32,
+					Fractional: opts.NuGuided,
+					Workers:    opts.Workers,
+				})
+				if err != nil {
+					return Solution{}, err
+				}
+				objective := chat
+				if opts.NuGuided {
+					objective = pool.NuHat(seeds)
+				}
+				logger.Debug("imcaf estimate check",
+					"round", doublings, "estimate", est.Benefit,
+					"converged", est.Converged, "objective", objective)
+				if est.Converged && objective <= (1+se1)*est.Benefit {
+					sol.EstimatedBenefit = est.Benefit
+					sol.Stopped = StopCondition
+					break
+				}
 			}
-			logger.Debug("imcaf estimate check",
-				"round", doublings, "estimate", est.Benefit,
-				"converged", est.Converged, "objective", objective)
-			if est.Converged && objective <= (1+se1)*est.Benefit {
-				sol.EstimatedBenefit = est.Benefit
-				sol.Stopped = StopCondition
+
+			if float64(samples) >= psi {
+				sol.Stopped = StopPsiCap
+				break
+			}
+			if samples*2 > opts.MaxSamples {
+				sol.Stopped = StopSampleCap
 				break
 			}
 		}
-
-		if float64(pool.NumSamples()) >= psi {
-			sol.Stopped = StopPsiCap
-			break
-		}
-		if pool.NumSamples()*2 > opts.MaxSamples {
-			sol.Stopped = StopSampleCap
-			break
-		}
-		if err := grow(ctx, pool, pool.NumSamples()*2); err != nil {
+		if err := grow(ctx, pool, samples*2); err != nil {
 			return Solution{}, err
 		}
 		doublings++
@@ -466,6 +481,15 @@ func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Opt
 	}
 	ratio = maxr.SandwichRatio(pool, seeds)
 	return seeds, chat, ratio, nil
+}
+
+// checkTMax is the sample cap of a round's stop check over a pool of
+// the given size: |R|·(1+ε₂)/(1−ε₂)·ε₃²/ε₂², at least 1.
+//
+//imc:pure
+func checkTMax(samples int, se2, se3 float64) int {
+	tmax := int(float64(samples) * (1 + se2) / (1 - se2) * (se3 * se3) / (se2 * se2))
+	return max(tmax, 1)
 }
 
 // influencedMass returns the Alg. 5 line-8 statistic: the influenced

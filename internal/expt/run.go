@@ -238,11 +238,12 @@ func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg Run
 // estimator (the paper scores baselines the same way).
 func evaluateBenefit(ctx context.Context, inst *Instance, seeds []graph.NodeID, cfg RunConfig, seed uint64) (float64, error) {
 	est, err := core.EstimateCtx(ctx, inst.G, inst.Part, seeds, core.EstimateOptions{
-		Eps:   cfg.Eps,
-		Delta: cfg.Delta,
-		TMax:  cfg.EvalTMax,
-		Seed:  seed ^ 0x0f0f0f0f0f0f0f0f,
-		Model: cfg.Model,
+		Eps:     cfg.Eps,
+		Delta:   cfg.Delta,
+		TMax:    cfg.EvalTMax,
+		Seed:    seed ^ 0x0f0f0f0f0f0f0f0f,
+		Model:   cfg.Model,
+		Workers: cfg.Workers,
 	})
 	if err != nil {
 		return 0, err
