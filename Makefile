@@ -52,7 +52,7 @@ jobs-test:
 # cold-vs-warm byte-identity integration test.
 poolcache-test:
 	$(GO) test -race -count=1 ./internal/ric/ ./internal/poolcache/ \
-		./internal/serve/ -run 'Pool|Donor|Cache|Session|Eviction|Boot|ReadInto|Serial|ColdWarm'
+		./internal/serve/ -run 'Pool|Donor|Cache|Session|Eviction|Boot|ReadInto|Serial|ColdWarm|Codec|Decode|Failed'
 
 # The distributed shard runtime, race-enabled: stream-family
 # disjointness, offset-pool splice identity, merged-marginal greedy
@@ -61,7 +61,7 @@ poolcache-test:
 # byte-identity test.
 shard-test:
 	$(GO) test -race -count=1 ./internal/xrand/ ./internal/shard/
-	$(GO) test -race -count=1 ./internal/ric/ -run 'Offset|Splice|ImportRange|Shard'
+	$(GO) test -race -count=1 ./internal/ric/ -run 'Offset|Splice|ImportRange|Shard|Codec|Failed'
 	$(GO) test -race -count=1 ./internal/maxr/ -run 'Merged|Shards'
 	$(GO) test -race -count=1 ./internal/serve/ -run 'Shard|Distributed'
 
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzReadEdgeList -fuzztime 30s
 	$(GO) test ./internal/graph/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/ric/ -fuzz FuzzPoolRoundTrip -fuzztime 30s
+	$(GO) test ./internal/ric/ -fuzz FuzzImportRange -fuzztime 30s
 
 # Regenerate every table and figure at a laptop-friendly scale.
 experiments:

@@ -115,8 +115,10 @@ func (c *Cache) SaveShard(base Key, pool *ric.Pool, lo, hi int) error {
 // contiguity contract). Returns found=false when the range is not
 // cached — the caller generates it instead. A cached file that fails
 // the CRC, header, or IMCS validation is dropped, counts an error, and
-// reports found=false: a corrupt shard degrades to regeneration, never
-// to a wrong pool. Safe on nil (always a miss).
+// reports found=false with pool untouched (ImportRange folds nothing
+// in unless the whole range decodes), so the caller can generate into
+// the same pool: a corrupt shard degrades to regeneration, never to a
+// wrong pool. Safe on nil (always a miss).
 func (c *Cache) LoadShard(base Key, pool *ric.Pool, lo, hi int) (found bool, err error) {
 	if c == nil {
 		return false, nil

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"bytes"
 	"testing"
 
 	"imc/internal/community"
@@ -131,5 +132,100 @@ func BenchmarkNuHatEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool.NuHat(seeds)
+	}
+}
+
+// codecBenchPool is the 5K pool the codec benchmarks encode and decode.
+func codecBenchPool(b *testing.B) *Pool {
+	b.Helper()
+	g, part := benchInstance(b)
+	pool, err := NewPool(g, part, PoolOptions{Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pool.Generate(5000); err != nil {
+		b.Fatal(err)
+	}
+	return pool
+}
+
+// BenchmarkPoolSave measures IMCP encoding of a 5K pool.
+func BenchmarkPoolSave(b *testing.B) {
+	pool := codecBenchPool(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := pool.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+// BenchmarkPoolReadInto measures IMCP decoding of a 5K pool into a
+// fresh pool — the pool cache's load path.
+func BenchmarkPoolReadInto(b *testing.B) {
+	pool := codecBenchPool(b)
+	var buf bytes.Buffer
+	if err := pool.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPool(pool.g, pool.part, PoolOptions{Seed: 9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.ReadInto(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPoolExportRange measures IMCS encoding of the second half
+// of a 5K pool — a shard worker's reply.
+func BenchmarkPoolExportRange(b *testing.B) {
+	pool := codecBenchPool(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := pool.ExportRange(&buf, 2500, 5000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+// BenchmarkPoolImportRange measures splicing that half onto a pool
+// holding the first half — the coordinator's merge step.
+func BenchmarkPoolImportRange(b *testing.B) {
+	pool := codecBenchPool(b)
+	var buf bytes.Buffer
+	if err := pool.ExportRange(&buf, 2500, 5000); err != nil {
+		b.Fatal(err)
+	}
+	donor := NewDonor(pool)
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := NewPool(pool.g, pool.part, PoolOptions{Seed: 9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := donor.ExtendTo(p, 2500); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, _, err := p.ImportRange(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

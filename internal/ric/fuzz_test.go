@@ -82,3 +82,77 @@ func FuzzPoolRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzImportRange feeds arbitrary bytes to the shard-range splice of a
+// pool that already holds samples [0, 20). Invariants under fuzzing:
+//
+//  1. ImportRange never panics.
+//  2. A rejected input leaves the pool exactly as it was: import is
+//     atomic, so no partial sample or stray index entry survives.
+//  3. An accepted input re-exports to bytes that are a fixpoint of
+//     ImportRange∘ExportRange and describe the same pool. (Re-export
+//     lists each sample's covers in node order; an accepted input may
+//     list them in any order, so its own bytes need not come back.)
+func FuzzImportRange(f *testing.F) {
+	const seed, have = 7, 20
+	g, part := smallInstance(f)
+	src := buildPool(f, g, part, 40, seed)
+	donor := NewDonor(src)
+	var valid bytes.Buffer
+	if err := src.ExportRange(&valid, have, 40); err != nil {
+		f.Fatal(err)
+	}
+	export := valid.Bytes()
+	f.Add(export)
+	f.Add([]byte("IMCS"))
+	f.Add([]byte{})
+	for cut := 0; cut < len(export); cut += 29 {
+		f.Add(append([]byte(nil), export[:cut]...))
+	}
+	for off := 0; off < len(export); off += 31 {
+		flipped := append([]byte(nil), export...)
+		flipped[off] ^= 0x41
+		f.Add(flipped)
+	}
+
+	base := func(t testing.TB) *Pool {
+		p, err := NewPool(g, part, PoolOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := donor.ExtendTo(p, have); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	before := capturePool(f, base(f))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := base(t)
+		lo, hi, err := p.ImportRange(bytes.NewReader(data))
+		if err != nil {
+			if !capturePool(t, p).equal(before) {
+				t.Fatalf("rejected input (%v) changed the pool", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := p.ExportRange(&out, lo, hi); err != nil {
+			t.Fatalf("accepted range [%d, %d) failed to re-export: %v", lo, hi, err)
+		}
+		q := base(t)
+		if _, _, err := q.ImportRange(bytes.NewReader(out.Bytes())); err != nil {
+			t.Fatalf("own export rejected: %v", err)
+		}
+		var again bytes.Buffer
+		if err := q.ExportRange(&again, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatal("ExportRange∘ImportRange is not a fixpoint")
+		}
+		if !capturePool(t, p).equal(capturePool(t, q)) {
+			t.Fatal("re-exported range decodes to a different pool")
+		}
+	})
+}

@@ -55,12 +55,12 @@ type CoverEntry struct {
 }
 
 // rawSample is a fully materialized sample as produced by the generator
-// before it is folded into a pool's inverted index. GenerateCtx's
-// workers store into raws[i] with a stride-|workers| interleave, so
-// neighboring slots belong to different goroutines: at exactly one
-// 64-byte cache line per slot (3×int32 + pad + two slice headers) no
-// two workers ever share a line (the falseshare contract verifies
-// the size).
+// or the pool decoder, before fold adds it to a pool's inverted index.
+// GenerateCtx's workers store into raws[i] with a stride-|workers|
+// interleave, so neighboring slots belong to different goroutines: at
+// exactly one 64-byte cache line per slot (3×int32 + pad + two slice
+// headers) no two workers ever share a line (the falseshare contract
+// verifies the size).
 //
 //imc:padded
 type rawSample struct {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"imc/internal/graph"
 )
 
 // Pool serialization: RIC sampling dominates end-to-end runtime on
@@ -55,6 +57,7 @@ const (
 type poolEncoder struct {
 	bw      *bufio.Writer
 	scratch [8]byte
+	record  []byte // one sample record, reused across encodeSample calls
 }
 
 func (e *poolEncoder) put32(v uint32) error {
@@ -70,34 +73,25 @@ func (e *poolEncoder) put64(v uint64) error {
 }
 
 // encodeSample writes one sample record: comm, threshold, numMembers,
-// cover count, then each cover's node, mask width, and mask words.
+// cover count, then each cover's node, mask width, and mask words. The
+// record is assembled in a reused buffer and written once, not once
+// per field.
 func (e *poolEncoder) encodeSample(smp Sample, covers []NodeCover) error {
-	if err := e.put32(uint32(smp.Comm)); err != nil {
-		return err
-	}
-	if err := e.put32(uint32(smp.Threshold)); err != nil {
-		return err
-	}
-	if err := e.put32(uint32(smp.NumMembers)); err != nil {
-		return err
-	}
-	if err := e.put32(uint32(len(covers))); err != nil {
-		return err
-	}
+	b := e.record[:0]
+	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Comm))
+	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Threshold))
+	b = binary.LittleEndian.AppendUint32(b, uint32(smp.NumMembers))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(covers)))
 	for _, nc := range covers {
-		if err := e.put32(uint32(nc.Node)); err != nil {
-			return err
-		}
-		if err := e.put32(uint32(len(nc.Bits))); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(nc.Node))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(nc.Bits)))
 		for _, word := range nc.Bits {
-			if err := e.put64(word); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint64(b, word)
 		}
 	}
-	return nil
+	e.record = b
+	_, err := e.bw.Write(b)
+	return err
 }
 
 // Save serializes the pool's samples and cover index in format v2. The
@@ -155,54 +149,123 @@ func (p *Pool) encodeIdentity(enc *poolEncoder) error {
 	return enc.put64(uint64(p.part.NumCommunities()))
 }
 
-// countingReader tracks how many bytes have been consumed so decode
-// errors can name the exact offset of the problem.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // poolDecoder reads the primitives and per-sample records shared by the
-// IMCP and IMCS formats. kind names the stream ("pool snapshot" or
-// "shard export") in error messages.
+// IMCP and IMCS formats. It keeps its own read-ahead window, so a
+// fixed-size field costs a bounds check and a load rather than a chain
+// of Read calls. kind names the stream ("pool snapshot" or "shard
+// export") in error messages.
 type poolDecoder struct {
-	cr      *countingReader
-	kind    string
-	scratch [8]byte
+	r          io.Reader
+	kind       string
+	buf        []byte // buf[head:tail] has been read from r but not consumed
+	head, tail int
+	off        int64 // bytes consumed, so errors can name exact offsets
+	err        error // r's last error, returned once the window drains
 }
 
 func newPoolDecoder(r io.Reader, kind string) *poolDecoder {
-	return &poolDecoder{cr: &countingReader{r: bufio.NewReaderSize(r, 1<<20)}, kind: kind}
+	return &poolDecoder{r: r, kind: kind, buf: make([]byte, 64<<10)}
 }
 
-func (d *poolDecoder) get32(field string) (uint32, error) {
-	if _, err := io.ReadFull(d.cr, d.scratch[:4]); err != nil {
-		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, field, noEOF(err))
+// next consumes and returns the next n bytes, valid until the following
+// call. On a short stream it consumes nothing and returns how many of
+// the n bytes were there, with the error io.ReadFull would give: io.EOF
+// when there were none, io.ErrUnexpectedEOF when there were some.
+func (d *poolDecoder) next(n int) ([]byte, int, error) {
+	if d.tail-d.head < n {
+		if err := d.fill(n); err != nil {
+			return nil, d.tail - d.head, err
+		}
 	}
-	return binary.LittleEndian.Uint32(d.scratch[:4]), nil
+	b := d.buf[d.head : d.head+n]
+	d.head += n
+	d.off += int64(n)
+	return b, n, nil
 }
 
-func (d *poolDecoder) get64(field string) (uint64, error) {
-	if _, err := io.ReadFull(d.cr, d.scratch[:]); err != nil {
-		return 0, fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, field, noEOF(err))
+// fill moves the unconsumed bytes to the front of the window, growing it
+// if n bytes would not fit, and reads until n bytes are buffered.
+func (d *poolDecoder) fill(n int) error {
+	if len(d.buf) < n {
+		grown := make([]byte, n)
+		d.tail = copy(grown, d.buf[d.head:d.tail])
+		d.buf = grown
+	} else {
+		d.tail = copy(d.buf, d.buf[d.head:d.tail])
 	}
-	return binary.LittleEndian.Uint64(d.scratch[:]), nil
+	d.head = 0
+	for d.tail < n {
+		if d.err != nil {
+			if d.err == io.EOF && d.tail > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return d.err
+		}
+		var m int
+		m, d.err = d.r.Read(d.buf[d.tail:])
+		d.tail += m
+	}
+	return nil
+}
+
+// magic reads the stream's 4-byte format magic.
+func (d *poolDecoder) magic() (magic [4]byte, err error) {
+	b, _, err := d.next(4)
+	copy(magic[:], b)
+	return magic, err
+}
+
+// The getters name the field they read with a format string and its
+// integer arguments, formatted only when the read fails: a pool
+// decodes millions of fields, and eager names cost an allocation each.
+
+func (d *poolDecoder) get32(field string, args ...int) (uint32, error) {
+	b, _, err := d.next(4)
+	if err != nil {
+		return 0, d.truncated(err, field, args...)
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (d *poolDecoder) get64(field string, args ...int) (uint64, error) {
+	b, _, err := d.next(8)
+	if err != nil {
+		return 0, d.truncated(err, field, args...)
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// getMask fills mask from the stream with one read. A short read names
+// the first word it could not complete, exactly as word-by-word reads
+// would.
+func (d *poolDecoder) getMask(mask Mask, i, c int) error {
+	b, got, err := d.next(len(mask) * 8)
+	if err != nil {
+		return d.truncated(err, "sample %d cover %d mask word %d", i, c, got/8)
+	}
+	for wi := range mask {
+		mask[wi] = binary.LittleEndian.Uint64(b[wi*8:])
+	}
+	return nil
+}
+
+// truncated builds the error for a failed read of the named field.
+func (d *poolDecoder) truncated(err error, field string, args ...int) error {
+	vals := make([]any, len(args))
+	for i, a := range args {
+		vals[i] = a
+	}
+	return fmt.Errorf("ric: %s truncated reading %s: %w", d.kind, fmt.Sprintf(field, vals...), noEOF(err))
 }
 
 // end verifies the stream finishes exactly where the declared records
 // do: a truncated-then-concatenated or otherwise corrupt file that
 // still parses as a prefix would previously be accepted silently.
 func (d *poolDecoder) end() error {
-	if _, err := io.ReadFull(d.cr, d.scratch[:1]); err == nil {
-		return fmt.Errorf("ric: %s has trailing bytes after the last sample at offset %d", d.kind, d.cr.n-1)
+	if _, _, err := d.next(1); err == nil {
+		return fmt.Errorf("ric: %s has trailing bytes after the last sample at offset %d", d.kind, d.off-1)
 	} else if err != io.EOF {
-		return fmt.Errorf("ric: %s read after last sample at offset %d: %w", d.kind, d.cr.n, err)
+		return fmt.Errorf("ric: %s read after last sample at offset %d: %w", d.kind, d.off, err)
 	}
 	return nil
 }
@@ -251,82 +314,109 @@ func (p *Pool) checkIdentity(d *poolDecoder) error {
 	return nil
 }
 
-// decodeSample reads, validates, and appends one sample record. i names
-// the record in error messages. Every count is validated against the
+// decodeChunk caps every allocation sized from a count the stream
+// declares before the bytes behind it have arrived, so a corrupt count
+// costs a bounded allocation and then a truncation error; records
+// below the cap, which real pools produce, still get one exact-size
+// allocation.
+const decodeChunk = 1 << 16
+
+// decodeSamples reads, validates, and stages the records for global
+// samples [lo, hi), then checks the stream ends right after them. It
+// never touches the pool's sample state: the caller folds the staged
+// samples in only once the whole stream has decoded, so a failed
+// decode leaves the pool exactly as it was.
+func (p *Pool) decodeSamples(d *poolDecoder, lo, hi int) ([]rawSample, error) {
+	raws := make([]rawSample, 0, min(hi-lo, decodeChunk))
+	for i := lo; i < hi; i++ {
+		raw, err := p.decodeSample(d, i)
+		if err != nil {
+			return nil, err
+		}
+		raws = append(raws, raw)
+	}
+	return raws, d.end()
+}
+
+// decodeSample reads and validates one sample record. i names the
+// record in error messages. Every count is validated against the
 // pool's graph and partition (community range, member counts,
 // thresholds, exact mask widths), so truncated or corrupt input
 // surfaces as a descriptive error naming the field being read — never
-// a panic.
-func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
-	comm, err := d.get32(fmt.Sprintf("sample %d community", i))
+// a panic. The sample's masks are carved from one slab, as Generate
+// carves them.
+func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
+	comm, err := d.get32("sample %d community", i)
 	if err != nil {
-		return err
+		return rawSample{}, err
 	}
 	if int(comm) >= p.part.NumCommunities() {
-		return fmt.Errorf("ric: sample %d: community %d out of range [0, %d)", i, comm, p.part.NumCommunities())
+		return rawSample{}, fmt.Errorf("ric: sample %d: community %d out of range [0, %d)", i, comm, p.part.NumCommunities())
 	}
-	threshold, err := d.get32(fmt.Sprintf("sample %d threshold", i))
+	threshold, err := d.get32("sample %d threshold", i)
 	if err != nil {
-		return err
+		return rawSample{}, err
 	}
-	numMembers, err := d.get32(fmt.Sprintf("sample %d member count", i))
+	numMembers, err := d.get32("sample %d member count", i)
 	if err != nil {
-		return err
+		return rawSample{}, err
 	}
 	// A sample's member count is the size of its source community and
 	// its threshold sits in [1, members]; the encoder can emit nothing
 	// else, so anything different is corruption, not a format variant.
 	if want := len(p.part.Community(int(comm)).Members); int(numMembers) != want {
-		return fmt.Errorf("ric: sample %d: %d members recorded but community %d has %d", i, numMembers, comm, want)
+		return rawSample{}, fmt.Errorf("ric: sample %d: %d members recorded but community %d has %d", i, numMembers, comm, want)
 	}
 	if threshold < 1 || threshold > numMembers {
-		return fmt.Errorf("ric: sample %d: threshold %d out of [1, %d members]", i, threshold, numMembers)
+		return rawSample{}, fmt.Errorf("ric: sample %d: threshold %d out of [1, %d members]", i, threshold, numMembers)
 	}
-	coverCount, err := d.get32(fmt.Sprintf("sample %d cover count", i))
+	coverCount, err := d.get32("sample %d cover count", i)
 	if err != nil {
-		return err
+		return rawSample{}, err
 	}
 	if int(coverCount) > p.g.NumNodes() {
-		return fmt.Errorf("ric: sample %d: %d covers exceed node count %d", i, coverCount, p.g.NumNodes())
+		return rawSample{}, fmt.Errorf("ric: sample %d: %d covers exceed node count %d", i, coverCount, p.g.NumNodes())
 	}
-	id := int32(len(p.samples))
-	p.samples = append(p.samples, Sample{
-		Comm:       int32(comm),
-		Threshold:  int32(threshold),
-		NumMembers: int32(numMembers),
-		TouchCount: int32(coverCount),
-	})
-	p.commFreq[comm]++
-	wantWords := (uint32(numMembers) + maskWordBits - 1) / maskWordBits
-	for c := uint32(0); c < coverCount; c++ {
-		node, err := d.get32(fmt.Sprintf("sample %d cover %d node", i, c))
+	covers := int(coverCount)
+	words := (int(numMembers) + maskWordBits - 1) / maskWordBits
+	raw := rawSample{
+		comm:       int32(comm),
+		threshold:  int32(threshold),
+		numMembers: int32(numMembers),
+		coverNodes: make([]graph.NodeID, 0, min(covers, decodeChunk)),
+		coverBits:  make([]Mask, 0, min(covers, decodeChunk)),
+	}
+	var slab []uint64
+	for c := 0; c < covers; c++ {
+		node, err := d.get32("sample %d cover %d node", i, c)
 		if err != nil {
-			return err
+			return rawSample{}, err
 		}
 		if int(node) >= p.g.NumNodes() {
-			return fmt.Errorf("ric: sample %d: cover node %d out of range [0, %d)", i, node, p.g.NumNodes())
+			return rawSample{}, fmt.Errorf("ric: sample %d: cover node %d out of range [0, %d)", i, node, p.g.NumNodes())
 		}
-		words, err := d.get32(fmt.Sprintf("sample %d cover %d mask width", i, c))
+		width, err := d.get32("sample %d cover %d mask width", i, c)
 		if err != nil {
-			return err
+			return rawSample{}, err
 		}
 		// Masks carry one bit per member, so the width is fully
 		// determined; a short mask would later index out of range in
 		// the solvers, a long one would corrupt union counts.
-		if words != wantWords {
-			return fmt.Errorf("ric: sample %d: mask of %d words for %d members (want %d)", i, words, numMembers, wantWords)
+		if int(width) != words {
+			return rawSample{}, fmt.Errorf("ric: sample %d: mask of %d words for %d members (want %d)", i, width, numMembers, words)
 		}
-		mask := make(Mask, words)
-		for wi := range mask {
-			word, err := d.get64(fmt.Sprintf("sample %d cover %d mask word %d", i, c, wi))
-			if err != nil {
-				return err
-			}
-			mask[wi] = word
+		if len(slab) < words {
+			slab = make([]uint64, words*min(covers-c, max(1, decodeChunk/words)))
 		}
-		p.index[node] = append(p.index[node], CoverEntry{Sample: id, Bits: mask})
+		mask := Mask(slab[:words:words])
+		slab = slab[words:]
+		if err := d.getMask(mask, i, c); err != nil {
+			return rawSample{}, err
+		}
+		raw.coverNodes = append(raw.coverNodes, graph.NodeID(node))
+		raw.coverBits = append(raw.coverBits, mask)
 	}
-	return nil
+	return raw, nil
 }
 
 // ReadInto deserializes samples written by Save into the pool, which
@@ -346,7 +436,8 @@ func (p *Pool) decodeSample(d *poolDecoder, i uint64) error {
 // widths), the stream must end exactly at the last declared sample
 // (trailing bytes are corruption, not slack), and truncated or corrupt
 // input surfaces as a descriptive error naming the field being read —
-// never a panic.
+// never a panic. On any error the pool is left empty: samples are
+// staged and folded in only once the whole stream has decoded.
 //
 // Only offset-0 pools can load a snapshot: IMCP records the sequence
 // prefix [0, samples), which is not the slice a shard pool holds.
@@ -358,8 +449,8 @@ func (p *Pool) ReadInto(r io.Reader) error {
 		return fmt.Errorf("ric: ReadInto requires an empty pool, have %d samples", len(p.samples))
 	}
 	d := newPoolDecoder(r, "pool snapshot")
-	var magic [4]byte
-	if _, err := io.ReadFull(d.cr, magic[:]); err != nil {
+	magic, err := d.magic()
+	if err != nil {
 		return fmt.Errorf("ric: pool snapshot truncated reading magic: %w", err)
 	}
 	if magic != poolMagic {
@@ -385,12 +476,12 @@ func (p *Pool) ReadInto(r io.Reader) error {
 	if count >= 1<<31 {
 		return fmt.Errorf("ric: sample count %d out of range", count)
 	}
-	for i := uint64(0); i < count; i++ {
-		if err := p.decodeSample(d, i); err != nil {
-			return err
-		}
+	raws, err := p.decodeSamples(d, 0, int(count))
+	if err != nil {
+		return err
 	}
-	return d.end()
+	p.fold(raws)
+	return nil
 }
 
 // noEOF normalizes a bare io.EOF from a partial ReadFull into

@@ -83,11 +83,13 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 // resulting sample sequence is exactly what GenerateCtx would have
 // produced. Decoding is as defensive as ReadInto: every count is
 // validated, and the stream must end exactly at the last declared
-// sample.
+// sample. It is also atomic: the range is staged in full and folded in
+// only after the stream's end is verified, so on any error the pool is
+// left exactly as it was.
 func (p *Pool) ImportRange(r io.Reader) (lo, hi int, err error) {
 	d := newPoolDecoder(r, "shard export")
-	var magic [4]byte
-	if _, err := io.ReadFull(d.cr, magic[:]); err != nil {
+	magic, err := d.magic()
+	if err != nil {
 		return 0, 0, fmt.Errorf("ric: shard export truncated reading magic: %w", err)
 	}
 	if magic != shardMagic {
@@ -118,13 +120,10 @@ func (p *Pool) ImportRange(r io.Reader) (lo, hi int, err error) {
 	if next := p.offset + len(p.samples); lo != next {
 		return 0, 0, fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
 	}
-	for i := lo64; i < hi64; i++ {
-		if err := p.decodeSample(d, i); err != nil {
-			return 0, 0, err
-		}
-	}
-	if err := d.end(); err != nil {
+	raws, err := p.decodeSamples(d, lo, hi)
+	if err != nil {
 		return 0, 0, err
 	}
+	p.fold(raws)
 	return lo, hi, nil
 }

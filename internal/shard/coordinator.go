@@ -212,11 +212,12 @@ func (c *Coordinator) Grow(ctx context.Context, spec InstanceSpec, pool *ric.Poo
 			if err == nil {
 				err = fmt.Errorf("worker returned range [%d, %d), want [%d, %d)", lo, hi, r.Lo, r.Hi)
 			}
-			// An import error can leave the pool mid-splice only at a
-			// sample boundary (decode appends whole samples); but to stay
-			// conservative treat any import failure as fatal for the
-			// distributed path and let the caller's pool state be
-			// completed locally.
+			// A failed import leaves the pool exactly as it was (decode
+			// stages the whole range before folding it in), and one with
+			// the wrong hi still appended whole samples of the right
+			// streams (lo is checked against the pool). Either way the
+			// pool is a valid prefix: abandon the distributed path and
+			// complete it locally.
 			c.logger.Warn("shard import failed, completing locally", "range", r, "err", err)
 			c.mu.Lock()
 			c.localFallbacks++

@@ -178,6 +178,52 @@ func TestGrowDegradesToLocal(t *testing.T) {
 	}
 }
 
+// TestGrowRecoversFromTruncatedPayload: a worker whose export is cut
+// short inside an intact CRC frame must not leave a damaged sample in
+// the pool. The failed import leaves the pool as it was, so Grow's
+// local completion regenerates the range and the result is
+// byte-identical to local generation.
+func TestGrowRecoversFromTruncatedPayload(t *testing.T) {
+	const lo, theta, poolSeed = 40, 80, 11
+	export := localExport(t, lo, theta, poolSeed)
+	truncated := export[:len(export)-3]
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+PoolPath, func(rw http.ResponseWriter, r *http.Request) {
+		if err := WriteFrame(rw, truncated); err != nil {
+			t.Error(err)
+		}
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	c := quietCoordinator(t)
+	c.Register(worker.URL)
+
+	g, part, err := testBuild(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnsureCtx(context.Background(), lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Grow(context.Background(), testSpec, p, theta); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), flatSaveBytes(t, theta, poolSeed)) {
+		t.Fatal("grow after a truncated worker payload diverged from local generation")
+	}
+	if m := c.Metrics(); m.LocalFallbacks != 1 {
+		t.Errorf("truncated payload recorded %d local fallbacks, want 1", m.LocalFallbacks)
+	}
+}
+
 // TestSolveUBGMatchesFlat: the coordinator's merged-marginal sandwich
 // solve over 2 worker shards equals UBG on a locally generated flat
 // pool — seeds, coverage, and ĉ_R all bit-identical.
