@@ -55,14 +55,13 @@ poolcache-test:
 		./internal/serve/ -run 'Pool|Donor|Cache|Session|Eviction|Boot|ReadInto|Serial|ColdWarm|Codec|Decode|Failed'
 
 # The distributed shard runtime, race-enabled: stream-family
-# disjointness, offset-pool splice identity, merged-marginal greedy
-# equality, the coordinator/worker protocol (worker death, restart
-# resume, degrade-to-local), and the serve-level distributed-vs-local
-# byte-identity test.
+# disjointness, offset-pool splice identity, the coordinator/worker
+# protocol (worker death, restart resume, degrade-to-local, corrupt or
+# wrong-range worker payloads), and the serve-level
+# distributed-vs-local byte-identity test.
 shard-test:
 	$(GO) test -race -count=1 ./internal/xrand/ ./internal/shard/
 	$(GO) test -race -count=1 ./internal/ric/ -run 'Offset|Splice|ImportRange|Shard|Codec|Failed'
-	$(GO) test -race -count=1 ./internal/maxr/ -run 'Merged|Shards'
 	$(GO) test -race -count=1 ./internal/serve/ -run 'Shard|Distributed'
 
 bench:

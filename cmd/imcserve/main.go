@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -168,25 +167,20 @@ func run() error {
 	}
 
 	// Shard roles. A worker persists generated ranges in the pool cache
-	// and records completions in a journal ledger (under -job-dir when
-	// set), so a killed-and-restarted worker serves the same ranges
-	// without regenerating. A coordinator accepts joins at /shard/join
-	// and farms solve-time generation out to whoever has joined.
+	// (with -pool-cache-dir), so a killed-and-restarted worker serves
+	// the same ranges without regenerating. A coordinator accepts joins
+	// at /shard/join and farms solve-time generation out to whoever has
+	// joined.
 	if *workerMode {
-		wcfg := shard.WorkerConfig{
+		w, err := shard.NewWorker(shard.WorkerConfig{
 			Build:  serve.ShardInstanceBuilder(),
 			Cache:  cache,
 			Logger: logger,
-		}
-		if *jobDir != "" {
-			wcfg.LedgerPath = filepath.Join(*jobDir, "shard-ledger.jsonl")
-		}
-		w, err := shard.NewWorker(wcfg)
+		})
 		if err != nil {
 			return err
 		}
-		defer w.Close()
-		logger.Info("shard worker enabled", "ledger", wcfg.LedgerPath != "", "cache", cache != nil)
+		logger.Info("shard worker enabled", "cache", cache != nil)
 		cfg.ShardWorker = w
 	}
 	if *coordinator {

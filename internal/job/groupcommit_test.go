@@ -77,7 +77,7 @@ func TestConcurrentSubmitsSurviveReopen(t *testing.T) {
 // without touching the file again.
 func TestCommitPiggyback(t *testing.T) {
 	dir := t.TempDir()
-	jl, err := OpenJournalAt(dir+"/journal.log", 0)
+	jl, err := openJournalAt(dir+"/journal.log", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,18 +11,14 @@ import (
 	"time"
 )
 
-// The journal is an append-only JSONL ledger: replaying it from the top
-// reconstructs the owning component's current state, so records are
-// never rewritten in place — a crash can at worst leave one torn line
-// at the tail, which replay detects and truncates away before appending
-// resumes. The Store uses one for job metadata; the distributed shard
-// runtime (internal/shard) uses one as its exactly-once generation
-// ledger. Both get the same durability contract from the exported
-// Journal/ReplayJournal/OpenJournalAt surface.
+// The journal is the Store's append-only JSONL log of job metadata:
+// replaying it from the top reconstructs the Store's current state, so
+// records are never rewritten in place — a crash can at worst leave one
+// torn line at the tail, which replay detects and truncates away before
+// appending resumes.
 //
-// Large blobs (pool checkpoints, results, shard exports) live in side
-// files and are written via atomic rename; a journal only records that
-// they exist.
+// Large blobs (pool checkpoints, results) live in side files and are
+// written via atomic rename; the journal only records that they exist.
 
 // journalOp enumerates the Store's record types.
 const (
@@ -52,7 +48,7 @@ type journalRecord struct {
 	Samples   int `json:"samples,omitempty"`
 }
 
-// Journal is the append handle, split into two halves so an owner
+// journal is the append handle, split into two halves so an owner
 // never fsyncs inside its own mutex (the lockheld analyzer's canonical
 // stall: every read would queue behind disk latency):
 //
@@ -73,7 +69,7 @@ type journalRecord struct {
 // every later mutation, freezing the owner until restart — at which
 // point replay rewinds to the last synced record and interrupted work
 // resumes from its side files.
-type Journal struct {
+type journal struct {
 	// Staging half, guarded by smu (taken with the owner's mutex held;
 	// always innermost, so the lock-order graph stays acyclic).
 	smu     sync.Mutex
@@ -89,16 +85,15 @@ type Journal struct {
 	werr   error         //imc:guardedby mu — sticky write/sync failure
 }
 
-// ReplayJournal reads every intact JSONL record from path, reporting
-// the byte offset where intact data ends. A missing file is an empty
-// journal. apply receives each line's raw JSON and reports whether the
-// record is well-formed for the owner's schema: returning false stops
-// replay at the previous record — the line, and everything after it,
-// is treated as the torn/corrupt tail of a crash mid-append, which the
-// caller truncates away via OpenJournalAt. An apply error aborts the
-// replay outright (the journal is intact but the state is
+// replayJournal reads every intact record from path, reporting the
+// byte offset where intact data ends. A missing file is an empty
+// journal. A line that does not decode to a record with an op and an
+// ID stops replay at the previous record — the line, and everything
+// after it, is treated as the torn/corrupt tail of a crash mid-append,
+// which the caller truncates away via openJournalAt. An apply error
+// aborts the replay outright (the journal is intact but the state is
 // contradictory, e.g. a transition for an unknown ID).
-func ReplayJournal(path string, apply func(line json.RawMessage) (bool, error)) (int64, error) {
+func replayJournal(path string, apply func(journalRecord) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -119,38 +114,23 @@ func ReplayJournal(path string, apply func(line json.RawMessage) (bool, error)) 
 		if err != nil {
 			return 0, fmt.Errorf("job: read journal: %w", err)
 		}
-		if !json.Valid(line) {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" || rec.ID == "" {
 			// Corrupt interior line: everything after it is suspect too,
 			// so stop here and let the caller truncate.
 			return good, nil
 		}
-		ok, aerr := apply(json.RawMessage(line))
-		if aerr != nil {
-			return 0, fmt.Errorf("job: replay journal: %w", aerr)
-		}
-		if !ok {
-			return good, nil
+		if err := apply(rec); err != nil {
+			return 0, fmt.Errorf("job: replay journal: %w", err)
 		}
 		good += int64(len(line))
 	}
 }
 
-// replayJournal replays the Store's schema: a line that does not decode
-// to a record with an op and an ID is corruption, not a variant.
-func replayJournal(path string, apply func(journalRecord) error) (int64, error) {
-	return ReplayJournal(path, func(line json.RawMessage) (bool, error) {
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" || rec.ID == "" {
-			return false, nil
-		}
-		return true, apply(rec)
-	})
-}
-
-// OpenJournalAt opens path for appending, truncated to intactBytes (the
-// offset ReplayJournal reported) so torn tails never corrupt later
+// openJournalAt opens path for appending, truncated to intactBytes (the
+// offset replayJournal reported) so torn tails never corrupt later
 // records.
-func OpenJournalAt(path string, intactBytes int64) (*Journal, error) {
+func openJournalAt(path string, intactBytes int64) (*journal, error) {
 	if err := os.Truncate(path, intactBytes); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("job: truncate journal tail: %w", err)
 	}
@@ -158,7 +138,7 @@ func OpenJournalAt(path string, intactBytes int64) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("job: open journal for append: %w", err)
 	}
-	return &Journal{file: f, bw: bufio.NewWriter(f)}, nil
+	return &journal{file: f, bw: bufio.NewWriter(f)}, nil
 }
 
 // Stage marshals one record into the pending buffer and returns its
@@ -166,7 +146,7 @@ func OpenJournalAt(path string, intactBytes int64) (*Journal, error) {
 // matches in-memory apply order) and pass the ticket to Commit after
 // releasing it. A marshal failure stages nothing — the caller can still
 // roll back its in-memory change.
-func (j *Journal) Stage(rec any) (uint64, error) {
+func (j *journal) Stage(rec any) (uint64, error) {
 	raw, err := json.Marshal(rec)
 	if err != nil {
 		return 0, fmt.Errorf("job: marshal journal record: %w", err)
@@ -185,7 +165,7 @@ func (j *Journal) Stage(rec any) (uint64, error) {
 // and a lost record means work silently re-runs or vanishes on restart,
 // so the journal always pays for durability; the group-commit batching
 // just makes contenders share one payment.
-func (j *Journal) Commit(ticket uint64) error {
+func (j *journal) Commit(ticket uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.werr != nil {
@@ -214,7 +194,7 @@ func (j *Journal) Commit(ticket uint64) error {
 // and fsyncs. Called with j.mu held.
 //
 //imc:locked mu
-func (j *Journal) flushAndSync(buf []byte) error {
+func (j *journal) flushAndSync(buf []byte) error {
 	if _, err := j.bw.Write(buf); err != nil {
 		return fmt.Errorf("job: append journal: %w", err)
 	}
@@ -230,7 +210,7 @@ func (j *Journal) flushAndSync(buf []byte) error {
 // Append stages and immediately commits one record — the single-
 // threaded path (boot-time replay demotions), where there is nothing
 // to batch with.
-func (j *Journal) Append(rec any) error {
+func (j *journal) Append(rec any) error {
 	ticket, err := j.Stage(rec)
 	if err != nil {
 		return err
@@ -240,7 +220,7 @@ func (j *Journal) Append(rec any) error {
 
 // Close flushes anything still staged and releases the file handle.
 // Single-caller contract: no commits may be in flight.
-func (j *Journal) Close() error {
+func (j *journal) Close() error {
 	if j == nil {
 		return nil
 	}

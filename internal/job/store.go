@@ -25,7 +25,7 @@ type Store struct {
 	now clock.Func //imc:guardedby immutable
 
 	mu    sync.Mutex
-	jl    *Journal          //imc:guardedby mu
+	jl    *journal          //imc:guardedby mu
 	jobs  map[string]*Job   //imc:guardedby mu
 	order []string          //imc:guardedby mu — job IDs in submission order
 	byKey map[string]string //imc:guardedby mu — idempotency key → job ID
@@ -58,7 +58,7 @@ func Open(dir string, now clock.Func) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.jl, err = OpenJournalAt(path, intact); err != nil {
+	if s.jl, err = openJournalAt(path, intact); err != nil {
 		return nil, err
 	}
 	// Crash recovery: a "running" job's worker no longer exists. Journal

@@ -112,23 +112,23 @@ func (c *Cache) SaveShard(base Key, pool *ric.Pool, lo, hi int) error {
 
 // LoadShard splices the cached shard range [lo, hi) for base into
 // pool, whose next global sample index must equal lo (ImportRange's
-// contiguity contract). Returns found=false when the range is not
-// cached — the caller generates it instead. A cached file that fails
-// the CRC, header, or IMCS validation is dropped, counts an error, and
-// reports found=false with pool untouched (ImportRange folds nothing
-// in unless the whole range decodes), so the caller can generate into
-// the same pool: a corrupt shard degrades to regeneration, never to a
-// wrong pool. Safe on nil (always a miss).
-func (c *Cache) LoadShard(base Key, pool *ric.Pool, lo, hi int) (found bool, err error) {
+// contiguity contract). Returns false when the range is not cached —
+// the caller generates it instead. A cached file that fails the CRC,
+// header, range, or IMCS validation is dropped, counts an error, and
+// reports false with pool untouched (ImportRange folds nothing in
+// unless the whole declared range is [lo, hi) and decodes), so the
+// caller can generate into the same pool: a corrupt shard degrades to
+// regeneration, never to a wrong pool. Safe on nil (always a miss).
+func (c *Cache) LoadShard(base Key, pool *ric.Pool, lo, hi int) bool {
 	if c == nil {
-		return false, nil
+		return false
 	}
 	key := KeyForShard(base, lo, hi)
 	if _, ok := c.lookup(key); !ok {
 		c.mu.Lock()
 		c.stats.ShardMisses++
 		c.mu.Unlock()
-		return false, nil
+		return false
 	}
 	body, err := atomicio.ReadCRCFile(c.path(key))
 	if err == nil && (len(body) < cacheHeaderSize || !bytes.Equal(body[:4], cacheMagic[:])) {
@@ -139,25 +139,18 @@ func (c *Cache) LoadShard(base Key, pool *ric.Pool, lo, hi int) (found bool, err
 			err = fmt.Errorf("poolcache: unsupported cache version %d (want %d)", v, cacheVersion)
 		}
 	}
-	var gotLo, gotHi int
 	if err == nil {
-		gotLo, gotHi, err = pool.ImportRange(bytes.NewReader(body[cacheHeaderSize:]))
-	}
-	if err == nil && (gotLo != lo || gotHi != hi) {
-		// ImportRange succeeded, so the pool now holds the wrong range —
-		// unreachable unless the key derivation itself is broken, and not
-		// recoverable by regeneration; surface it as a hard error.
-		return false, fmt.Errorf("poolcache: shard %s holds range [%d, %d), want [%d, %d)", key, gotLo, gotHi, lo, hi)
+		err = pool.ImportRange(bytes.NewReader(body[cacheHeaderSize:]), hi)
 	}
 	if err != nil {
 		c.drop(key, err)
 		c.mu.Lock()
 		c.stats.ShardMisses++
 		c.mu.Unlock()
-		return false, nil
+		return false
 	}
 	c.mu.Lock()
 	c.stats.ShardHits++
 	c.mu.Unlock()
-	return true, nil
+	return true
 }

@@ -61,11 +61,7 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := c.LoadShard(base, dst, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
+	if !c.LoadShard(base, dst, lo, hi) {
 		t.Fatal("saved shard not found")
 	}
 	var want, got bytes.Buffer
@@ -89,9 +85,8 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err = c.LoadShard(base, miss, hi, hi+10)
-	if err != nil || found {
-		t.Fatalf("uncached range: found=%v err=%v", found, err)
+	if c.LoadShard(base, miss, hi, hi+10) {
+		t.Fatal("uncached range found")
 	}
 	if st := c.Stats(); st.ShardMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 shard miss", st)
@@ -120,9 +115,8 @@ func TestShardEntriesSurviveReboot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := re.LoadShard(base, dst, lo, hi)
-	if err != nil || !found {
-		t.Fatalf("rebooted cache: found=%v err=%v", found, err)
+	if !re.LoadShard(base, dst, lo, hi) {
+		t.Fatal("rebooted cache: saved shard not found")
 	}
 	if dst.NumSamples() != hi-lo {
 		t.Fatalf("loaded %d samples, want %d", dst.NumSamples(), hi-lo)
@@ -156,9 +150,8 @@ func TestShardLoadDropsCorruptEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := c.LoadShard(base, dst, lo, hi)
-	if err != nil || found {
-		t.Fatalf("corrupt shard: found=%v err=%v", found, err)
+	if c.LoadShard(base, dst, lo, hi) {
+		t.Fatal("corrupt shard found")
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Errors == 0 {
 		t.Fatalf("corrupt entry not dropped: %+v", st)

@@ -224,7 +224,7 @@ func BenchmarkPoolImportRange(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := p.ImportRange(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := p.ImportRange(bytes.NewReader(buf.Bytes()), 5000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func TestFailedImportRangeLeavesPoolUntouched(t *testing.T) {
 	pool := buildPool(t, g, part, 40, seed)
 	before := capturePool(t, pool)
 	for cut := 0; cut < len(export); cut++ {
-		if _, _, err := pool.ImportRange(bytes.NewReader(export[:cut])); err == nil {
+		if err := pool.ImportRange(bytes.NewReader(export[:cut]), 80); err == nil {
 			t.Fatalf("export cut at %d of %d accepted", cut, len(export))
 		}
 		if got := capturePool(t, pool); !got.equal(before) {
@@ -158,7 +158,7 @@ func TestFailedImportRangeLeavesPoolUntouched(t *testing.T) {
 	}
 	// The untouched pool still takes the intact range, and the result
 	// is the pool one process would have generated.
-	if _, _, err := pool.ImportRange(bytes.NewReader(export)); err != nil {
+	if err := pool.ImportRange(bytes.NewReader(export), 80); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := capturePool(t, pool), capturePool(t, buildPool(t, g, part, 80, seed)); !got.equal(want) {
@@ -232,7 +232,7 @@ func TestDecodeAllocatesNoMoreThanGenerate(t *testing.T) {
 		}
 	})
 	splice := testing.AllocsPerRun(3, func() {
-		if _, _, err := fresh().ImportRange(bytes.NewReader(export.Bytes())); err != nil {
+		if err := fresh().ImportRange(bytes.NewReader(export.Bytes()), count); err != nil {
 			t.Fatal(err)
 		}
 	})

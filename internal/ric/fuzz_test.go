@@ -83,8 +83,9 @@ func FuzzPoolRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzImportRange feeds arbitrary bytes to the shard-range splice of a
-// pool that already holds samples [0, 20). Invariants under fuzzing:
+// FuzzImportRange feeds arbitrary bytes and an arbitrary expected end
+// to the shard-range splice of a pool that already holds samples
+// [0, 20). Invariants under fuzzing:
 //
 //  1. ImportRange never panics.
 //  2. A rejected input leaves the pool exactly as it was: import is
@@ -94,25 +95,26 @@ func FuzzPoolRoundTrip(f *testing.F) {
 //     lists each sample's covers in node order; an accepted input may
 //     list them in any order, so its own bytes need not come back.)
 func FuzzImportRange(f *testing.F) {
-	const seed, have = 7, 20
+	const seed, have, want = 7, 20, 40
 	g, part := smallInstance(f)
-	src := buildPool(f, g, part, 40, seed)
+	src := buildPool(f, g, part, want, seed)
 	donor := NewDonor(src)
 	var valid bytes.Buffer
-	if err := src.ExportRange(&valid, have, 40); err != nil {
+	if err := src.ExportRange(&valid, have, want); err != nil {
 		f.Fatal(err)
 	}
 	export := valid.Bytes()
-	f.Add(export)
-	f.Add([]byte("IMCS"))
-	f.Add([]byte{})
+	f.Add(export, uint16(want))
+	f.Add(export, uint16(want+1))
+	f.Add([]byte("IMCS"), uint16(want))
+	f.Add([]byte{}, uint16(want))
 	for cut := 0; cut < len(export); cut += 29 {
-		f.Add(append([]byte(nil), export[:cut]...))
+		f.Add(append([]byte(nil), export[:cut]...), uint16(want))
 	}
 	for off := 0; off < len(export); off += 31 {
 		flipped := append([]byte(nil), export...)
 		flipped[off] ^= 0x41
-		f.Add(flipped)
+		f.Add(flipped, uint16(want))
 	}
 
 	base := func(t testing.TB) *Pool {
@@ -127,25 +129,28 @@ func FuzzImportRange(f *testing.F) {
 	}
 	before := capturePool(f, base(f))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, end uint16) {
+		hi := int(end)
 		p := base(t)
-		lo, hi, err := p.ImportRange(bytes.NewReader(data))
-		if err != nil {
+		if err := p.ImportRange(bytes.NewReader(data), hi); err != nil {
 			if !capturePool(t, p).equal(before) {
 				t.Fatalf("rejected input (%v) changed the pool", err)
 			}
 			return
 		}
+		if got := p.NumSamples(); got != hi {
+			t.Fatalf("accepted import ends at %d samples, want %d", got, hi)
+		}
 		var out bytes.Buffer
-		if err := p.ExportRange(&out, lo, hi); err != nil {
-			t.Fatalf("accepted range [%d, %d) failed to re-export: %v", lo, hi, err)
+		if err := p.ExportRange(&out, have, hi); err != nil {
+			t.Fatalf("accepted range [%d, %d) failed to re-export: %v", have, hi, err)
 		}
 		q := base(t)
-		if _, _, err := q.ImportRange(bytes.NewReader(out.Bytes())); err != nil {
+		if err := q.ImportRange(bytes.NewReader(out.Bytes()), hi); err != nil {
 			t.Fatalf("own export rejected: %v", err)
 		}
 		var again bytes.Buffer
-		if err := q.ExportRange(&again, lo, hi); err != nil {
+		if err := q.ExportRange(&again, have, hi); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), again.Bytes()) {

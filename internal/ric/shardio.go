@@ -75,55 +75,59 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 	return nil
 }
 
-// ImportRange appends a shard export to the pool and returns the
-// [lo, hi) global range it covered. The export's identity block must
-// match the pool (same seed, model, weighted graph, partition shape),
-// and its lo must equal the pool's next global sample index
-// Offset()+NumSamples() — ranges splice in order, gap-free, so the
-// resulting sample sequence is exactly what GenerateCtx would have
-// produced. Decoding is as defensive as ReadInto: every count is
-// validated, and the stream must end exactly at the last declared
-// sample. It is also atomic: the range is staged in full and folded in
-// only after the stream's end is verified, so on any error the pool is
-// left exactly as it was.
-func (p *Pool) ImportRange(r io.Reader) (lo, hi int, err error) {
+// ImportRange appends a shard export of global samples [next, hi) to
+// the pool, where next is the pool's next global sample index
+// Offset()+NumSamples(). The export's identity block must match the
+// pool (same seed, model, weighted graph, partition shape), and its
+// declared range must be exactly [next, hi) — ranges splice in order,
+// gap-free, and never past the caller's target, so the resulting
+// sample sequence is exactly what GenerateCtx would have produced.
+// Decoding is as defensive as ReadInto: every count is validated, and
+// the stream must end exactly at the last declared sample. It is also
+// atomic: the range is staged in full and folded in only after the
+// stream's end is verified, so on any error the pool is left exactly
+// as it was.
+func (p *Pool) ImportRange(r io.Reader, hi int) error {
 	d := newPoolDecoder(r, "shard export")
 	magic, err := d.magic()
 	if err != nil {
-		return 0, 0, fmt.Errorf("ric: shard export truncated reading magic: %w", err)
+		return fmt.Errorf("ric: shard export truncated reading magic: %w", err)
 	}
 	if magic != shardMagic {
-		return 0, 0, fmt.Errorf("ric: bad shard magic %q", magic)
+		return fmt.Errorf("ric: bad shard magic %q", magic)
 	}
 	version, err := d.get32("version")
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	if version != shardVersion {
-		return 0, 0, fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
+		return fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
 	}
 	if err := p.checkIdentity(d); err != nil {
-		return 0, 0, err
+		return err
 	}
 	lo64, err := d.get64("range lo")
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	hi64, err := d.get64("range hi")
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	if lo64 > hi64 || hi64 >= 1<<31 {
-		return 0, 0, fmt.Errorf("ric: shard export range [%d, %d) invalid", lo64, hi64)
+		return fmt.Errorf("ric: shard export range [%d, %d) invalid", lo64, hi64)
 	}
-	lo, hi = int(lo64), int(hi64)
+	lo := int(lo64)
 	if next := p.offset + len(p.samples); lo != next {
-		return 0, 0, fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
+		return fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
+	}
+	if int(hi64) != hi {
+		return fmt.Errorf("ric: shard export ends at sample %d, want %d", hi64, hi)
 	}
 	raws, err := p.decodeSamples(d, lo, hi)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	p.fold(raws)
-	return lo, hi, nil
+	return nil
 }

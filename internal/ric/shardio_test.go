@@ -94,12 +94,8 @@ func TestSpliceShardsMatchesFullGeneration(t *testing.T) {
 			if err := shard.ExportRange(&buf, lo, hi); err != nil {
 				t.Fatalf("N=%d worker %d: ExportRange: %v", n, w, err)
 			}
-			gotLo, gotHi, err := spliced.ImportRange(&buf)
-			if err != nil {
+			if err := spliced.ImportRange(&buf, hi); err != nil {
 				t.Fatalf("N=%d worker %d: ImportRange: %v", n, w, err)
-			}
-			if gotLo != lo || gotHi != hi {
-				t.Fatalf("N=%d worker %d: imported [%d,%d), want [%d,%d)", n, w, gotLo, gotHi, lo, hi)
 			}
 		}
 		var got bytes.Buffer
@@ -129,12 +125,12 @@ func TestImportRangeRejectsGapsAndOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstBytes := first.Bytes()
-	if _, _, err := dst.ImportRange(bytes.NewReader(firstBytes)); err != nil {
+	if err := dst.ImportRange(bytes.NewReader(firstBytes), 30); err != nil {
 		t.Fatal(err)
 	}
 
 	// Re-applying the same range overlaps.
-	if _, _, err := dst.ImportRange(bytes.NewReader(firstBytes)); err == nil ||
+	if err := dst.ImportRange(bytes.NewReader(firstBytes), 30); err == nil ||
 		!strings.Contains(err.Error(), "gap-free") {
 		t.Fatalf("overlapping range accepted: %v", err)
 	}
@@ -145,9 +141,36 @@ func TestImportRangeRejectsGapsAndOverlap(t *testing.T) {
 	if err := later.ExportRange(&gap, 60, 90); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dst.ImportRange(&gap); err == nil ||
+	if err := dst.ImportRange(&gap, 90); err == nil ||
 		!strings.Contains(err.Error(), "gap-free") {
 		t.Fatalf("gapped range accepted: %v", err)
+	}
+}
+
+// TestImportRangeRejectsWrongEnd: an export that runs past (or stops
+// short of) the caller's expected end is refused before anything is
+// staged, so a worker answering with an overlong range cannot grow the
+// pool past its target.
+func TestImportRangeRejectsWrongEnd(t *testing.T) {
+	const seed = 31
+	g, part := smallInstance(t)
+	dst := buildPool(t, g, part, 30, seed)
+	before := capturePool(t, dst)
+	var buf bytes.Buffer
+	if err := buildShard(t, 30, 60, seed).ExportRange(&buf, 30, 60); err != nil {
+		t.Fatal(err)
+	}
+	for _, hi := range []int{50, 70} {
+		if err := dst.ImportRange(bytes.NewReader(buf.Bytes()), hi); err == nil ||
+			!strings.Contains(err.Error(), "ends at sample 60") {
+			t.Fatalf("export [30, 60) accepted as [30, %d): %v", hi, err)
+		}
+		if !capturePool(t, dst).equal(before) {
+			t.Fatalf("rejected [30, %d) import changed the pool", hi)
+		}
+	}
+	if err := dst.ImportRange(bytes.NewReader(buf.Bytes()), 60); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,7 +187,7 @@ func TestImportRangeRejectsIdentityMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := other.ImportRange(&buf); err == nil ||
+	if err := other.ImportRange(&buf, 10); err == nil ||
 		!strings.Contains(err.Error(), "mix PRNG streams") {
 		t.Fatalf("cross-seed shard accepted: %v", err)
 	}
@@ -188,17 +211,17 @@ func TestImportRangeRejectsCorruption(t *testing.T) {
 		}
 		return p
 	}
-	if _, _, err := fresh().ImportRange(bytes.NewReader(good[:len(good)-3])); err == nil ||
+	if err := fresh().ImportRange(bytes.NewReader(good[:len(good)-3]), 20); err == nil ||
 		!strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated export accepted: %v", err)
 	}
-	if _, _, err := fresh().ImportRange(bytes.NewReader(append(append([]byte{}, good...), 0))); err == nil ||
+	if err := fresh().ImportRange(bytes.NewReader(append(append([]byte{}, good...), 0)), 20); err == nil ||
 		!strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("trailing byte accepted: %v", err)
 	}
 	bad := append([]byte{}, good...)
 	bad[0] = 'X'
-	if _, _, err := fresh().ImportRange(bytes.NewReader(bad)); err == nil ||
+	if err := fresh().ImportRange(bytes.NewReader(bad), 20); err == nil ||
 		!strings.Contains(err.Error(), "shard magic") {
 		t.Fatalf("bad magic accepted: %v", err)
 	}

@@ -68,8 +68,8 @@ type Config struct {
 	// generates locally, so enabling it is always safe.
 	ShardCoordinator *shard.Coordinator
 	// ShardWorker, when set, mounts the shard worker endpoints
-	// (/shard/ping, /shard/generate, /shard/pool, /shard/eval) so this
-	// server can serve sample ranges to a coordinator.
+	// (/shard/ping, /shard/pool) so this server can serve sample ranges
+	// to a coordinator.
 	ShardWorker *shard.Worker
 }
 

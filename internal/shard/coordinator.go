@@ -14,9 +14,6 @@ import (
 	"time"
 
 	"imc/internal/clock"
-	"imc/internal/community"
-	"imc/internal/graph"
-	"imc/internal/maxr"
 	"imc/internal/ric"
 	"imc/internal/stats"
 )
@@ -207,17 +204,12 @@ func (c *Coordinator) Grow(ctx context.Context, spec InstanceSpec, pool *ric.Poo
 			}
 			continue
 		}
-		lo, hi, err := pool.ImportRange(bytes.NewReader(data))
-		if err != nil || lo != r.Lo || hi != r.Hi {
-			if err == nil {
-				err = fmt.Errorf("worker returned range [%d, %d), want [%d, %d)", lo, hi, r.Lo, r.Hi)
-			}
-			// A failed import leaves the pool exactly as it was (decode
-			// stages the whole range before folding it in), and one with
-			// the wrong hi still appended whole samples of the right
-			// streams (lo is checked against the pool). Either way the
-			// pool is a valid prefix: abandon the distributed path and
-			// complete it locally.
+		if err := pool.ImportRange(bytes.NewReader(data), r.Hi); err != nil {
+			// A failed import — corrupt, or not exactly [r.Lo, r.Hi) —
+			// leaves the pool exactly as it was (decode checks the
+			// declared range and stages the whole range before folding
+			// it in), so the pool is a valid prefix: abandon the
+			// distributed path and complete it locally.
 			c.logger.Warn("shard import failed, completing locally", "range", r, "err", err)
 			c.mu.Lock()
 			c.localFallbacks++
@@ -308,156 +300,6 @@ func (c *Coordinator) postPool(ctx context.Context, addr string, req GenRequest)
 		return nil, decodeShardHTTPError(resp)
 	}
 	return ReadFrame(resp.Body, maxPoolFrame)
-}
-
-// EvalGains sums exact per-candidate coverage marginals across the
-// workers for the pool identity (spec, poolSeed) over samples
-// [0, theta): the integer the flat pool's marginal would be. This is
-// the verification RPC — it lets a test or an operator confirm, with
-// no float tolerance, that the distributed sample set agrees with a
-// local one. Unlike Grow it does not fall back to local generation;
-// with no live workers it fails.
-func (c *Coordinator) EvalGains(ctx context.Context, spec InstanceSpec, poolSeed uint64, theta int, seeds, cands []graph.NodeID) (coverage int, gains []int, err error) {
-	workers := c.alive()
-	if len(workers) == 0 {
-		return 0, nil, fmt.Errorf("shard: no live workers to evaluate on")
-	}
-	ranges := SplitRanges(0, theta, len(workers))
-	gains = make([]int, len(cands))
-	type evalOut struct {
-		resp EvalResponse
-		err  error
-	}
-	outs := make([]evalOut, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r Range, first string) {
-			defer wg.Done()
-			outs[i].resp, outs[i].err = c.evalRange(ctx, spec, poolSeed, r, seeds, cands, first)
-		}(i, r, workers[i%len(workers)])
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].err != nil {
-			return 0, nil, fmt.Errorf("shard: eval range %+v: %w", ranges[i], outs[i].err)
-		}
-		coverage += outs[i].resp.Coverage
-		for j, g := range outs[i].resp.Gains {
-			gains[j] += g
-		}
-	}
-	return coverage, gains, nil
-}
-
-// evalRange mirrors fetchRange's bounded retry for the eval RPC.
-func (c *Coordinator) evalRange(ctx context.Context, spec InstanceSpec, poolSeed uint64, r Range, seeds, cands []graph.NodeID, first string) (EvalResponse, error) {
-	req := EvalRequest{
-		GenRequest: GenRequest{Instance: spec, PoolSeed: poolSeed, Lo: r.Lo, Hi: r.Hi},
-		Seeds:      seeds, Candidates: cands,
-	}
-	tried := make(map[string]bool)
-	addr := first
-	var lastErr error
-	for attempt := 0; attempt < c.maxAttempts; attempt++ {
-		if addr == "" {
-			break
-		}
-		tried[addr] = true
-		c.mu.Lock()
-		c.rangesDispatched++
-		c.mu.Unlock()
-		var out EvalResponse
-		err := func() error {
-			resp, err := c.postJSON(ctx, addr+EvalPath, req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return decodeShardHTTPError(resp)
-			}
-			return json.NewDecoder(io.LimitReader(resp.Body, 1<<26)).Decode(&out)
-		}()
-		if err == nil {
-			if len(out.Gains) != len(cands) {
-				return EvalResponse{}, fmt.Errorf("shard: worker returned %d gains for %d candidates", len(out.Gains), len(cands))
-			}
-			return out, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return EvalResponse{}, err
-		}
-		c.noteFailure(addr, attempt > 0)
-		addr = c.pickWorker(tried)
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("shard: no live workers left")
-	}
-	return EvalResponse{}, lastErr
-}
-
-// SolveUBG runs the sandwich solver on merged marginals without ever
-// materializing the flat pool: each worker's range is imported into its
-// own offset pool, the set is wrapped as maxr.Shards, and the merged
-// greedy loops (which replay the flat kernels' float addition order)
-// select the seeds. The result equals UBG on a locally generated pool
-// bit-for-bit. Ranges that no worker can serve are generated locally.
-//
-//imc:longrun
-func (c *Coordinator) SolveUBG(ctx context.Context, spec InstanceSpec, g *graph.Graph, part *community.Partition, poolSeed uint64, theta, k int) (maxr.Result, error) {
-	model, err := spec.model()
-	if err != nil {
-		return maxr.Result{}, err
-	}
-	workers := c.alive()
-	ranges := SplitRanges(0, theta, max(len(workers), 1))
-	var payloads [][]byte
-	if len(workers) > 0 {
-		payloads = c.fetchRanges(ctx, spec, poolSeed, ranges, workers)
-	} else {
-		payloads = make([][]byte, len(ranges))
-	}
-	start := c.now()
-	pools := make([]*ric.Pool, len(ranges))
-	for i, r := range ranges {
-		p, err := ric.NewPool(g, part, ric.PoolOptions{Model: model, Seed: poolSeed, Offset: r.Lo})
-		if err != nil {
-			return maxr.Result{}, err
-		}
-		if data := payloads[i]; data != nil {
-			lo, hi, err := p.ImportRange(bytes.NewReader(data))
-			if err == nil && lo == r.Lo && hi == r.Hi {
-				pools[i] = p
-				continue
-			}
-			c.logger.Warn("shard import failed, generating locally", "range", r, "err", err)
-			if p, err = ric.NewPool(g, part, ric.PoolOptions{Model: model, Seed: poolSeed, Offset: r.Lo}); err != nil {
-				return maxr.Result{}, err
-			}
-		}
-		c.mu.Lock()
-		c.localFallbacks++
-		c.mu.Unlock()
-		if err := p.EnsureCtx(ctx, r.Width()); err != nil {
-			return maxr.Result{}, err
-		}
-		pools[i] = p
-	}
-	sh, err := maxr.NewShards(pools)
-	if err != nil {
-		return maxr.Result{}, err
-	}
-	res, err := maxr.UBGShards(ctx, sh, k)
-	if err != nil {
-		return maxr.Result{}, err
-	}
-	c.mu.Lock()
-	c.merges++
-	c.mergeLatency.Observe(c.now().Sub(start).Seconds())
-	c.mu.Unlock()
-	return res, nil
 }
 
 func (c *Coordinator) postJSON(ctx context.Context, url string, body any) (*http.Response, error) {

@@ -6,11 +6,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
-	"imc/internal/graph"
-	"imc/internal/maxr"
 	"imc/internal/ric"
 )
 
@@ -224,71 +221,51 @@ func TestGrowRecoversFromTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestSolveUBGMatchesFlat: the coordinator's merged-marginal sandwich
-// solve over 2 worker shards equals UBG on a locally generated flat
-// pool — seeds, coverage, and ĉ_R all bit-identical.
-func TestSolveUBGMatchesFlat(t *testing.T) {
-	const theta, k, poolSeed = 400, 5, 42
-	g, part, err := testBuild(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.EnsureCtx(context.Background(), theta); err != nil {
-		t.Fatal(err)
-	}
-	want, err := maxr.UBG{}.SolveCtx(context.Background(), flat, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := quietCoordinator(t)
-	startWorkers(t, c, 2)
-	got, err := c.SolveUBG(context.Background(), testSpec, g, part, poolSeed, theta, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Seeds, got.Seeds) || want.Coverage != got.Coverage || want.CHat != got.CHat {
-		t.Fatalf("distributed UBG = %+v, flat = %+v", got, want)
-	}
-}
-
-// TestEvalGainsMatchFlat: summed per-candidate integer marginals across
-// workers equal the flat pool's marginals exactly.
-func TestEvalGainsMatchFlat(t *testing.T) {
-	const theta, poolSeed = 300, 5
-	g, part, err := testBuild(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.EnsureCtx(context.Background(), theta); err != nil {
-		t.Fatal(err)
-	}
-
-	c := quietCoordinator(t)
-	startWorkers(t, c, 3)
-	seeds := []graph.NodeID{2, 9}
-	cands := []graph.NodeID{0, 4, 7, 15, 23}
-	coverage, gains, err := c.EvalGains(context.Background(), testSpec, poolSeed, theta, seeds, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := flat.CoverageCount(seeds)
-	if coverage != base {
-		t.Fatalf("merged coverage %d, flat %d", coverage, base)
-	}
-	for i, v := range cands {
-		want := flat.CoverageCount(append(append([]graph.NodeID{}, seeds...), v)) - base
-		if gains[i] != want {
-			t.Errorf("merged gain for node %d = %d, flat %d", v, gains[i], want)
+// TestGrowRejectsOverlongExport: a worker that answers [40, 80) with an
+// export of [40, 90) must not grow the pool past its target. The import
+// is refused before anything is staged, so Grow's local completion
+// regenerates [40, 80) and the result is byte-identical to local
+// generation.
+func TestGrowRejectsOverlongExport(t *testing.T) {
+	const lo, theta, poolSeed = 40, 80, 11
+	overlong := localExport(t, lo, theta+10, poolSeed)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+PoolPath, func(rw http.ResponseWriter, r *http.Request) {
+		if err := WriteFrame(rw, overlong); err != nil {
+			t.Error(err)
 		}
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	c := quietCoordinator(t)
+	c.Register(worker.URL)
+
+	g, part, err := testBuild(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnsureCtx(context.Background(), lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Grow(context.Background(), testSpec, p, theta); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumSamples() != theta {
+		t.Fatalf("grow left %d samples, want %d", p.NumSamples(), theta)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), flatSaveBytes(t, theta, poolSeed)) {
+		t.Fatal("grow after an overlong worker export diverged from local generation")
+	}
+	if m := c.Metrics(); m.LocalFallbacks != 1 {
+		t.Errorf("overlong export recorded %d local fallbacks, want 1", m.LocalFallbacks)
 	}
 }
 

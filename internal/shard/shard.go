@@ -13,19 +13,17 @@
 //
 // Protocol endpoints (mounted by Worker.Routes / Coordinator.HandleJoin):
 //
-//	GET  /shard/ping      liveness probe
-//	POST /shard/generate  ensure samples [lo, hi) exist (idempotent)
-//	POST /shard/pool      stream the range as a length-prefixed, CRC-framed
-//	                      IMCS export (ric.ExportRange)
-//	POST /shard/eval      per-candidate coverage marginals over the range
-//	POST /shard/join      worker self-registration with the coordinator
+//	GET  /shard/ping  liveness probe
+//	POST /shard/pool  generate samples [lo, hi) if not cached and stream
+//	                  them as a length-prefixed, CRC-framed IMCS export
+//	                  (ric.ExportRange)
+//	POST /shard/join  worker self-registration with the coordinator
 //
 // Requests are JSON; the pool payload is binary (IMCS) inside the CRC
 // frame from internal/atomicio, so corruption in transit fails closed.
 // Workers persist generated ranges in the content-addressed pool cache
-// (poolcache.SaveShard) and record completions in a job.Journal ledger,
-// so a killed-and-restarted worker serves the same bytes without
-// regenerating — exactly-once generation per (identity, range).
+// (poolcache.SaveShard), so a killed-and-restarted worker serves the
+// same bytes without regenerating.
 package shard
 
 import (
@@ -35,13 +33,11 @@ import (
 	"imc/internal/diffusion"
 )
 
-// Protocol paths. Workers mount the first four; coordinators mount Join.
+// Protocol paths. Workers mount Ping and Pool; coordinators mount Join.
 const (
-	PingPath     = "/shard/ping"
-	GeneratePath = "/shard/generate"
-	PoolPath     = "/shard/pool"
-	EvalPath     = "/shard/eval"
-	JoinPath     = "/shard/join"
+	PingPath = "/shard/ping"
+	PoolPath = "/shard/pool"
+	JoinPath = "/shard/join"
 )
 
 // maxRangeWidth bounds how many samples one request may name, so a
@@ -113,11 +109,10 @@ func (s InstanceSpec) model() (diffusion.Model, error) {
 	}
 }
 
-// GenRequest asks a worker to ensure global samples [Lo, Hi) of the
-// pool identified by (Instance, PoolSeed, Instance.Model) exist. It is
-// the body of both /shard/generate and /shard/pool — generation is
-// idempotent, so the pool endpoint generates on demand when the range
-// is not cached.
+// GenRequest asks a worker for global samples [Lo, Hi) of the pool
+// identified by (Instance, PoolSeed, Instance.Model). It is the body of
+// /shard/pool — generation is idempotent, so the worker generates on
+// demand when the range is not cached.
 type GenRequest struct {
 	Instance InstanceSpec `json:"instance"`
 	PoolSeed uint64       `json:"poolSeed"`
@@ -133,41 +128,6 @@ func (r GenRequest) validate() error {
 		return fmt.Errorf("shard: range width %d exceeds the %d-sample limit", r.Hi-r.Lo, maxRangeWidth)
 	}
 	return nil
-}
-
-// GenResponse reports one ensured range. Cached is true when the range
-// was served from the worker's pool cache without generating; Ledgered
-// is true when the journal ledger already recorded a completed
-// generation of this exact range (the exactly-once receipt — on a
-// restarted worker it stays true even if the cache entry was evicted
-// and the bytes had to be deterministically regenerated).
-type GenResponse struct {
-	Lo       int  `json:"lo"`
-	Hi       int  `json:"hi"`
-	Samples  int  `json:"samples"`
-	Cached   bool `json:"cached"`
-	Ledgered bool `json:"ledgered"`
-}
-
-// EvalRequest asks a worker for exact per-candidate coverage marginals
-// over its range: for each candidate v, how many additional samples in
-// [Lo, Hi) become influenced when v joins Seeds. Counts are integers,
-// so the coordinator's cross-worker sums are exact — this is the
-// verification half of the protocol, used to cross-check a merged
-// solve against the flat pool.
-type EvalRequest struct {
-	GenRequest
-	Seeds      []int32 `json:"seeds"`
-	Candidates []int32 `json:"candidates"`
-}
-
-// EvalResponse carries the range's coverage of Seeds alone and the
-// per-candidate marginal gains, index-aligned with Candidates.
-type EvalResponse struct {
-	Lo       int   `json:"lo"`
-	Hi       int   `json:"hi"`
-	Coverage int   `json:"coverage"`
-	Gains    []int `json:"gains"`
 }
 
 // JoinRequest is a worker's self-registration: Addr is the base URL the

@@ -10,7 +10,6 @@ import (
 
 	"imc/internal/community"
 	"imc/internal/graph"
-	"imc/internal/job"
 	"imc/internal/poolcache"
 	"imc/internal/ric"
 )
@@ -30,17 +29,12 @@ type WorkerConfig struct {
 	// post-restart requests are served from disk instead of
 	// regenerated. Nil disables persistence — every request generates.
 	Cache *poolcache.Cache
-	// LedgerPath, when non-empty, opens an append-only journal (the
-	// same JSONL format as the async job store) recording each
-	// completed generation, so a restarted worker can report
-	// exactly-once completions even for ranges the cache has evicted.
-	LedgerPath string
 	// Logger may be nil (discards to slog.Default).
 	Logger *slog.Logger
 }
 
 // Worker serves shard ranges over HTTP. It is stateless beyond its
-// instance cache, pool cache, and ledger: any request can be answered
+// instance cache and pool cache: any request can be answered
 // from scratch because generation is deterministic per (identity,
 // range), which is what makes worker restarts and range reassignment
 // safe without coordination.
@@ -48,7 +42,6 @@ type Worker struct {
 	build  BuildFunc        //imc:guardedby immutable
 	cache  *poolcache.Cache //imc:guardedby immutable
 	logger *slog.Logger     //imc:guardedby immutable
-	led    *ledger          //imc:guardedby immutable
 
 	mu sync.Mutex
 	// instances holds built (graph, partition) pairs per spec, with one
@@ -66,8 +59,7 @@ type instanceSlot struct {
 	err  error
 }
 
-// NewWorker builds a Worker. The ledger file is opened (and its torn
-// tail truncated) immediately, so replay errors surface at boot.
+// NewWorker builds a Worker. A missing Build is an error.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Build == nil {
 		return nil, fmt.Errorf("shard: WorkerConfig.Build is required")
@@ -75,57 +67,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	w := &Worker{
+	return &Worker{
 		build:     cfg.Build,
 		cache:     cfg.Cache,
 		logger:    cfg.Logger,
 		instances: make(map[string]*instanceSlot),
-	}
-	if cfg.LedgerPath != "" {
-		led, err := openLedger(cfg.LedgerPath)
-		if err != nil {
-			return nil, err
-		}
-		w.led = led
-	}
-	return w, nil
+	}, nil
 }
 
-// Close releases the ledger journal (if any).
-func (w *Worker) Close() error {
-	if w.led == nil {
-		return nil
-	}
-	return w.led.close()
-}
+// Close is a no-op: a Worker holds no handles of its own (the pool
+// cache belongs to the caller). It is kept so callers can defer it
+// unconditionally.
+func (w *Worker) Close() error { return nil }
 
 // Routes mounts the worker endpoints on mux.
 func (w *Worker) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+PingPath, w.handlePing)
-	mux.HandleFunc("POST "+GeneratePath, w.handleGenerate)
 	mux.HandleFunc("POST "+PoolPath, w.handlePool)
-	mux.HandleFunc("POST "+EvalPath, w.handleEval)
 }
 
 func (w *Worker) handlePing(rw http.ResponseWriter, _ *http.Request) {
 	writeShardJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (w *Worker) handleGenerate(rw http.ResponseWriter, r *http.Request) {
-	var req GenRequest
-	if err := decodeShardJSON(r, &req); err != nil {
-		writeShardError(rw, http.StatusBadRequest, err)
-		return
-	}
-	pool, cached, ledgered, err := w.ensureRange(r, req)
-	if err != nil {
-		writeShardError(rw, http.StatusInternalServerError, err)
-		return
-	}
-	writeShardJSON(rw, http.StatusOK, GenResponse{
-		Lo: req.Lo, Hi: req.Hi,
-		Samples: pool.NumSamples(), Cached: cached, Ledgered: ledgered,
-	})
 }
 
 func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
@@ -134,7 +96,7 @@ func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusBadRequest, err)
 		return
 	}
-	pool, _, _, err := w.ensureRange(r, req)
+	pool, err := w.ensureRange(r, req)
 	if err != nil {
 		writeShardError(rw, http.StatusInternalServerError, err)
 		return
@@ -151,77 +113,38 @@ func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (w *Worker) handleEval(rw http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeShardJSON(r, &req); err != nil {
-		writeShardError(rw, http.StatusBadRequest, err)
-		return
-	}
-	pool, _, _, err := w.ensureRange(r, req.GenRequest)
-	if err != nil {
-		writeShardError(rw, http.StatusInternalServerError, err)
-		return
-	}
-	base := pool.CoverageCount(req.Seeds)
-	gains := make([]int, len(req.Candidates))
-	probe := make([]graph.NodeID, len(req.Seeds), len(req.Seeds)+1)
-	copy(probe, req.Seeds)
-	for i, v := range req.Candidates {
-		gains[i] = pool.CoverageCount(append(probe, v)) - base
-	}
-	writeShardJSON(rw, http.StatusOK, EvalResponse{
-		Lo: req.Lo, Hi: req.Hi, Coverage: base, Gains: gains,
-	})
-}
-
 // ensureRange returns a pool holding exactly global samples [Lo, Hi),
-// served from the shard cache when possible and generated (then cached
-// and ledgered) otherwise. Deterministic streams make the two paths
-// byte-identical, so "cached" is an economics flag, not a semantic one.
-func (w *Worker) ensureRange(r *http.Request, req GenRequest) (pool *ric.Pool, cached, ledgered bool, err error) {
+// served from the shard cache when possible and generated (then
+// cached) otherwise. Deterministic streams make the two paths
+// byte-identical, so a cache hit saves work and changes nothing else.
+func (w *Worker) ensureRange(r *http.Request, req GenRequest) (*ric.Pool, error) {
 	if err := req.validate(); err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
 	g, part, err := w.instance(req.Instance)
 	if err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
 	model, err := req.Instance.model()
 	if err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
-	opts := ric.PoolOptions{Model: model, Seed: req.PoolSeed, Offset: req.Lo}
-	pool, err = ric.NewPool(g, part, opts)
+	pool, err := ric.NewPool(g, part, ric.PoolOptions{Model: model, Seed: req.PoolSeed, Offset: req.Lo})
 	if err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
 	base := poolcache.KeyFor(g, part, model, req.PoolSeed)
-	ledgered = w.led.has(base.String(), req.Lo, req.Hi)
-	if w.cache != nil {
-		found, lerr := w.cache.LoadShard(base, pool, req.Lo, req.Hi)
-		if lerr != nil {
-			// A post-import mismatch leaves the pool mutated; rebuild it
-			// before generating from scratch.
-			w.logger.Warn("shard cache load failed", "err", lerr)
-			if pool, err = ric.NewPool(g, part, opts); err != nil {
-				return nil, false, false, err
-			}
-		} else if found {
-			return pool, true, ledgered, nil
-		}
+	// A miss, including a dropped corrupt entry, leaves pool empty.
+	if w.cache.LoadShard(base, pool, req.Lo, req.Hi) {
+		return pool, nil
 	}
 	if err := pool.EnsureCtx(r.Context(), req.Hi-req.Lo); err != nil {
-		return nil, false, false, err
+		return nil, err
 	}
-	if w.cache != nil {
-		if err := w.cache.SaveShard(base, pool, req.Lo, req.Hi); err != nil {
-			w.logger.Warn("shard cache save failed", "err", err)
-		}
+	if err := w.cache.SaveShard(base, pool, req.Lo, req.Hi); err != nil {
+		w.logger.Warn("shard cache save failed", "err", err)
 	}
-	if err := w.led.record(base.String(), req.Lo, req.Hi); err != nil {
-		w.logger.Warn("shard ledger append failed", "err", err)
-	}
-	return pool, false, ledgered, nil
+	return pool, nil
 }
 
 // instance returns the built (graph, partition) for spec, building at
@@ -248,86 +171,6 @@ func (w *Worker) instance(spec InstanceSpec) (*graph.Graph, *community.Partition
 	}
 	close(slot.done)
 	return slot.g, slot.part, slot.err
-}
-
-// ledger is the worker's exactly-once receipt book: one JSONL record
-// per completed range generation, on the job store's journal machinery
-// (torn-tail truncation, fsync-per-append). A nil *ledger is valid and
-// records nothing.
-type ledger struct {
-	mu   sync.Mutex
-	jl   *job.Journal    //imc:guardedby mu
-	done map[string]bool //imc:guardedby mu
-}
-
-// ledgerRecord is one completed generation.
-type ledgerRecord struct {
-	Op  string `json:"op"` // always "shard-generate"
-	Key string `json:"key"`
-	Lo  int    `json:"lo"`
-	Hi  int    `json:"hi"`
-}
-
-const ledgerOp = "shard-generate"
-
-func ledgerKey(key string, lo, hi int) string {
-	return fmt.Sprintf("%s:%d:%d", key, lo, hi)
-}
-
-// openLedger replays the journal (stopping at any torn or foreign
-// tail) and opens it for appending at the last intact byte.
-func openLedger(path string) (*ledger, error) {
-	done := make(map[string]bool)
-	intact, err := job.ReplayJournal(path, func(line json.RawMessage) (bool, error) {
-		var rec ledgerRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Op != ledgerOp {
-			return false, nil
-		}
-		done[ledgerKey(rec.Key, rec.Lo, rec.Hi)] = true
-		return true, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("shard: replay ledger: %w", err)
-	}
-	jl, err := job.OpenJournalAt(path, intact)
-	if err != nil {
-		return nil, fmt.Errorf("shard: open ledger: %w", err)
-	}
-	return &ledger{jl: jl, done: done}, nil
-}
-
-func (l *ledger) has(key string, lo, hi int) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.done[ledgerKey(key, lo, hi)]
-}
-
-func (l *ledger) record(key string, lo, hi int) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	k := ledgerKey(key, lo, hi)
-	if l.done[k] {
-		return nil
-	}
-	//lint:allow lockheld: mu exists to serialize the journal fsync with the dedupe map; a record is one append per generated range, and nothing hot ever waits on it
-	if err := l.jl.Append(ledgerRecord{Op: ledgerOp, Key: key, Lo: lo, Hi: hi}); err != nil {
-		return err
-	}
-	l.done[k] = true
-	return nil
-}
-
-func (l *ledger) close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	//lint:allow lockheld: shutdown-only path; holding mu across the final flush keeps a racing record from appending to a closed journal
-	return l.jl.Close()
 }
 
 func decodeShardJSON(r *http.Request, dst any) error {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -39,8 +38,8 @@ func testBuild(spec InstanceSpec) (*graph.Graph, *community.Partition, error) {
 
 var testSpec = InstanceSpec{Dataset: "test", Scale: 1, Seed: 7}
 
-// newTestWorker builds a worker over testBuild with a cache and ledger
-// rooted at dir ("" disables both).
+// newTestWorker builds a worker over testBuild with a pool cache
+// rooted at dir ("" disables it).
 func newTestWorker(t *testing.T, dir string) *Worker {
 	t.Helper()
 	cfg := WorkerConfig{Build: testBuild}
@@ -50,13 +49,11 @@ func newTestWorker(t *testing.T, dir string) *Worker {
 			t.Fatal(err)
 		}
 		cfg.Cache = cache
-		cfg.LedgerPath = filepath.Join(dir, "ledger.jsonl")
 	}
 	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { w.Close() })
 	return w
 }
 
@@ -80,20 +77,6 @@ func postJSONT(t *testing.T, url string, body any) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
-}
-
-func fetchGen(t *testing.T, base string, req GenRequest) GenResponse {
-	t.Helper()
-	resp := postJSONT(t, base+GeneratePath, req)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generate returned %s", resp.Status)
-	}
-	var out GenResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func fetchPool(t *testing.T, base string, req GenRequest) []byte {
@@ -136,106 +119,56 @@ func localExport(t *testing.T, lo, hi int, poolSeed uint64) []byte {
 // IMCS export a local offset pool produces, and a second request is a
 // cache hit serving the same bytes.
 func TestWorkerPoolMatchesLocalGeneration(t *testing.T) {
-	ts := serveWorker(t, newTestWorker(t, t.TempDir()))
+	w := newTestWorker(t, t.TempDir())
+	ts := serveWorker(t, w)
 	req := GenRequest{Instance: testSpec, PoolSeed: 42, Lo: 30, Hi: 90}
-
-	first := fetchGen(t, ts.URL, req)
-	if first.Cached || first.Ledgered || first.Samples != 60 {
-		t.Fatalf("first generate = %+v, want fresh 60-sample range", first)
-	}
-	second := fetchGen(t, ts.URL, req)
-	if !second.Cached || !second.Ledgered {
-		t.Fatalf("second generate = %+v, want cached and ledgered", second)
-	}
-
 	want := localExport(t, req.Lo, req.Hi, req.PoolSeed)
+
 	if got := fetchPool(t, ts.URL, req); !bytes.Equal(got, want) {
 		t.Fatal("worker pool bytes differ from local generation")
 	}
+	if st := w.cache.Stats(); st.ShardHits != 0 || st.ShardMisses != 1 {
+		t.Fatalf("first request: %+v, want one shard miss and no hit", st)
+	}
+	if got := fetchPool(t, ts.URL, req); !bytes.Equal(got, want) {
+		t.Fatal("cached pool bytes differ from local generation")
+	}
+	if st := w.cache.Stats(); st.ShardHits != 1 || st.ShardMisses != 1 {
+		t.Fatalf("second request: %+v, want it served from the cache", st)
+	}
 }
 
-// TestWorkerRestartResumes: a restarted worker (same cache dir, same
-// ledger) reports the range as already generated and serves identical
-// bytes — the exactly-once receipt survives the process.
+// TestWorkerRestartResumes: a restarted worker (same cache dir) serves
+// the range from its cache, with identical bytes — finished ranges
+// survive the process.
 func TestWorkerRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 	req := GenRequest{Instance: testSpec, PoolSeed: 11, Lo: 0, Hi: 50}
 
-	w1 := newTestWorker(t, dir)
-	ts1 := serveWorker(t, w1)
+	ts1 := serveWorker(t, newTestWorker(t, dir))
 	before := fetchPool(t, ts1.URL, req)
 	ts1.Close()
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	ts2 := serveWorker(t, newTestWorker(t, dir))
-	resumed := fetchGen(t, ts2.URL, req)
-	if !resumed.Cached || !resumed.Ledgered {
-		t.Fatalf("restarted worker = %+v, want cached and ledgered", resumed)
-	}
+	w2 := newTestWorker(t, dir)
+	ts2 := serveWorker(t, w2)
 	if after := fetchPool(t, ts2.URL, req); !bytes.Equal(before, after) {
 		t.Fatal("restarted worker serves different bytes")
 	}
+	if st := w2.cache.Stats(); st.ShardHits != 1 || st.ShardMisses != 0 {
+		t.Fatalf("restarted worker: %+v, want the range served from the cache", st)
+	}
 }
 
-// TestWorkerWithoutDurability: no cache, no ledger — every request
-// regenerates, and the bytes are still identical (determinism does not
-// depend on persistence).
+// TestWorkerWithoutDurability: no cache — every request regenerates,
+// and the bytes are still identical (determinism does not depend on
+// persistence).
 func TestWorkerWithoutDurability(t *testing.T) {
 	ts := serveWorker(t, newTestWorker(t, ""))
 	req := GenRequest{Instance: testSpec, PoolSeed: 42, Lo: 10, Hi: 40}
-	if out := fetchGen(t, ts.URL, req); out.Cached || out.Ledgered {
-		t.Fatalf("cacheless worker reported %+v", out)
-	}
-	if out := fetchGen(t, ts.URL, req); out.Cached || out.Ledgered {
-		t.Fatalf("cacheless worker reported %+v on repeat", out)
-	}
-	if got := fetchPool(t, ts.URL, req); !bytes.Equal(got, localExport(t, req.Lo, req.Hi, req.PoolSeed)) {
-		t.Fatal("cacheless worker bytes differ from local generation")
-	}
-}
-
-// TestWorkerEvalMatchesFlat: per-candidate marginals from the worker
-// equal the flat pool's integer marginals exactly.
-func TestWorkerEvalMatchesFlat(t *testing.T) {
-	const theta, poolSeed = 200, 5
-	ts := serveWorker(t, newTestWorker(t, t.TempDir()))
-	g, part, err := testBuild(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.EnsureCtx(context.Background(), theta); err != nil {
-		t.Fatal(err)
-	}
-
-	seeds := []int32{3, 8}
-	cands := []int32{0, 1, 5, 12, 20}
-	resp := postJSONT(t, ts.URL+EvalPath, EvalRequest{
-		GenRequest: GenRequest{Instance: testSpec, PoolSeed: poolSeed, Lo: 0, Hi: theta},
-		Seeds:      seeds, Candidates: cands,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("eval returned %s", resp.Status)
-	}
-	var out EvalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-
-	base := flat.CoverageCount(seeds)
-	if out.Coverage != base {
-		t.Fatalf("eval coverage %d, flat %d", out.Coverage, base)
-	}
-	for i, v := range cands {
-		want := flat.CoverageCount(append(append([]graph.NodeID{}, seeds...), v)) - base
-		if out.Gains[i] != want {
-			t.Errorf("gain[%d] (node %d) = %d, flat %d", i, v, out.Gains[i], want)
+	want := localExport(t, req.Lo, req.Hi, req.PoolSeed)
+	for i := 0; i < 2; i++ {
+		if got := fetchPool(t, ts.URL, req); !bytes.Equal(got, want) {
+			t.Fatalf("cacheless worker request %d: bytes differ from local generation", i)
 		}
 	}
 }
@@ -250,13 +183,13 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		"huge range":    {Instance: testSpec, Lo: 0, Hi: maxRangeWidth + 1},
 		"unknown model": {Instance: InstanceSpec{Dataset: "test", Seed: 7, Model: "bogus"}, Lo: 0, Hi: 10},
 	} {
-		resp := postJSONT(t, ts.URL+GeneratePath, req)
+		resp := postJSONT(t, ts.URL+PoolPath, req)
 		if resp.StatusCode == http.StatusOK {
 			t.Errorf("%s accepted", name)
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Post(ts.URL+GeneratePath, "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+PoolPath, "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,55 +197,6 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 		t.Errorf("malformed body returned %s", resp.Status)
 	}
 	resp.Body.Close()
-}
-
-// TestLedgerSurvivesTornTail: a torn (partial) final line is truncated
-// at open and the earlier receipts still replay.
-func TestLedgerSurvivesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	led, err := openLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := led.record("k1", 0, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := led.close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append.
-	f, err := openAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"shard-generate","key":"k2`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := openLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.close()
-	if !re.has("k1", 0, 50) {
-		t.Fatal("intact receipt lost")
-	}
-	if re.has("k2", 0, 0) {
-		t.Fatal("torn receipt replayed")
-	}
-	if err := re.record("k3", 50, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !re.has("k3", 50, 100) {
-		t.Fatal("post-truncation append lost")
-	}
-}
-
-func openAppend(path string) (*os.File, error) {
-	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // TestDiffusionModelRoundTrips pins that the spec's model string stays
