@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint layout-lint lint-bench graph api test race bench bench-core fuzz jobs-test poolcache-test shard-test experiments examples clean
+.PHONY: all build vet lint lint-bench graph api test race bench bench-core fuzz jobs-test poolcache-test shard-test experiments examples clean
 
 all: build vet lint test
 
@@ -14,11 +14,6 @@ vet:
 
 lint:
 	$(GO) run ./cmd/imclint ./...
-
-# Just the v6 memory-layout & data-sharing contracts — the same gate
-# CI's perf-contracts job applies (DESIGN.md §7.6).
-layout-lint:
-	$(GO) run ./cmd/imclint -check structlayout,falseshare,valuecopy,presize ./...
 
 # Time each analyzer over the whole module and record the call/lock
 # graph sizes it ran against.

@@ -29,8 +29,7 @@ type cacheStats struct {
 }
 
 // cacheEntry is one package's cached facts: the findings the analyzers
-// produced, BEFORE baseline filtering (the baseline is a view applied
-// at report time, not a property of the code).
+// produced.
 type cacheEntry struct {
 	Schema   string    `json:"schema"`
 	Key      string    `json:"key"`
@@ -217,7 +216,7 @@ func (c *factCache) storeManifest(pkgs []string, cg lint.CallGraphStats, lg lint
 
 // replay attempts the full-hit fast path: if the manifest matches the
 // current module state and every per-package entry is intact, it
-// returns the complete (unfiltered) findings stream plus the recorded
+// returns the complete findings stream plus the recorded
 // graph stats, and the caller can skip loading the module entirely.
 func (c *factCache) replay() (*cacheManifest, []finding, bool) {
 	data, err := os.ReadFile(filepath.Join(c.dir, "manifest.json"))

@@ -1,13 +1,14 @@
 // Command imclint runs the repository's static-analysis suite:
-// twenty-six analyzers built on go/parser, go/ast, and go/types that
-// machine-check the determinism, concurrency, allocation, layering,
-// numeric, hot-path performance, and memory-layout invariants the
-// RIC-sampling guarantees depend on (see DESIGN.md, "Static analysis
-// & invariants").
+// twenty-four analyzers built on go/parser, go/ast, and go/types (one
+// of them, hotpath, also reads the compiler's own -m=2 and
+// bounds-check diagnostics) that machine-check the determinism,
+// concurrency, allocation, layering, numeric, hot-path performance,
+// and memory-layout invariants the RIC-sampling guarantees depend on
+// (see DESIGN.md, "Static analysis & invariants").
 //
 // Usage:
 //
-//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-baseline file] [-bench file] [-cache=false] [packages]
+//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-bench file] [-cache=false] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Exit
 // status is 1 when any diagnostic fires, 0 on a clean tree, 2 on usage
@@ -23,13 +24,8 @@
 // BENCH_lint.json-shaped file with per-analyzer wall time, findings
 // count, and the call/lock graph sizes.
 //
-// -json emits a {"callgraph": stats, "findings": [...]} object (the
-// findings array is the shape -baseline consumes; -baseline also still
-// accepts a bare array), so `imclint -json > lint-baseline.json`
-// freezes the current findings and `imclint -baseline
-// lint-baseline.json` reports only regressions. Baseline matching
-// ignores line numbers: unrelated edits that shift a known finding do
-// not resurface it.
+// -json emits a {"callgraph": stats, "lockgraph": stats, "findings":
+// [...]} object.
 //
 // Full-module runs consult a per-package fact cache under
 // <module>/.imclint-cache/, keyed by a content hash over the module's
@@ -57,19 +53,13 @@ func main() {
 }
 
 // finding is the machine-readable form of one diagnostic — the schema
-// of the -json findings array and of -baseline input.
+// of the -json findings array.
 type finding struct {
 	Check   string `json:"check"`
 	File    string `json:"file"`
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Message string `json:"message"`
-}
-
-// key is the baseline identity of a finding: file and message but NOT
-// line/col, so a baseline survives unrelated edits above the site.
-func (f finding) key() string {
-	return f.Check + "\x00" + f.File + "\x00" + f.Message
 }
 
 // report is the -json output shape: call-graph stats alongside the
@@ -92,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		graph     = fs.Bool("graph", false, "dump the whole-program call graph and exit")
 		updateAPI = fs.Bool("update-api", false, "regenerate the exported-API snapshot and exit")
 		jsonOut   = fs.Bool("json", false, "emit callgraph stats + findings as JSON")
-		baseline  = fs.String("baseline", "", "JSON findings file; matching findings are not reported")
 		bench     = fs.String("bench", "", "write per-analyzer wall time + findings counts to this JSON file")
 		cacheOn   = fs.Bool("cache", true, "use the per-package fact cache on full-module runs")
 		cacheDir  = fs.String("cache-dir", "", "fact-cache directory (default <module>/.imclint-cache)")
@@ -115,23 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			fmt.Fprintf(stderr, "imclint: unknown analyzer in -check %q\n", *checks)
 			return 2
-		}
-	}
-
-	baselined := make(map[string]bool)
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "imclint:", err)
-			return 2
-		}
-		old, err := parseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "imclint: parsing baseline %s: %v\n", *baseline, err)
-			return 2
-		}
-		for _, f := range old {
-			baselined[f.key()] = true
 		}
 	}
 
@@ -167,12 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if cache != nil {
 		if m, cached, ok := cache.replay(); ok {
-			rep := report{CallGraph: m.CallGraph, LockGraph: m.LockGraph, Cache: &cache.stats, Findings: []finding{}}
-			for _, f := range cached {
-				if !baselined[f.key()] {
-					rep.Findings = append(rep.Findings, f)
-				}
-			}
+			rep := report{CallGraph: m.CallGraph, LockGraph: m.LockGraph, Cache: &cache.stats, Findings: append([]finding{}, cached...)}
 			return emit(stdout, stderr, *jsonOut, rep)
 		}
 	}
@@ -234,12 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			manifestPkgs = append(manifestPkgs, pkg.Path)
 		}
-		for _, f := range pkgFindings {
-			if baselined[f.key()] {
-				continue
-			}
-			findings = append(findings, f)
-		}
+		findings = append(findings, pkgFindings...)
 	}
 	if cache != nil {
 		cache.storeManifest(manifestPkgs, prog.Graph.Stats(), prog.LockStats())
@@ -368,22 +330,8 @@ func fullModuleLoad(args []string) bool {
 	return false
 }
 
-// parseBaseline accepts both baseline shapes: the current
-// {"findings": [...]} report object and the pre-v3 bare array.
-func parseBaseline(data []byte) ([]finding, error) {
-	var rep report
-	if err := json.Unmarshal(data, &rep); err == nil && rep.Findings != nil {
-		return rep.Findings, nil
-	}
-	var old []finding
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, err
-	}
-	return old, nil
-}
-
 // relToModule renders path relative to the module root, the stable
-// form findings are reported and baselined in.
+// form findings are reported in.
 func relToModule(moduleDir, path string) string {
 	if rel, err := filepath.Rel(moduleDir, path); err == nil && !filepath.IsAbs(rel) && rel != "" && rel[0] != '.' {
 		return rel

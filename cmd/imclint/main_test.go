@@ -40,7 +40,7 @@ func TestExitFindings(t *testing.T) {
 	if !strings.Contains(out, "[determinism]") {
 		t.Errorf("findings output missing check tag: %q", out)
 	}
-	// Paths are module-relative so baselines survive checkout moves.
+	// Paths are module-relative so findings survive checkout moves.
 	first := strings.SplitN(out, ":", 2)[0]
 	if filepath.IsAbs(first) {
 		t.Errorf("finding path %q should be module-relative", first)
@@ -57,9 +57,6 @@ func TestExitUsage(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "-definitely-not-a-flag"); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
-	}
-	if code, _, _ := runCmd(t, "-baseline", "does-not-exist.json", fixtureDir); code != 2 {
-		t.Errorf("missing baseline file: exit = %d, want 2", code)
 	}
 }
 
@@ -163,11 +160,12 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// perfChecks is the hot-path contract suite introduced in v5.
-const perfChecks = "heapescape,inlineable,boundscheck,ifacedispatch"
+// perfChecks is the hot-path contract suite: the compiler-backed
+// hotpath check and the static-dispatch check.
+const perfChecks = "hotpath,ifacedispatch"
 
-// TestPerfContractsSelfCheck runs the four performance-contract
-// analyzers over the entire module and requires a clean tree: every
+// TestPerfContractsSelfCheck runs the performance-contract analyzers
+// over the entire module and requires a clean tree: every
 // hot-path finding must be either fixed or suppressed with a reasoned
 // `//lint:allow`. It doubles as the fact-cache integration test — the
 // second run must replay from cache with identical findings.
@@ -375,54 +373,5 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
 		t.Errorf("-cache=false created %s (stat err=%v)", cacheDir, err)
-	}
-}
-
-// TestBaselineFilters freezes the current findings into a baseline and
-// verifies a re-run reports nothing — the regression-only workflow.
-func TestBaselineFilters(t *testing.T) {
-	_, snapshot, _ := runCmd(t, "-json", "-check", "determinism", fixtureDir)
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(base, []byte(snapshot), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, out, _ := runCmd(t, "-baseline", base, "-check", "determinism", fixtureDir)
-	if code != 0 {
-		t.Fatalf("fully-baselined run: exit = %d, want 0; out=%q", code, out)
-	}
-	if out != "" {
-		t.Errorf("fully-baselined run printed %q, want nothing", out)
-	}
-
-	code, out, _ = runCmd(t, "-json", "-baseline", base, "-check", "determinism", fixtureDir)
-	var cleanRep report
-	if err := json.Unmarshal([]byte(out), &cleanRep); err != nil {
-		t.Fatalf("baselined -json output is not a report: %v", err)
-	}
-	if code != 0 || len(cleanRep.Findings) != 0 {
-		t.Errorf("baselined -json: exit=%d findings=%d, want 0 and none", code, len(cleanRep.Findings))
-	}
-
-	// A partial baseline must keep reporting the rest — and the
-	// pre-v3 bare-array baseline shape must still be accepted.
-	var rep report
-	if err := json.Unmarshal([]byte(snapshot), &rep); err != nil || len(rep.Findings) < 2 {
-		t.Fatalf("need >= 2 findings to test partial baseline, got %d (err=%v)", len(rep.Findings), err)
-	}
-	fs := rep.Findings
-	partial, err := json.Marshal(fs[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runCmd(t, "-baseline", base, "-check", "determinism", fixtureDir)
-	if code != 1 {
-		t.Fatalf("partially-baselined run: exit = %d, want 1", code)
-	}
-	if got := strings.Count(out, "\n"); got != len(fs)-1 {
-		t.Errorf("partially-baselined run reported %d findings, want %d", got, len(fs)-1)
 	}
 }

@@ -22,9 +22,7 @@ var All = []*Analyzer{
 	GuardedBy,
 	LockHeld,
 	LockOrder,
-	HeapEscape,
-	Inlineable,
-	BoundsCheck,
+	HotPath,
 	IfaceDispatch,
 	StructLayout,
 	FalseShare,
@@ -96,9 +94,8 @@ const clockPackage = "/internal/clock"
 //   - chanctx, guardedby, lockheld: library packages only (cmd/
 //     binaries hold no long-lived locks and their signal-wait selects
 //     are the process's own lifetime, not a leaked goroutine's);
-//   - heapescape, inlineable, boundscheck, ifacedispatch: library
-//     packages only (the //imc:hotpath perf contracts live in library
-//     code, like allocfree);
+//   - hotpath, ifacedispatch: library packages only (the //imc:hotpath
+//     perf contracts live in library code, like allocfree);
 //   - structlayout, falseshare, valuecopy, presize: library packages
 //     only (the memory-layout contracts guard the pooled kernel
 //     structs and worker fan-outs; cmd/ wiring is not bandwidth-bound);
@@ -115,7 +112,7 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 			}
 		case "floatcompare", "printer", "allocfree", "purity", "ctxplumb", "apisurface",
 			"chanctx", "guardedby", "lockheld",
-			"heapescape", "inlineable", "boundscheck", "ifacedispatch",
+			"hotpath", "ifacedispatch",
 			"structlayout", "falseshare", "valuecopy", "presize":
 			if lib {
 				out = append(out, a)

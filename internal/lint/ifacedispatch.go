@@ -77,7 +77,7 @@ func checkIfaceDispatch(pkg *Package, fd *ast.FuncDecl, r *Reporter) {
 
 	// Transitive: in-loop static callees that dispatch somewhere down
 	// their call tree.
-	_, edges := loopCallEdges(pkg, fd, inLoop)
+	edges := loopCallEdges(pkg, fd, inLoop)
 	for _, v := range walkContract(pkg, edges, EffDynamic, directiveHotPath) {
 		r.Reportf("ifacedispatch", v.Edge.Site.Pos(),
 			"call in a hot loop reaches a dynamic dispatch transitively: %s → %s (%s at %s); devirtualize the chain or annotate the callee //imc:hotpath",

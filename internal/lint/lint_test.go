@@ -70,8 +70,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		"exhaustive":    Exhaustive,
 		"chanctx":       ChanCtx,
 		"guardedby":     GuardedBy,
-		"heapescape":    HeapEscape,
-		"boundscheck":   BoundsCheck,
 		"structlayout":  StructLayout,
 		"falseshare":    FalseShare,
 		"valuecopy":     ValueCopy,
@@ -79,7 +77,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 	// layering and apisurface need a whole Program (contract file, API
 	// snapshot) rather than a bare fixture package; lockorder and
-	// lockheld need the call graph; inlineable and ifacedispatch need
+	// lockheld need the call graph; hotpath and ifacedispatch need
 	// call-graph nodes and effect summaries. Their fixture coverage
 	// lives in interproc_test.go, concurrency_test.go, and
 	// perfcontract_test.go. Everything else must have a golden fixture
@@ -87,7 +85,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	programOnly := map[string]bool{
 		"layering": true, "apisurface": true,
 		"lockorder": true, "lockheld": true,
-		"inlineable": true, "ifacedispatch": true,
+		"hotpath": true, "ifacedispatch": true,
 	}
 	if len(fixtures)+len(programOnly) != len(All) {
 		t.Fatalf("fixture table covers %d analyzers (+%d program-level), suite has %d",
@@ -238,13 +236,13 @@ func TestAnalyzersFor(t *testing.T) {
 		path string
 		want string
 	}{
-		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,heapescape,inlineable,boundscheck,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
 		{"imc/cmd/imcrun", "goroutineleak,ctxfirst,errflow,sharemut,layering,lockorder"},
 		{"imc/examples/quickstart", "goroutineleak,ctxfirst,errflow,sharemut,layering,lockorder"},
 	}

@@ -38,6 +38,10 @@ type Package struct {
 	// case the interprocedural analyzers degrade to intra-procedural
 	// behavior or skip.
 	Prog *Program
+
+	// build is the compiler run whose diagnostics the hotpath analyzer
+	// reads for this package (see hotpath.go); nil until one is started.
+	build *compileRun
 }
 
 // Loader discovers, parses, and type-checks the module's packages. Type
@@ -55,6 +59,9 @@ type Loader struct {
 	buildCtx build.Context
 	imported map[string]*types.Package
 	loading  map[string]bool
+	// hot is the compiler run Load starts for the hot packages of a
+	// wildcard load, so it overlaps parsing and type checking.
+	hot *compileRun
 }
 
 // NewLoader creates a loader rooted at the module containing dir
@@ -114,6 +121,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		patterns = []string{"./..."}
 	}
 	var dirs []string
+	wildcard := false
 	seen := make(map[string]bool)
 	addDir := func(dir string) {
 		if !seen[dir] {
@@ -124,10 +132,12 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	for _, pat := range patterns {
 		switch {
 		case pat == "./..." || pat == "...":
+			wildcard = true
 			if err := l.walkPackageDirs(l.ModuleDir, addDir); err != nil {
 				return nil, err
 			}
 		case strings.HasSuffix(pat, "/..."):
+			wildcard = true
 			root := filepath.Join(l.ModuleDir, strings.TrimSuffix(pat, "/..."))
 			if err := l.walkPackageDirs(root, addDir); err != nil {
 				return nil, err
@@ -141,6 +151,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	sort.Strings(dirs)
+	if wildcard {
+		if hot := hotPackageDirs(dirs); len(hot) > 0 {
+			l.hot = startCompile(l.ModuleDir, hot)
+		}
+	}
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
 		pkg, err := l.loadDir(dir)
@@ -217,6 +232,7 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
+		build: l.hot,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),

@@ -7,14 +7,13 @@ import (
 	"strings"
 )
 
-// This file holds the helpers shared by the v5 performance-contract
-// analyzers (heapescape, inlineable, boundscheck, ifacedispatch). All
-// four enforce properties of `//imc:hotpath` functions — the RIC/RIS
+// This file holds the helpers shared by the performance-contract
+// analyzers (hotpath, ifacedispatch, and the layout checks). They
+// enforce properties of `//imc:hotpath` functions — the RIC/RIS
 // sampling kernels and the MAXR marginal-gain scans — where the paper's
-// cost concentrates. They reuse the v3 substrate: loop membership from
-// the CFG (cfg.go), callee reachability from the call graph
-// (callgraph.go), and transitive effects from the summaries
-// (summary.go).
+// cost concentrates, reusing loop membership from the CFG (cfg.go),
+// callee reachability from the call graph (callgraph.go), and
+// transitive effects from the summaries (summary.go).
 
 // hotFuncDecls returns the `//imc:hotpath` function declarations of the
 // package in file/source order — the deterministic iteration order all
@@ -65,10 +64,14 @@ func loopStmts(cfg *CFG) []ast.Node {
 // checked against. Function-literal interiors are pruned: a closure's
 // body runs on its own schedule. Returns nil outside a whole-program
 // load.
-func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) (*FuncNode, []*CallEdge) {
-	node := funcNodeOf(pkg, fd)
+func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) []*CallEdge {
+	if pkg.Prog == nil || pkg.Info == nil {
+		return nil
+	}
+	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	node := pkg.Prog.Graph.Node(fn)
 	if node == nil {
-		return nil, nil
+		return nil
 	}
 	edgeAt := make(map[*ast.CallExpr]*CallEdge, len(node.Calls))
 	for i := range node.Calls {
@@ -90,18 +93,7 @@ func loopCallEdges(pkg *Package, fd *ast.FuncDecl, inLoop []ast.Node) (*FuncNode
 			return true
 		})
 	}
-	return node, edges
-}
-
-// funcNodeOf resolves fd to its whole-program call-graph node, nil when
-// the package was loaded standalone (fixture mode) or fd was not
-// type-checked.
-func funcNodeOf(pkg *Package, fd *ast.FuncDecl) *FuncNode {
-	if pkg.Prog == nil || pkg.Info == nil {
-		return nil
-	}
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	return pkg.Prog.Graph.Node(fn)
+	return edges
 }
 
 // ctxParamObjects returns fd's parameters of type context.Context. The

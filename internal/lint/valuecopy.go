@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// ValueCopy flags the memmove traffic heapescape cannot see: big struct
-// values copied wholesale inside `//imc:hotpath` functions.
-// heapescape polices the pointer side (values boxed onto the heap);
+// ValueCopy flags the memmove traffic escape analysis cannot see: big
+// struct values copied wholesale inside `//imc:hotpath` functions.
+// hotpath polices the pointer side (values boxed onto the heap);
 // valuecopy polices the value side (bytes moved per iteration). Three
 // shapes fire, each finding carrying the byte size under the canonical
 // layout model and the loop depth it executes at:

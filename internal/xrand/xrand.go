@@ -57,6 +57,11 @@ func (r *RNG) Split(stream uint64) *RNG {
 // return, producing a byte-identical sequence without allocating. Hot
 // sampling loops that draw one child stream per sample reuse a single
 // RNG value this way instead of heap-allocating per iteration.
+//
+// At 133 units it is over the compiler's inlining budget of 80, so it
+// is a hot kernel in its own right rather than an inline candidate.
+//
+//imc:hotpath
 func (r *RNG) SplitInto(stream uint64, out *RNG) {
 	st := r.id ^ bits.RotateLeft64(stream+1, 31)*0xd1342543de82ef95
 	out.id = splitmix64(&st)
@@ -68,7 +73,11 @@ func (r *RNG) SplitInto(stream uint64, out *RNG) {
 	}
 }
 
-// Uint64 returns the next 64 random bits (xoshiro256**).
+// Uint64 returns the next 64 random bits (xoshiro256**). At 81 units
+// it is one over the compiler's inlining budget of 80, so the Float64
+// draws that inline into hot loops call it: it is a hot kernel too.
+//
+//imc:hotpath
 func (r *RNG) Uint64() uint64 {
 	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
@@ -105,7 +114,12 @@ func (r *RNG) Intn(n int) int {
 	return int(hi)
 }
 
-// Bernoulli reports true with probability p.
+// Bernoulli reports true with probability p. It runs once per edge in
+// the IC sampling loops; at 82 units it is just over the compiler's
+// inlining budget of 80, so it is a hot kernel rather than an inline
+// candidate.
+//
+//imc:hotpath
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
