@@ -195,5 +195,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			g.inEID[pos] = g.outEID[idx]
 		}
 	}
+	g.fillCoins()
 	return g, nil
 }

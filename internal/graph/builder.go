@@ -27,18 +27,25 @@ func NewBuilder(n int) *Builder {
 func (b *Builder) NumNodes() int { return b.n }
 
 // AddEdge records the directed edge u->v with the given weight. Invalid
-// endpoints and self-loops are ignored; weights are clamped to [0, 1].
+// endpoints and self-loops are ignored; weights are clamped to [0, 1],
+// and NaN is clamped to 0.
 func (b *Builder) AddEdge(u, v NodeID, w float64) {
 	if u == v || u < 0 || v < 0 || int(u) >= b.n || int(v) >= b.n {
 		return
 	}
-	if w < 0 {
-		w = 0
+	b.edges = append(b.edges, Edge{From: u, To: v, Weight: clampWeight(w)})
+}
+
+// clampWeight maps w into [0, 1], sending NaN to 0, so every weight a
+// Graph holds survives WriteBinary/ReadBinary.
+func clampWeight(w float64) float64 {
+	switch {
+	case w > 1:
+		return 1
+	case w >= 0:
+		return w
 	}
-	if w > 1 {
-		w = 1
-	}
-	b.edges = append(b.edges, Edge{From: u, To: v, Weight: w})
+	return 0 // negative or NaN
 }
 
 // AddUndirected records both u->v and v->u with the given weight.
@@ -120,6 +127,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.inW[pos] = e.Weight
 		g.inEID[pos] = EdgeID(i)
 	}
+	g.fillCoins()
 	return g, nil
 }
 

@@ -113,7 +113,8 @@ func FuzzWeightDigest(f *testing.F) {
 }
 
 // FuzzReadEdgeList checks the edge-list parser never panics and that
-// every successfully parsed graph survives a write/read round trip.
+// every successfully parsed graph survives a write/read round trip,
+// through the edge list and through the binary format.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 0.5\n1 2\n", true)
 	f.Add("# comment\n3 4 1.0\n", false)
@@ -121,6 +122,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("", true)
 	f.Add("9999999999999999999999 1\n", true)
 	f.Add("1 2 nan\n-1 2\n", false)
+	f.Add("0 1 nan\n", true)
 	f.Fuzz(func(t *testing.T, input string, directed bool) {
 		g, err := ReadEdgeList(strings.NewReader(input), directed)
 		if err != nil {
@@ -128,6 +130,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if g.NumNodes() <= 0 {
 			t.Fatalf("parsed graph with %d nodes and no error", g.NumNodes())
+		}
+		if g.NumNodes() <= 1<<27 { // ReadBinary's node cap
+			var bin bytes.Buffer
+			if err := WriteBinary(&bin, g); err != nil {
+				t.Fatalf("write binary after successful read: %v", err)
+			}
+			if _, err := ReadBinary(&bin); err != nil {
+				t.Fatalf("read own binary: %v", err)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {

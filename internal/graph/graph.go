@@ -12,6 +12,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"imc/internal/xrand"
 )
 
 // NodeID identifies a node in [0, NumNodes()).
@@ -44,6 +46,11 @@ type Graph struct {
 	inFrom []NodeID
 	inW    []float64
 	inEID  []EdgeID
+
+	// inCoin[i] is xrand.Threshold(inW[i]), the integer coin the
+	// reverse IC sampler keeps edge i against. Every constructor fills
+	// it from inW; it is neither serialized nor digested.
+	inCoin []uint64
 }
 
 // NumNodes returns the node count n.
@@ -75,6 +82,23 @@ func (g *Graph) OutNeighbors(u NodeID) ([]NodeID, []float64) {
 func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64, []EdgeID) {
 	lo, hi := g.inOff[v], g.inOff[v+1]
 	return g.inFrom[lo:hi], g.inW[lo:hi], g.inEID[lo:hi]
+}
+
+// InCoins returns the sources and integer coins (xrand.Threshold of
+// each weight) of v's in-edges, the inputs of xrand.(*RNG).LiveIn. The
+// returned slices alias internal storage and must not be modified.
+func (g *Graph) InCoins(v NodeID) ([]NodeID, []uint64) {
+	lo, hi := g.inOff[v], g.inOff[v+1]
+	return g.inFrom[lo:hi], g.inCoin[lo:hi]
+}
+
+// fillCoins derives inCoin from inW; every constructor calls it once
+// the reverse weights are final.
+func (g *Graph) fillCoins() {
+	g.inCoin = make([]uint64, len(g.inW))
+	for i, w := range g.inW {
+		g.inCoin[i] = xrand.Threshold(w)
+	}
 }
 
 // OutEdgeIDs returns the global edge IDs of u's out-edges, parallel to

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -12,7 +13,8 @@ import (
 // form "u v" or "u v w". Lines starting with '#' or '%' are comments.
 // Node IDs must be non-negative integers; n is inferred as max ID + 1.
 // When directed is false each line adds both directions. Edges without an
-// explicit weight get weight 1 (reassign with ApplyWeights).
+// explicit weight get weight 1 (reassign with ApplyWeights). Weights are
+// clamped to [0, 1] as Builder.AddEdge does; NaN is an error.
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	type rawEdge struct {
 		u, v int64
@@ -51,6 +53,9 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %w", lineNo, fields[2], err)
+			}
+			if math.IsNaN(w) {
+				return nil, fmt.Errorf("graph: line %d: bad weight %q: not a number", lineNo, fields[2])
 			}
 		}
 		if u > maxNode {

@@ -19,8 +19,8 @@ const (
 )
 
 // ApplyWeights returns a copy of g with edge weights reassigned by the
-// scheme. p is the probability for ConstantWeight (ignored otherwise);
-// seed drives Trivalency.
+// scheme. p is the probability for ConstantWeight (ignored otherwise),
+// clamped to [0, 1] as Builder.AddEdge clamps; seed drives Trivalency.
 func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph {
 	out := cloneTopology(g)
 	switch scheme {
@@ -38,6 +38,7 @@ func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph 
 			}
 		}
 	case ConstantWeight:
+		p = clampWeight(p)
 		for i := range out.outW {
 			out.outW[i] = p
 		}
@@ -58,6 +59,7 @@ func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph 
 			out.inW[i] = perEdge[out.inEID[i]]
 		}
 	}
+	out.fillCoins()
 	return out
 }
 

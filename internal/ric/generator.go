@@ -263,19 +263,15 @@ func (gen *Generator) collectiveBFS(rng *xrand.RNG) (int, []graph.NodeID) {
 }
 
 // sampleInEdgesIC decides each incoming edge of u independently with its
-// own probability (Independent Cascade).
+// own probability (Independent Cascade), all in one LiveIn call over
+// the graph's precomputed integer coins. LiveIn draws the variates a
+// per-edge Bernoulli loop would and keeps the same edges, so every
+// sample equals that loop's (TestSamplerMatchesBernoulliReference).
 //
 //imc:hotpath
 func (gen *Generator) sampleInEdgesIC(u graph.NodeID, rng *xrand.RNG) {
-	froms, ws, _ := gen.g.InNeighbors(u)
-	ws = ws[:len(froms)] // one shared bounds proof for the parallel scan
-	live := gen.liveIn[u][:0]
-	for i, v := range froms {
-		if rng.Bernoulli(ws[i]) {
-			live = append(live, v)
-		}
-	}
-	gen.liveIn[u] = live
+	froms, coins := gen.g.InCoins(u)
+	gen.liveIn[u] = rng.LiveIn(froms, coins, gen.liveIn[u][:0])
 }
 
 // sampleInEdgesLT picks at most one live in-edge for u, chosen with

@@ -46,3 +46,39 @@ func BenchmarkAliasDraw(b *testing.B) {
 	}
 	_ = sink
 }
+
+// benchEdges is one facebook-shaped node's in-edges under weighted
+// cascade: 28 edges, each live with probability 1/28.
+func benchEdges() ([]int32, []float64, []uint64) {
+	const d = 28
+	froms := make([]int32, d)
+	ws := make([]float64, d)
+	coins := make([]uint64, d)
+	for i := range froms {
+		froms[i] = int32(i)
+		ws[i] = 1.0 / d
+		coins[i] = Threshold(ws[i])
+	}
+	return froms, ws, coins
+}
+
+// BenchmarkLiveIn measures one node's in-edge coins through the kernel.
+func BenchmarkLiveIn(b *testing.B) {
+	froms, _, coins := benchEdges()
+	dst := make([]int32, 0, len(froms))
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		dst = r.LiveIn(froms, coins, dst[:0])
+	}
+}
+
+// BenchmarkBernoulliLoop measures the same coins one Bernoulli call per
+// edge, the loop LiveIn replaces.
+func BenchmarkBernoulliLoop(b *testing.B) {
+	froms, ws, _ := benchEdges()
+	dst := make([]int32, 0, len(froms))
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		dst = bernoulliLiveIn(r, froms, ws, dst[:0])
+	}
+}

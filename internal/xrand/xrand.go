@@ -9,7 +9,11 @@
 // matters.
 package xrand
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // RNG is a xoshiro256** generator. It is NOT safe for concurrent use;
 // give each goroutine its own stream via Split.
@@ -115,9 +119,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Bernoulli reports true with probability p. It runs once per edge in
-// the IC sampling loops; at 82 units it is just over the compiler's
-// inlining budget of 80, so it is a hot kernel rather than an inline
-// candidate.
+// the IC loops that skip already-visited targets (RIS walks, forward
+// simulation), where LiveIn's all-edges scan would draw other
+// variates; at 82 units it is just over the compiler's inlining budget
+// of 80, so it is a hot kernel rather than an inline candidate.
 //
 //imc:hotpath
 func (r *RNG) Bernoulli(p float64) bool {
@@ -128,6 +133,86 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Integer coins. A coin is the integer form of an edge probability p
+// that LiveIn compares a variate's top 53 bits against: coinDead and
+// coinLive are the sentinels for p ≤ 0 and p ≥ 1, which draw no
+// variate; every other coin lies in [1, 2⁵³−1] and draws exactly one.
+// coinLive sits above every variate, so it would keep the edge even if
+// drawn, and c−1 < 2⁵³ holds exactly for the coins that draw.
+const (
+	coinDead uint64 = 0
+	coinLive uint64 = 1<<64 - 1
+)
+
+// Threshold returns the integer coin for probability p, the value
+// LiveIn keeps an edge against. Float64 is m·2⁻⁵³ for the integer
+// m = Uint64()>>11 < 2⁵³, and scaling by 2⁵³ is exact, so for
+// 0 < p < 1
+//
+//	Float64() < p  ⇔  m < p·2⁵³  ⇔  m < ⌈p·2⁵³⌉,
+//
+// and ⌈p·2⁵³⌉ lies in [1, 2⁵³−1]. p ≤ 0 maps to coinDead and p ≥ 1 to
+// coinLive, mirroring Bernoulli's two early returns. The three cases
+// are exhaustive for every weight a graph.Graph can hold: the builder
+// and the constant weight scheme clamp NaN to 0, and both graph
+// readers reject it. A NaN p maps to coinDead, which draws no variate
+// where Bernoulli(NaN) draws one.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return coinDead
+	case p >= 1:
+		return coinLive
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// LiveIn decides one node's in-edge coins in a single call and appends
+// the sources of the live edges to dst, returning the extended slice.
+// Edge i is live iff Bernoulli(p_i) would have reported true for the
+// weight p_i whose Threshold is coins[i]: it consumes exactly the
+// variates the per-edge Bernoulli loop does, in the same order, so the
+// generator's state afterwards is identical too. coins must be at
+// least as long as froms.
+//
+// The generator state lives in four locals for the whole scan and is
+// stored back once. dst grows once, to room for every edge, before the
+// loop, so the scan itself never allocates; its spare capacity past
+// the returned length is scratch the scan may overwrite.
+//
+//imc:hotpath
+func (r *RNG) LiveIn(froms []int32, coins []uint64, dst []int32) []int32 {
+	base := len(dst)
+	dst = slices.Grow(dst, len(froms))[:base+len(froms)]
+	coins = coins[:len(froms)] // one shared bounds proof for the parallel scan
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	k := base
+	for i, v := range froms {
+		c := coins[i]
+		keep := c != coinDead
+		// Neither sentinel: draw one variate (Uint64, inlined). The shift
+		// test needs no 64-bit constant, which leaves the loop counter a
+		// register instead of a stack slot.
+		if (c-1)>>53 == 0 {
+			x := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			keep = x>>11 < c
+		}
+		dst[k] = v // stored unconditionally, kept by the branch-free count
+		if keep {
+			k++
+		}
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+	return dst[:k]
 }
 
 // Perm returns a random permutation of [0, n).
