@@ -49,8 +49,9 @@ type coreBenchReport struct {
 }
 
 // runBenchCore measures the solver kernels the hot-path contracts
-// guard — RIC sample generation and the greedy seed-selection scans —
-// and writes a machine-readable report. basePath, when non-empty,
+// guard — RIC sample generation, the greedy seed-selection scans and
+// BT's restricted-instance builds (at MB's 64-root cap) — and writes a
+// machine-readable report. basePath, when non-empty,
 // names an earlier -benchcore file whose numbers become the "before"
 // column (used to pin the before/after deltas of a kernel change).
 func runBenchCore(outPath, basePath string) error {
@@ -107,6 +108,10 @@ func runBenchCore(outPath, basePath string) error {
 	add("PoolGenerate/IC", benchPoolGenerate(inst, poolSize))
 	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat))
 	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu))
+	add("BT/k=10", benchGreedy(pool, k, func(p *ric.Pool, k int) ([]graph.NodeID, error) {
+		res, err := maxr.BT{MaxRoots: 64}.Solve(p, k)
+		return res.Seeds, err
+	}))
 	add("MCBenefit/IC", benchMCBenefit(inst, seeds))
 
 	if basePath != "" {
@@ -198,7 +203,7 @@ func benchMCBenefit(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B
 }
 
 // benchGreedy times one full k-seed selection over a fixed pool — the
-// candidate-scan / CELF-heap hot loops.
+// candidate-scan / CELF-heap hot loops, or BT's root scan.
 func benchGreedy(pool *ric.Pool, k int, algo func(*ric.Pool, int) ([]graph.NodeID, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

@@ -26,7 +26,7 @@ import (
 //     iteration; pass a pointer or prebuild the interface value once.
 //
 // The threshold is deliberately above the kernels' pooled entry types
-// (CoverEntry is 32 bytes; copying it beats chasing a pointer): only
+// (ric.Sample is 16 bytes; copying it beats chasing a pointer): only
 // copies big enough to out-cost an indirection fire.
 var ValueCopy = &Analyzer{
 	Name: "valuecopy",

@@ -4,7 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"imc/internal/graph"
@@ -16,12 +16,16 @@ import (
 // the pool to the samples u touches, credits u's member coverage, and
 // solves the residual instance — greedily when one more member suffices
 // (d = 2), recursively otherwise. The root whose seed set influences the
-// most of its own touched samples wins. Guarantee: (1−1/e)/k^(d−1).
+// most of its own touched samples wins. Guarantee: (1−1/e)/k^(d−1) for
+// the full root scan (MaxRoots 0).
 type BT struct {
 	// MaxRoots caps how many candidate roots are examined at every
 	// recursion level, taken in descending touch-count order. 0 means
 	// all roots — faithful to the paper but O(|V|) subproblems, which
-	// the paper itself reports timing out on its largest dataset.
+	// the paper itself reports timing out on its largest dataset. A
+	// capped scan may skip the root the analysis relies on, so it does
+	// not carry the (1−1/e)/k^(d−1) bound; Guarantee still reports that
+	// bound.
 	MaxRoots int
 	// Depth is the threshold bound d ≥ 2; 0 defaults to 2 (Alg. 4).
 	Depth int
@@ -37,7 +41,9 @@ var _ CtxSolver = BT{}
 // Name implements Solver.
 func (b BT) Name() string { return "BT" }
 
-// Guarantee implements Solver: (1−1/e)/k^(d−1).
+// Guarantee implements Solver: (1−1/e)/k^(d−1). The bound holds for the
+// full root scan only; with MaxRoots > 0 it is the uncapped solver's
+// bound, not a proven one for this configuration.
 func (b BT) Guarantee(_ *ric.Pool, k int) float64 {
 	d := b.depth()
 	return (1 - 1/math.E) / math.Pow(float64(k), float64(d-1))
@@ -84,17 +90,24 @@ func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			sc := &btScratch{
+				words:  pool.Words(),
+				local:  make([]int32, pool.Graph().NumNodes()),
+				levels: make([]btInstance, b.depth()),
+			}
 			for i := w; i < len(roots); i += workers {
 				if ctx.Err() != nil {
 					return
 				}
 				u := roots[i]
-				inst := b.rootInstance(pool, covers, u)
-				team := b.solveInstance(ctx, inst, k-1, b.depth()-1)
-				results[i] = rootResult{
-					seeds: append([]graph.NodeID{u}, team...),
-					score: inst.influencedBy(team),
+				inst := sc.rootInstance(pool, covers, u)
+				team, score := b.solveInstance(ctx, sc, inst, k-1, b.depth()-1)
+				seeds := make([]graph.NodeID, 0, 1+len(team))
+				seeds = append(seeds, u)
+				for _, p := range team {
+					seeds = append(seeds, inst.nodes[p])
 				}
+				results[i] = rootResult{seeds: seeds, score: score}
 			}
 		}(w)
 	}
@@ -133,176 +146,275 @@ func (b BT) capRoots(roots []graph.NodeID) []graph.NodeID {
 	return roots
 }
 
-// instEntry records that a node covers members of one instance sample.
-type instEntry struct {
-	idx  int32
-	bits ric.Mask
-}
-
 // btInstance is a restricted MAXR instance: a subset of pool samples
-// with pre-credited base coverage (from the root chain above it).
+// with pre-credited base coverage (from the root chain above it), in
+// CSR form over candidate positions. Position p is node nodes[p];
+// positions run in (entry count desc, node asc) order, and p's entries
+// are start[p] ≤ e < start[p+1]: entry e covers instance sample idx[e]
+// with the W-word mask at bits[e·W:]. Sample i has threshold
+// thresholds[i] and base mask base[i·W:]. A sub-instance also records
+// parent[p], p's position in the instance it was restricted from.
+//
+//imc:compact
 type btInstance struct {
 	thresholds []int32
-	base       []ric.Mask
-	nodes      []graph.NodeID // candidate nodes, sorted by entry count desc
-	entries    map[graph.NodeID][]instEntry
+	base       []uint64
+	nodes      []graph.NodeID
+	start      []int
+	idx        []int32
+	bits       []uint64
+	parent     []int32
+}
+
+// btScratch is one root-scan worker's reusable storage: the root
+// instance and one sub-instance per recursion depth are rebuilt in
+// place, so a solve allocates O(workers·depth) instances instead of
+// one per subproblem.
+type btScratch struct {
+	words int
+	// local is per-node scratch, all zero between builds: a root build
+	// counts each node's entries in it and then maps the node to its
+	// position+1; a sub build maps each candidate to its parent
+	// position+1.
+	local []int32
+	keys  []uint64 // rankKeys of the candidates being laid out
+	fill  []int
+	// keep maps an instance sample to its sub-instance index+1 while a
+	// sub-instance is built; all zero between builds.
+	keep []int32
+	// used marks the greedy's picks by position; all false between
+	// greedy runs.
+	used []bool
+	// cover and count are the running coverage state of greedy and
+	// influencedBy: W words and a popcount per instance sample.
+	cover []uint64
+	count []int32
+	root  btInstance
+	// levels[d] holds the sub-instance solved at depth d; recursion
+	// visits each depth once at a time.
+	levels []btInstance
+}
+
+// layout sorts the candidates' rankKeys (entry count desc, node asc —
+// a total order, so the positions are fully determined) and lays out
+// the nodes and entry ranges for them.
+func (inst *btInstance) layout(keys []uint64) {
+	slices.Sort(keys)
+	inst.nodes = inst.nodes[:0]
+	inst.start = append(inst.start[:0], 0)
+	total := 0
+	for _, key := range keys {
+		inst.nodes = append(inst.nodes, rankNode(key))
+		total += rankCount(key)
+		inst.start = append(inst.start, total)
+	}
 }
 
 // rootInstance restricts the pool to the samples u touches, crediting
-// u's coverage as the base.
-func (b BT) rootInstance(pool *ric.Pool, covers [][]ric.NodeCover, u graph.NodeID) *btInstance {
-	es := pool.Entries(u)
-	inst := &btInstance{
-		thresholds: make([]int32, len(es)),
-		base:       make([]ric.Mask, len(es)),
-		entries:    make(map[graph.NodeID][]instEntry),
-	}
-	for i, e := range es {
-		inst.thresholds[i] = pool.Sample(int(e.Sample)).Threshold
-		inst.base[i] = e.Bits
-		for _, nc := range covers[e.Sample] {
-			if nc.Node == u {
+// u's coverage as the base. It makes two passes over those samples'
+// covers: the first counts each other node's entries, the second fills
+// them in at their sorted positions.
+func (sc *btScratch) rootInstance(pool *ric.Pool, covers *ric.CoverView, u graph.NodeID) *btInstance {
+	w := sc.words
+	ids, masks := pool.Entries(u)
+	inst := &sc.root
+	inst.base = append(inst.base[:0], masks...)
+	inst.thresholds = inst.thresholds[:0]
+	// The count pass records each new node in keys and its running
+	// count in local; the keys get their counts once the pass is done.
+	keys := sc.keys[:0]
+	for _, id := range ids {
+		inst.thresholds = append(inst.thresholds, pool.Sample(int(id)).Threshold)
+		for _, v := range covers.Nodes[covers.Start[id]:covers.Start[id+1]] {
+			if v == u {
 				continue
 			}
-			inst.entries[nc.Node] = append(inst.entries[nc.Node], instEntry{idx: int32(i), bits: nc.Bits})
+			if sc.local[v] == 0 {
+				keys = append(keys, uint64(uint32(v)))
+			}
+			sc.local[v]++
 		}
 	}
-	inst.sortNodes()
+	for i, key := range keys {
+		v := rankNode(key)
+		keys[i] = rankKey(int(sc.local[v]), v)
+	}
+	inst.layout(keys)
+	for p, v := range inst.nodes {
+		sc.local[v] = int32(p + 1)
+	}
+	total := inst.start[len(keys)]
+	inst.idx = slices.Grow(inst.idx[:0], total)[:total]
+	inst.bits = slices.Grow(inst.bits[:0], total*w)[:total*w]
+	sc.fill = append(sc.fill[:0], inst.start[:len(keys)]...)
+	for i, id := range ids {
+		for k := covers.Start[id]; k < covers.Start[id+1]; k++ {
+			v := covers.Nodes[k]
+			if v == u {
+				continue
+			}
+			p := sc.local[v] - 1
+			e := sc.fill[p]
+			sc.fill[p]++
+			inst.idx[e] = int32(i)
+			m := covers.Mask(k)
+			dst := inst.bits[e*w : e*w+len(m)]
+			for j, word := range m {
+				dst[j] = word
+			}
+		}
+	}
+	for _, v := range inst.nodes {
+		sc.local[v] = 0
+	}
+	sc.keys = keys
 	return inst
 }
 
-// subInstance restricts inst to the samples that node u covers, folding
-// u's coverage into the base.
-func (inst *btInstance) subInstance(u graph.NodeID) *btInstance {
-	es := inst.entries[u]
-	sub := &btInstance{
-		thresholds: make([]int32, len(es)),
-		base:       make([]ric.Mask, len(es)),
-		entries:    make(map[graph.NodeID][]instEntry),
+// subInstance rebuilds sub as inst restricted to the samples that the
+// node at position pu covers, folding pu's coverage into the base. A
+// sub-instance node's entries are the kept entries of its parent
+// position, so the fill pass copies each candidate's run in key order.
+func (sc *btScratch) subInstance(inst *btInstance, pu int, sub *btInstance) {
+	w := sc.words
+	lo, hi := inst.start[pu], inst.start[pu+1]
+	if len(sc.keep) < len(inst.thresholds) {
+		sc.keep = make([]int32, len(inst.thresholds))
 	}
-	keep := make(map[int32]int32, len(es))
-	for i, e := range es {
-		sub.thresholds[i] = inst.thresholds[e.idx]
-		merged := e.bits.Clone()
-		inst.base[e.idx].OrInto(merged)
-		sub.base[i] = merged
-		keep[e.idx] = int32(i)
+	sub.thresholds = sub.thresholds[:0]
+	sub.base = sub.base[:0]
+	for e := lo; e < hi; e++ {
+		i := int(inst.idx[e])
+		sc.keep[i] = int32(e - lo + 1)
+		sub.thresholds = append(sub.thresholds, inst.thresholds[i])
+		sub.base = append(sub.base, inst.bits[e*w:(e+1)*w]...)
+		ric.Mask(inst.base[i*w : (i+1)*w]).OrInto(sub.base[(e-lo)*w:])
 	}
-	for v, ves := range inst.entries {
-		if v == u {
+	keys := sc.keys[:0]
+	for p, v := range inst.nodes {
+		if p == pu {
 			continue
 		}
-		for _, e := range ves {
-			if si, ok := keep[e.idx]; ok {
-				sub.entries[v] = append(sub.entries[v], instEntry{idx: si, bits: e.bits})
+		c := 0
+		for _, i := range inst.idx[inst.start[p]:inst.start[p+1]] {
+			if sc.keep[i] != 0 {
+				c++
+			}
+		}
+		if c > 0 {
+			keys = append(keys, rankKey(c, v))
+			sc.local[v] = int32(p + 1)
+		}
+	}
+	sub.layout(keys)
+	sub.parent = sub.parent[:0]
+	sub.idx = sub.idx[:0]
+	sub.bits = sub.bits[:0]
+	for _, v := range sub.nodes {
+		p := int(sc.local[v] - 1)
+		sc.local[v] = 0
+		sub.parent = append(sub.parent, int32(p))
+		for e := inst.start[p]; e < inst.start[p+1]; e++ {
+			if s := sc.keep[inst.idx[e]]; s != 0 {
+				sub.idx = append(sub.idx, s-1)
+				sub.bits = append(sub.bits, inst.bits[e*w:(e+1)*w]...)
 			}
 		}
 	}
-	sub.sortNodes()
-	return sub
-}
-
-func (inst *btInstance) sortNodes() {
-	inst.nodes = make([]graph.NodeID, 0, len(inst.entries))
-	for v := range inst.entries {
-		inst.nodes = append(inst.nodes, v)
+	for _, i := range inst.idx[lo:hi] {
+		sc.keep[i] = 0
 	}
-	sort.Slice(inst.nodes, func(i, j int) bool {
-		a, b := inst.nodes[i], inst.nodes[j]
-		la, lb := len(inst.entries[a]), len(inst.entries[b])
-		if la != lb {
-			return la > lb
-		}
-		return a < b
-	})
+	sc.keys = keys
 }
 
-// influencedBy counts instance samples influenced by base ∪ seeds.
-func (inst *btInstance) influencedBy(seeds []graph.NodeID) int {
-	st := inst.newState()
-	for _, v := range seeds {
-		st.add(inst, v)
-	}
-	return st.influenced(inst)
-}
-
-// solveInstance picks up to k nodes maximizing influenced instance
-// samples. depth ≤ 1 runs the greedy base case (exact (1−1/e) when each
-// residual threshold is ≤ 1, i.e. original thresholds ≤ 2); deeper
-// levels recurse over roots as §IV-C describes. On cancellation it
-// returns early with a partial (possibly nil) team; the caller's
-// post-wait ctx check discards the whole result, so the short-circuit
-// never leaks into a completed run.
-func (b BT) solveInstance(ctx context.Context, inst *btInstance, k, depth int) []graph.NodeID {
+// solveInstance picks up to k positions of inst maximizing influenced
+// instance samples, and returns them with the number of instance
+// samples base ∪ picks influences. depth ≤ 1 runs the greedy base case
+// (exact (1−1/e) when each residual threshold is ≤ 1, i.e. original
+// thresholds ≤ 2); deeper levels recurse over roots as §IV-C
+// describes. On cancellation it returns early with a partial (possibly
+// nil) team; the caller's post-wait ctx check discards the whole
+// result, so the short-circuit never leaks into a completed run.
+func (b BT) solveInstance(ctx context.Context, sc *btScratch, inst *btInstance, k, depth int) ([]int32, int) {
 	if k <= 0 || len(inst.nodes) == 0 {
-		return nil
+		return nil, sc.influencedBy(inst, nil)
 	}
 	if depth <= 1 {
-		return inst.greedy(k)
+		return sc.greedy(inst, k)
 	}
-	roots := b.capRoots(inst.nodes)
+	roots := len(inst.nodes)
+	if b.MaxRoots > 0 {
+		roots = min(roots, b.MaxRoots)
+	}
+	sub := &sc.levels[depth-1]
 	bestScore := -1
-	var best []graph.NodeID
-	for _, u := range roots {
+	var best []int32
+	for pu := 0; pu < roots; pu++ {
 		if ctx.Err() != nil {
-			return best
+			return best, bestScore
 		}
-		sub := inst.subInstance(u)
-		team := b.solveInstance(ctx, sub, k-1, depth-1)
-		score := sub.influencedBy(team)
+		sc.subInstance(inst, pu, sub)
+		team, score := b.solveInstance(ctx, sc, sub, k-1, depth-1)
 		if score > bestScore {
 			bestScore = score
-			best = append([]graph.NodeID{u}, team...)
+			best = append(best[:0], int32(pu))
+			for _, q := range team {
+				best = append(best, sub.parent[q])
+			}
 		}
 	}
-	return best
+	return best, sc.influencedBy(inst, best)
 }
 
-// instState tracks running coverage over an instance during greedy.
-type instState struct {
-	cover []ric.Mask
-	count []int32
-}
-
-func (inst *btInstance) newState() *instState {
-	st := &instState{
-		cover: make([]ric.Mask, len(inst.base)),
-		count: make([]int32, len(inst.base)),
-	}
-	for i, m := range inst.base {
-		st.cover[i] = m
-		st.count[i] = int32(m.OnesCount())
-	}
-	return st
-}
-
-func (st *instState) add(inst *btInstance, v graph.NodeID) {
-	for _, e := range inst.entries[v] {
-		merged := e.bits.Clone()
-		st.cover[e.idx].OrInto(merged)
-		st.cover[e.idx] = merged
-		st.count[e.idx] = int32(merged.OnesCount())
+// resetState loads inst's base coverage into the running state.
+func (sc *btScratch) resetState(inst *btInstance) {
+	w := sc.words
+	sc.cover = append(sc.cover[:0], inst.base...)
+	sc.count = slices.Grow(sc.count[:0], len(inst.thresholds))[:len(inst.thresholds)]
+	for i := range sc.count {
+		sc.count[i] = int32(ric.Mask(sc.cover[i*w : (i+1)*w]).OnesCount())
 	}
 }
 
-func (st *instState) gain(inst *btInstance, v graph.NodeID) int {
+// add ORs position p's masks into the running state.
+func (sc *btScratch) add(inst *btInstance, p int) {
+	w := sc.words
+	lo, hi := inst.start[p], inst.start[p+1]
+	bits := inst.bits[lo*w : hi*w]
+	for _, i := range inst.idx[lo:hi] {
+		m := ric.Mask(bits[:w:w])
+		bits = bits[w:]
+		c := ric.Mask(sc.cover[int(i)*w : (int(i)+1)*w])
+		m.OrInto(c)
+		sc.count[i] = int32(c.OnesCount())
+	}
+}
+
+// gain counts the instance samples position p would newly influence.
+func (sc *btScratch) gain(inst *btInstance, p int) int {
+	w := sc.words
+	lo, hi := inst.start[p], inst.start[p+1]
+	bits := inst.bits[lo*w : hi*w]
 	g := 0
-	for _, e := range inst.entries[v] {
-		h := inst.thresholds[e.idx]
-		cur := st.count[e.idx]
+	for _, i := range inst.idx[lo:hi] {
+		m := ric.Mask(bits[:w:w])
+		bits = bits[w:]
+		h := inst.thresholds[i]
+		cur := sc.count[i]
 		if cur >= h {
 			continue
 		}
-		if cur+int32(e.bits.NewBitsOver(st.cover[e.idx])) >= h {
+		if cur+int32(m.NewBitsOver(sc.cover[int(i)*w:])) >= h {
 			g++
 		}
 	}
 	return g
 }
 
-func (st *instState) influenced(inst *btInstance) int {
+// influenced counts the instance samples the running state influences.
+func (sc *btScratch) influenced(inst *btInstance) int {
 	n := 0
-	for i, c := range st.count {
+	for i, c := range sc.count {
 		if c >= inst.thresholds[i] {
 			n++
 		}
@@ -310,37 +422,53 @@ func (st *instState) influenced(inst *btInstance) int {
 	return n
 }
 
+// influencedBy counts instance samples influenced by base ∪ team.
+func (sc *btScratch) influencedBy(inst *btInstance, team []int32) int {
+	sc.resetState(inst)
+	for _, p := range team {
+		sc.add(inst, int(p))
+	}
+	return sc.influenced(inst)
+}
+
 // greedy is the base-case selection: plain greedy on influenced count.
 // With residual thresholds ≤ 1 the objective is max coverage, so this
-// is the (1−1/e) greedy of Theorem 4.
-func (inst *btInstance) greedy(k int) []graph.NodeID {
-	st := inst.newState()
-	used := make(map[graph.NodeID]struct{}, k)
-	seeds := make([]graph.NodeID, 0, k)
-	for len(seeds) < k {
-		best := graph.NodeID(-1)
+// is the (1−1/e) greedy of Theorem 4. It returns the picked positions
+// and the influenced count they reach.
+func (sc *btScratch) greedy(inst *btInstance, k int) ([]int32, int) {
+	sc.resetState(inst)
+	if len(sc.used) < len(inst.nodes) {
+		sc.used = make([]bool, len(inst.nodes))
+	}
+	used := sc.used[:len(inst.nodes)]
+	team := make([]int32, 0, k)
+	for len(team) < k {
+		best := -1
 		bestGain := 0
-		for _, v := range inst.nodes {
-			if _, ok := used[v]; ok {
+		for p := range used {
+			if used[p] {
 				continue
 			}
-			// nodes are sorted by entry count and gain ≤ entry count,
-			// so once the bound drops below the incumbent the scan can
-			// stop (exact prune, mirroring GreedyCHat).
-			if len(inst.entries[v]) < bestGain {
+			// positions are sorted by entry count and gain ≤ entry
+			// count, so once the bound drops below the incumbent the
+			// scan can stop (exact prune, mirroring GreedyCHat).
+			if inst.start[p+1]-inst.start[p] < bestGain {
 				break
 			}
-			if g := st.gain(inst, v); g > bestGain {
+			if g := sc.gain(inst, p); g > bestGain {
 				bestGain = g
-				best = v
+				best = p
 			}
 		}
 		if best < 0 {
 			break
 		}
-		st.add(inst, best)
-		used[best] = struct{}{}
-		seeds = append(seeds, best)
+		sc.add(inst, best)
+		used[best] = true
+		team = append(team, int32(best))
 	}
-	return seeds
+	for _, p := range team {
+		used[p] = false
+	}
+	return team, sc.influenced(inst)
 }

@@ -13,19 +13,17 @@ import (
 //imc:hotpath
 func coverageGain(pool *ric.Pool, st *ric.State, v graph.NodeID) int {
 	gain := 0
-	for _, e := range pool.Entries(v) {
-		h := pool.Sample(int(e.Sample)).Threshold
-		cur := st.CoverCount(e.Sample)
+	w := pool.Words()
+	ids, masks := pool.Entries(v)
+	for _, id := range ids {
+		m := ric.Mask(masks[:w:w])
+		masks = masks[w:]
+		h := pool.Sample(int(id)).Threshold
+		cur := st.CoverCount(id)
 		if cur >= h {
 			continue
 		}
-		var add int32
-		if base := st.Covered(e.Sample); base == nil {
-			add = int32(e.Bits.OnesCount())
-		} else {
-			add = int32(e.Bits.NewBitsOver(base))
-		}
-		if cur+add >= h {
+		if cur+st.NewBits(id, m) >= h {
 			gain++
 		}
 	}
@@ -39,19 +37,17 @@ func coverageGain(pool *ric.Pool, st *ric.State, v graph.NodeID) int {
 //imc:hotpath
 func fractionalGain(pool *ric.Pool, st *ric.State, v graph.NodeID) float64 {
 	gain := 0.0
-	for _, e := range pool.Entries(v) {
-		h := pool.Sample(int(e.Sample)).Threshold
-		cur := st.CoverCount(e.Sample)
+	w := pool.Words()
+	ids, masks := pool.Entries(v)
+	for _, id := range ids {
+		m := ric.Mask(masks[:w:w])
+		masks = masks[w:]
+		h := pool.Sample(int(id)).Threshold
+		cur := st.CoverCount(id)
 		if cur >= h {
 			continue
 		}
-		var add int32
-		if base := st.Covered(e.Sample); base == nil {
-			add = int32(e.Bits.OnesCount())
-		} else {
-			add = int32(e.Bits.NewBitsOver(base))
-		}
-		after := cur + add
+		after := cur + st.NewBits(id, m)
 		if after > h {
 			after = h
 		}
@@ -71,19 +67,17 @@ func fractionalGain(pool *ric.Pool, st *ric.State, v graph.NodeID) float64 {
 //imc:hotpath
 func tieBreakGain(pool *ric.Pool, st *ric.State, v graph.NodeID) float64 {
 	gain := 0.0
-	for _, e := range pool.Entries(v) {
-		h := pool.Sample(int(e.Sample)).Threshold
-		cur := st.CoverCount(e.Sample)
+	w := pool.Words()
+	ids, masks := pool.Entries(v)
+	for _, id := range ids {
+		m := ric.Mask(masks[:w:w])
+		masks = masks[w:]
+		h := pool.Sample(int(id)).Threshold
+		cur := st.CoverCount(id)
 		if cur >= h {
 			continue
 		}
-		var add int32
-		if base := st.Covered(e.Sample); base == nil {
-			add = int32(e.Bits.OnesCount())
-		} else {
-			add = int32(e.Bits.NewBitsOver(base))
-		}
-		after := cur + add
+		after := cur + st.NewBits(id, m)
 		if after > h {
 			after = h
 		}

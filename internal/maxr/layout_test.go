@@ -17,4 +17,8 @@ var (
 	// rootResult is //imc:padded to one 64-byte line: each parallel
 	// root worker owns one slot of a shared results slice.
 	_ = [1]struct{}{}[unsafe.Sizeof(rootResult{})-64]
+
+	// btInstance is //imc:compact: seven slice headers, 168 bytes, no
+	// scalar fields to pad around.
+	_ = [1]struct{}{}[unsafe.Sizeof(btInstance{})-168]
 )

@@ -23,7 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"imc/internal/graph"
 	"imc/internal/ric"
@@ -111,21 +111,36 @@ func finalize(pool *ric.Pool, seeds []graph.NodeID) Result {
 // set can never increase coverage.
 func candidates(pool *ric.Pool) []graph.NodeID {
 	n := pool.Graph().NumNodes()
-	out := make([]graph.NodeID, 0, n/4+1)
+	keys := make([]uint64, 0, n/4+1)
 	for v := 0; v < n; v++ {
-		if pool.TouchCount(graph.NodeID(v)) > 0 {
-			out = append(out, graph.NodeID(v))
+		if t := pool.TouchCount(graph.NodeID(v)); t > 0 {
+			keys = append(keys, rankKey(t, graph.NodeID(v)))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := pool.TouchCount(out[i]), pool.TouchCount(out[j])
-		if ti != tj {
-			return ti > tj
-		}
-		return out[i] < out[j]
-	})
+	slices.Sort(keys)
+	out := make([]graph.NodeID, len(keys))
+	for i, key := range keys {
+		out[i] = rankNode(key)
+	}
 	return out
 }
+
+// rankKey packs the order candidates and BT instances rank nodes by —
+// count descending, then node ascending — into one integer, so a plain
+// slices.Sort puts a key array in that order without a comparator.
+//
+//imc:pure
+func rankKey(count int, v graph.NodeID) uint64 {
+	return uint64(^uint32(count))<<32 | uint64(uint32(v))
+}
+
+// rankNode and rankCount unpack a rankKey.
+//
+//imc:pure
+func rankNode(key uint64) graph.NodeID { return graph.NodeID(uint32(key)) }
+
+//imc:pure
+func rankCount(key uint64) int { return int(^uint32(key >> 32)) }
 
 // padSeeds fills seeds up to k with unused candidate nodes (then any
 // remaining node IDs) so solvers always return a full budget when the

@@ -143,8 +143,9 @@ func TestQuickLemma5SandwichOnD(t *testing.T) {
 		// |D(S,u)|: samples u touches whose threshold S meets.
 		dSize := func(u graph.NodeID) int {
 			c := 0
-			for _, e := range pool.Entries(u) {
-				if st.CoverCount(e.Sample) >= pool.Sample(int(e.Sample)).Threshold {
+			ids, _ := pool.Entries(u)
+			for _, id := range ids {
+				if st.CoverCount(id) >= pool.Sample(int(id)).Threshold {
 					c++
 				}
 			}

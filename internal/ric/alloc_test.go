@@ -10,8 +10,8 @@ import (
 // These tests lock in the hot-path allocation burn-down (see the
 // //imc:hotpath annotations): once the generator's scratch has grown to
 // steady state, the streaming estimators allocate nothing and Generate
-// allocates exactly its three retained slices (cover nodes, mask
-// headers, bit slab).
+// allocates exactly the two slices it hands to the pool's fold (cover
+// nodes, flat mask words).
 //
 // Each measured run replays one fixed PRNG stream via SplitInto, so the
 // sample — and therefore the allocation count — is deterministic.
@@ -67,7 +67,7 @@ func TestFractionalInfluenceDoesNotAllocate(t *testing.T) {
 }
 
 // TestGenerateAllocatesExactlyRetainedSlices pins Generate to its
-// documented allocation contract: the three slices handed to the pool
+// documented allocation contract: the two slices handed to the pool
 // and nothing else.
 func TestGenerateAllocatesExactlyRetainedSlices(t *testing.T) {
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
@@ -78,8 +78,8 @@ func TestGenerateAllocatesExactlyRetainedSlices(t *testing.T) {
 			root.SplitInto(11, &rng)
 			gen.Generate(&rng)
 		})
-		if avg != 3 {
-			t.Errorf("%v: Generate allocates %.1f objects per run, want exactly 3 (coverNodes, coverBits, slab)", model, avg)
+		if avg != 2 {
+			t.Errorf("%v: Generate allocates %.1f objects per run, want exactly 2 (coverNodes, coverBits)", model, avg)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestCodecGoldenDigests(t *testing.T) {
 // per-sample cover view, and the community frequencies.
 type poolState struct {
 	save   []byte
-	covers [][]NodeCover
+	covers *CoverView
 	freq   []int
 }
 
@@ -200,8 +200,8 @@ func TestFailedReadIntoLeavesPoolEmpty(t *testing.T) {
 // TestDecodeAllocatesNoMoreThanGenerate pins the codec's allocation
 // budget: loading a pool (ReadInto) or splicing it (ImportRange) must
 // not allocate more than drawing the same samples with one generation
-// worker. Both paths retain the same per-sample storage (cover nodes,
-// mask headers, one mask slab) and grow the same inverted index, so
+// worker. Both paths stage the same per-sample storage (cover nodes,
+// one flat run of mask words) and grow the same inverted index, so
 // anything beyond that is decoder overhead.
 func TestDecodeAllocatesNoMoreThanGenerate(t *testing.T) {
 	const count, seed = 2000, 9

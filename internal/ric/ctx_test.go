@@ -103,13 +103,14 @@ func TestGenerateCtxDeterminism(t *testing.T) {
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		a, b := plain.Entries(graph.NodeID(v)), withCtx.Entries(graph.NodeID(v))
+		a, _ := plain.Entries(graph.NodeID(v))
+		b, _ := withCtx.Entries(graph.NodeID(v))
 		if len(a) != len(b) {
 			t.Fatalf("node %d: entry counts differ: %d vs %d", v, len(a), len(b))
 		}
 		for j := range a {
-			if a[j].Sample != b[j].Sample {
-				t.Fatalf("node %d entry %d: sample %d vs %d", v, j, a[j].Sample, b[j].Sample)
+			if a[j] != b[j] {
+				t.Fatalf("node %d entry %d: sample %d vs %d", v, j, a[j], b[j])
 			}
 		}
 	}

@@ -14,12 +14,11 @@ import "fmt"
 // identical no matter which process drew it, so copying samples
 // [cur, target) from the donor yields byte-for-byte the pool that
 // GenerateCtx would have produced. The donor's identity is validated on
-// every call; masks are shared (both sides treat them as read-only
-// after the single-writer phase), so adoption allocates only index
-// entries.
+// every call; adoption copies each cover's node id and mask words into
+// the target's index runs.
 type Donor struct {
-	src    *Pool         //imc:guardedby immutable
-	covers [][]NodeCover //imc:guardedby immutable
+	src    *Pool      //imc:guardedby immutable
+	covers *CoverView //imc:guardedby immutable
 }
 
 // NewDonor freezes pool as a sample donor. The pool must not be
@@ -62,12 +61,13 @@ func (d *Donor) ExtendTo(p *Pool, target int) (int, error) {
 		return 0, nil
 	}
 	for i := lo; i < hi; i++ {
-		id := int32(i)
 		smp := d.src.samples[i]
 		p.samples = append(p.samples, smp)
 		p.commFreq[smp.Comm]++
-		for _, nc := range d.covers[i] {
-			p.index[nc.Node] = append(p.index[nc.Node], CoverEntry{Sample: id, Bits: nc.Bits})
+		for k := d.covers.Start[i]; k < d.covers.Start[i+1]; k++ {
+			v := d.covers.Nodes[k]
+			p.ids[v] = append(p.ids[v], int32(i))
+			p.masks[v] = append(p.masks[v], d.covers.Mask(k)...)
 		}
 	}
 	return hi - lo, nil

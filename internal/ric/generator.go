@@ -77,9 +77,9 @@ func NewGenerator(g *graph.Graph, part *community.Partition, model diffusion.Mod
 // Allocation contract: every node the collective BFS explores reaches
 // at least one member (the BFS walks reverse live edges starting FROM
 // the members), so the sample's cover set is exactly gen.resetNodes.
-// That makes the footprint exact — one node slice, one mask-header
-// slice, and one bit slab carved into per-node masks: three
-// allocations per sample, all retained by the pool, none wasted.
+// That makes the footprint exact — one node slice and one flat word
+// run holding every node's mask at the sample's natural width: two
+// allocations per sample, both read once by the pool's fold.
 //
 //imc:hotpath
 func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
@@ -89,10 +89,9 @@ func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
 
 	numMembers := len(members)
 	touch := len(gen.resetNodes)
-	words := (numMembers + maskWordBits - 1) / maskWordBits
-	slab := make([]uint64, touch*words)
+	words := maskWords(numMembers)
+	coverBits := make([]uint64, touch*words)
 	coverNodes := make([]graph.NodeID, 0, touch)
-	coverBits := make([]Mask, 0, touch)
 	// Hoist the scratch state out of the pointer: the BFS bound becomes
 	// a local length (one bounds proof per scan, no per-iteration field
 	// reload through gen) and the epoch tables index without re-reading
@@ -115,12 +114,10 @@ func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
 			if coverEpoch[v] != coverGen {
 				slot = int32(len(coverNodes))
 				coverNodes = append(coverNodes, v)
-				coverBits = append(coverBits, Mask(slab[:words:words]))
-				slab = slab[words:]
 				coverEpoch[v] = coverGen
 				coverSlot[v] = slot
 			}
-			coverBits[slot].set(j)
+			Mask(coverBits[int(slot)*words:]).set(j)
 			for _, w := range liveIn[v] {
 				if nodeEpoch[w] != epoch {
 					nodeEpoch[w] = epoch

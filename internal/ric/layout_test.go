@@ -13,14 +13,10 @@ import "unsafe"
 // gc/amd64 model (the canonical layout model in internal/lint), hence
 // the build tag.
 var (
-	// Sample is //imc:compact: root id + an offset pair into the
-	// shared cover arena, 16 bytes so a million-sample pool stays in
-	// 16 MB before cover storage.
+	// Sample is //imc:compact: four int32s (community, threshold,
+	// member count, touch count), 16 bytes so a million-sample pool
+	// stays in 16 MB before cover storage.
 	_ = [1]struct{}{}[unsafe.Sizeof(Sample{})-16]
-
-	// CoverEntry is //imc:compact: 32 bytes, two entries per cache
-	// line during cover scans.
-	_ = [1]struct{}{}[unsafe.Sizeof(CoverEntry{})-32]
 
 	// rawSample is //imc:padded to exactly one 64-byte cache line:
 	// workers write interleaved slots at stride |workers|, so any size

@@ -156,13 +156,15 @@ func sameSample(raw rawSample, comm int, part *community.Partition, live map[gra
 	if len(raw.coverNodes) != len(want) {
 		return fmt.Errorf("%d cover nodes, reference %d", len(raw.coverNodes), len(want))
 	}
+	words := maskWords(int(raw.numMembers))
 	for k, v := range raw.coverNodes {
 		bits := want[v]
-		if raw.coverBits[k].OnesCount() != len(bits) {
-			return fmt.Errorf("node %d covers %d members, reference %v", v, raw.coverBits[k].OnesCount(), bits)
+		got := Mask(raw.coverBits[k*words : (k+1)*words])
+		if got.OnesCount() != len(bits) {
+			return fmt.Errorf("node %d covers %d members, reference %v", v, got.OnesCount(), bits)
 		}
 		for _, j := range bits {
-			if !raw.coverBits[k].Test(j) {
+			if !got.Test(j) {
 				return fmt.Errorf("node %d misses member %d", v, j)
 			}
 		}

@@ -3,16 +3,19 @@ package ric
 import "math/bits"
 
 // Mask is a word-packed bitset over the members of one sample's source
-// community. Member j of the community corresponds to bit j. Masks are
-// deliberately bare slices: the pool stores millions of them, so every
-// byte of header counts.
+// community: member j corresponds to bit j. A Mask is a view of a word
+// run inside flat pool storage (a node's index run, a decoded sample's
+// slab, a State's arena), never a separately allocated slice.
 type Mask []uint64
 
 const maskWordBits = 64
 
-// newMask returns an all-zero mask able to hold n member bits.
-func newMask(n int) Mask {
-	return make(Mask, (n+maskWordBits-1)/maskWordBits)
+// maskWords returns the natural mask width of an n-member community:
+// ⌈n/64⌉ words.
+//
+//imc:pure
+func maskWords(n int) int {
+	return (n + maskWordBits - 1) / maskWordBits
 }
 
 // set turns on bit i.
@@ -36,49 +39,24 @@ func (m Mask) OnesCount() int {
 	return c
 }
 
-// OrInto sets dst |= m. Both masks must have equal length.
+// OrInto sets dst |= m. dst must be at least as long as m.
 func (m Mask) OrInto(dst Mask) {
+	dst = dst[:len(m)]
 	for i, w := range m {
 		dst[i] |= w
 	}
 }
 
 // NewBitsOver returns the number of bits set in m but not in base — the
-// marginal member coverage m adds on top of base.
+// marginal member coverage m adds on top of base. base must be at least
+// as long as m.
 //
 //imc:pure
 func (m Mask) NewBitsOver(base Mask) int {
+	base = base[:len(m)]
 	c := 0
 	for i, w := range m {
 		c += bits.OnesCount64(w &^ base[i])
 	}
 	return c
-}
-
-// UnionCount returns |m ∪ base| without mutating either mask.
-//
-//imc:pure
-func (m Mask) UnionCount(base Mask) int {
-	c := 0
-	for i, w := range m {
-		c += bits.OnesCount64(w | base[i])
-	}
-	return c
-}
-
-// Clone returns an independent copy of m.
-func (m Mask) Clone() Mask {
-	out := make(Mask, len(m))
-	copy(out, m)
-	return out
-}
-
-// AndNot returns a fresh mask m &^ other (bits of m with other's bits
-// removed).
-func (m Mask) AndNot(other Mask) Mask {
-	out := make(Mask, len(m))
-	for i, w := range m {
-		out[i] = w &^ other[i]
-	}
-	return out
 }

@@ -21,6 +21,7 @@ func (gen *Generator) GenerateNaive(rng *xrand.RNG) rawSample {
 	commIdx := gen.alias.Draw(rng)
 	comm := gen.part.Community(commIdx)
 	members := comm.Members
+	words := maskWords(len(members))
 	gen.coverGen++
 
 	raw := rawSample{
@@ -41,11 +42,11 @@ func (gen *Generator) GenerateNaive(rng *xrand.RNG) rawSample {
 			if gen.coverEpoch[v] != gen.coverGen {
 				slot = int32(len(raw.coverNodes))
 				raw.coverNodes = append(raw.coverNodes, v)
-				raw.coverBits = append(raw.coverBits, newMask(len(members)))
+				raw.coverBits = append(raw.coverBits, make([]uint64, words)...)
 				gen.coverEpoch[v] = gen.coverGen
 				gen.coverSlot[v] = slot
 			}
-			raw.coverBits[slot].set(j)
+			Mask(raw.coverBits[int(slot)*words:]).set(j)
 			froms, ws, _ := gen.g.InNeighbors(v)
 			for i, w := range froms {
 				if gen.nodeEpoch[w] == gen.epoch {
@@ -80,10 +81,11 @@ func NaiveCHat(g *graph.Graph, gen *Generator, seeds []graph.NodeID, count int, 
 	hits := 0
 	for i := 0; i < count; i++ {
 		raw := gen.GenerateNaive(root.Split(uint64(i)))
-		covered := newMask(int(raw.numMembers))
+		words := maskWords(int(raw.numMembers))
+		covered := make(Mask, words)
 		for j, v := range raw.coverNodes {
 			if _, ok := inSeed[v]; ok {
-				raw.coverBits[j].OrInto(covered)
+				Mask(raw.coverBits[j*words : (j+1)*words]).OrInto(covered)
 			}
 		}
 		if int32(covered.OnesCount()) >= raw.threshold {

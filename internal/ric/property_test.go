@@ -58,17 +58,20 @@ func TestQuickPoolStructuralInvariants(t *testing.T) {
 		}
 		// Index entries: bits within range, counted per sample.
 		for v := graph.NodeID(0); int(v) < 14; v++ {
-			for _, e := range pool.Entries(v) {
-				smp := pool.Sample(int(e.Sample))
-				if e.Bits.OnesCount() == 0 {
+			w := pool.Words()
+			ids, masks := pool.Entries(v)
+			for e, id := range ids {
+				smp := pool.Sample(int(id))
+				bits := Mask(masks[e*w : (e+1)*w])
+				if bits.OnesCount() == 0 {
 					return false // touching means covering ≥ 1 member
 				}
-				for _, bit := range onesOf(e.Bits) {
+				for _, bit := range onesOf(bits) {
 					if bit >= int(smp.NumMembers) {
 						return false
 					}
 				}
-				perSampleTouch[e.Sample]++
+				perSampleTouch[id]++
 			}
 		}
 		for i := 0; i < pool.NumSamples(); i++ {

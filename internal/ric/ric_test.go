@@ -293,17 +293,18 @@ func TestSampleCoversInvertsIndex(t *testing.T) {
 		s    int32
 	}
 	fromCovers := make(map[pair]bool)
-	for sID, ncs := range covers {
-		for _, nc := range ncs {
-			fromCovers[pair{nc.Node, int32(sID)}] = true
+	for sID := 0; sID < pool.NumSamples(); sID++ {
+		for k := covers.Start[sID]; k < covers.Start[sID+1]; k++ {
+			fromCovers[pair{covers.Nodes[k], int32(sID)}] = true
 		}
 	}
 	count := 0
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		for _, e := range pool.Entries(v) {
+		ids, _ := pool.Entries(v)
+		for _, id := range ids {
 			count++
-			if !fromCovers[pair{v, e.Sample}] {
-				t.Fatalf("entry (node %d, sample %d) missing from SampleCovers", v, e.Sample)
+			if !fromCovers[pair{v, id}] {
+				t.Fatalf("entry (node %d, sample %d) missing from SampleCovers", v, id)
 			}
 		}
 	}
@@ -320,8 +321,10 @@ func TestMembersAlwaysCoverThemselves(t *testing.T) {
 		members := part.Community(int(smp.Comm)).Members
 		for j, m := range members {
 			found := false
-			for _, e := range pool.Entries(m) {
-				if e.Sample == int32(i) && e.Bits.Test(j) {
+			w := pool.Words()
+			ids, masks := pool.Entries(m)
+			for e, id := range ids {
+				if id == int32(i) && Mask(masks[e*w:(e+1)*w]).Test(j) {
 					found = true
 					break
 				}

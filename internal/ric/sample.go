@@ -40,20 +40,6 @@ type Sample struct {
 	TouchCount int32
 }
 
-// CoverEntry records that one node covers a set of members in one
-// sample. Entries live in the pool's inverted index (node → entries) —
-// the dominant term of the pool's working set, so the layout is
-// pinned waste-free (32 bytes: the mask header absorbs the int32's
-// alignment pad in either order).
-//
-//imc:compact
-type CoverEntry struct {
-	// Sample indexes into the pool's samples.
-	Sample int32
-	// Bits is the member-coverage mask of the node in that sample.
-	Bits Mask
-}
-
 // rawSample is a fully materialized sample as produced by the generator
 // or the pool decoder, before fold adds it to a pool's inverted index.
 // GenerateCtx's workers store into raws[i] with a stride-|workers|
@@ -67,8 +53,10 @@ type rawSample struct {
 	comm       int32
 	threshold  int32
 	numMembers int32
-	// coverNodes and coverBits are parallel: node coverNodes[i] covers
-	// members coverBits[i].
+	// coverNodes lists the nodes that touch the sample; node
+	// coverNodes[i] covers the members set in coverBits' i-th run of
+	// maskWords(numMembers) words (the sample's natural width, not the
+	// pool's padded one).
 	coverNodes []graph.NodeID
-	coverBits  []Mask
+	coverBits  []uint64
 }

@@ -3,6 +3,7 @@ package ric
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -72,20 +73,25 @@ func (e *poolEncoder) put64(v uint64) error {
 	return err
 }
 
-// encodeSample writes one sample record: comm, threshold, numMembers,
+// encodeSample writes sample i's record: comm, threshold, numMembers,
 // cover count, then each cover's node, mask width, and mask words. The
-// record is assembled in a reused buffer and written once, not once
-// per field.
-func (e *poolEncoder) encodeSample(smp Sample, covers []NodeCover) error {
+// covers come from the sample-major view in ascending node order, and
+// each mask is written at the sample's natural width ⌈NumMembers/64⌉,
+// not the pool's padded W, so the bytes do not depend on the index
+// layout. The record is assembled in a reused buffer and written once,
+// not once per field.
+func (e *poolEncoder) encodeSample(smp Sample, covers *CoverView, i int) error {
+	words := maskWords(int(smp.NumMembers))
+	lo, hi := covers.Start[i], covers.Start[i+1]
 	b := e.record[:0]
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Comm))
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Threshold))
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.NumMembers))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(covers)))
-	for _, nc := range covers {
-		b = binary.LittleEndian.AppendUint32(b, uint32(nc.Node))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(nc.Bits)))
-		for _, word := range nc.Bits {
+	b = binary.LittleEndian.AppendUint32(b, uint32(hi-lo))
+	for k := lo; k < hi; k++ {
+		b = binary.LittleEndian.AppendUint32(b, uint32(covers.Nodes[k]))
+		b = binary.LittleEndian.AppendUint32(b, uint32(words))
+		for _, word := range covers.Mask(k)[:words] {
 			b = binary.LittleEndian.AppendUint64(b, word)
 		}
 	}
@@ -121,7 +127,7 @@ func (p *Pool) Save(w io.Writer) error {
 	// Rebuild the per-sample cover lists from the inverted index.
 	covers := p.SampleCovers()
 	for i, smp := range p.samples {
-		if err := enc.encodeSample(smp, covers[i]); err != nil {
+		if err := enc.encodeSample(smp, covers, i); err != nil {
 			return err
 		}
 	}
@@ -235,18 +241,18 @@ func (d *poolDecoder) get64(field string, args ...int) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// getMask fills mask from the stream with one read. A short read names
-// the first word it could not complete, exactly as word-by-word reads
-// would.
-func (d *poolDecoder) getMask(mask Mask, i, c int) error {
-	b, got, err := d.next(len(mask) * 8)
+// getMask appends one words-wide mask from the stream to dst with one
+// read. A short read names the first word it could not complete, exactly
+// as word-by-word reads would.
+func (d *poolDecoder) getMask(dst []uint64, words, i, c int) ([]uint64, error) {
+	b, got, err := d.next(words * 8)
 	if err != nil {
-		return d.truncated(err, "sample %d cover %d mask word %d", i, c, got/8)
+		return dst, d.truncated(err, "sample %d cover %d mask word %d", i, c, got/8)
 	}
-	for wi := range mask {
-		mask[wi] = binary.LittleEndian.Uint64(b[wi*8:])
+	for wi := 0; wi < words; wi++ {
+		dst = append(dst, binary.LittleEndian.Uint64(b[wi*8:]))
 	}
-	return nil
+	return dst, nil
 }
 
 // truncated builds the error for a failed read of the named field.
@@ -338,13 +344,25 @@ func (p *Pool) decodeSamples(d *poolDecoder, lo, hi int) ([]rawSample, error) {
 	return raws, d.end()
 }
 
+// Canonical-form violations decodeSample rejects. Every in-tree encoder
+// writes covers in ascending node order with nonzero masks that set no
+// bit at or above the member count, so an input that breaks one of
+// these is corrupt, and rejecting it makes the codec canonical: an
+// accepted stream re-encodes to its own bytes.
+var (
+	errCoverOrder = errors.New("cover nodes not strictly ascending")
+	errEmptyMask  = errors.New("cover mask is empty")
+	errMaskRange  = errors.New("cover mask sets a bit at or above the member count")
+)
+
 // decodeSample reads and validates one sample record. i names the
 // record in error messages. Every count is validated against the
 // pool's graph and partition (community range, member counts,
-// thresholds, exact mask widths), so truncated or corrupt input
-// surfaces as a descriptive error naming the field being read — never
-// a panic. The sample's masks are carved from one slab, as Generate
-// carves them.
+// thresholds, exact mask widths), and every cover against the
+// canonical form (ascending nodes, nonzero in-range masks), so
+// truncated or corrupt input surfaces as a descriptive error naming
+// the field being read — never a panic. The sample's masks are
+// appended to one flat run at natural width, as Generate writes them.
 func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 	comm, err := d.get32("sample %d community", i)
 	if err != nil {
@@ -378,15 +396,21 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 		return rawSample{}, fmt.Errorf("ric: sample %d: %d covers exceed node count %d", i, coverCount, p.g.NumNodes())
 	}
 	covers := int(coverCount)
-	words := (int(numMembers) + maskWordBits - 1) / maskWordBits
+	words := maskWords(int(numMembers))
+	// The last word keeps only the low numMembers%64 bits (all 64 when
+	// the count is a multiple of 64).
+	topMask := ^uint64(0)
+	if r := int(numMembers) % maskWordBits; r != 0 {
+		topMask = 1<<uint(r) - 1
+	}
 	raw := rawSample{
 		comm:       int32(comm),
 		threshold:  int32(threshold),
 		numMembers: int32(numMembers),
 		coverNodes: make([]graph.NodeID, 0, min(covers, decodeChunk)),
-		coverBits:  make([]Mask, 0, min(covers, decodeChunk)),
+		coverBits:  make([]uint64, 0, min(covers*words, decodeChunk)),
 	}
-	var slab []uint64
+	prev := -1
 	for c := 0; c < covers; c++ {
 		node, err := d.get32("sample %d cover %d node", i, c)
 		if err != nil {
@@ -395,6 +419,12 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 		if int(node) >= p.g.NumNodes() {
 			return rawSample{}, fmt.Errorf("ric: sample %d: cover node %d out of range [0, %d)", i, node, p.g.NumNodes())
 		}
+		// A repeated node would index the sample twice under it, and
+		// coverage gains would then count the sample twice.
+		if int(node) <= prev {
+			return rawSample{}, fmt.Errorf("ric: sample %d cover %d: node %d after node %d: %w", i, c, node, prev, errCoverOrder)
+		}
+		prev = int(node)
 		width, err := d.get32("sample %d cover %d mask width", i, c)
 		if err != nil {
 			return rawSample{}, err
@@ -405,16 +435,19 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 		if int(width) != words {
 			return rawSample{}, fmt.Errorf("ric: sample %d: mask of %d words for %d members (want %d)", i, width, numMembers, words)
 		}
-		if len(slab) < words {
-			slab = make([]uint64, words*min(covers-c, max(1, decodeChunk/words)))
-		}
-		mask := Mask(slab[:words:words])
-		slab = slab[words:]
-		if err := d.getMask(mask, i, c); err != nil {
+		if raw.coverBits, err = d.getMask(raw.coverBits, words, i, c); err != nil {
 			return rawSample{}, err
 		}
+		// A bit past the last member counts a member that does not
+		// exist; an empty mask indexes a node that covers nothing.
+		m := Mask(raw.coverBits[len(raw.coverBits)-words:])
+		if m[words-1]&^topMask != 0 {
+			return rawSample{}, fmt.Errorf("ric: sample %d cover %d (node %d): %w (%d members)", i, c, node, errMaskRange, numMembers)
+		}
+		if m.OnesCount() == 0 {
+			return rawSample{}, fmt.Errorf("ric: sample %d cover %d (node %d): %w", i, c, node, errEmptyMask)
+		}
 		raw.coverNodes = append(raw.coverNodes, graph.NodeID(node))
-		raw.coverBits = append(raw.coverBits, mask)
 	}
 	return raw, nil
 }

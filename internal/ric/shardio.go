@@ -65,7 +65,7 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 	}
 	covers := p.SampleCovers()
 	for i := lo - p.offset; i < hi-p.offset; i++ {
-		if err := enc.encodeSample(p.samples[i], covers[i]); err != nil {
+		if err := enc.encodeSample(p.samples[i], covers, i); err != nil {
 			return err
 		}
 	}

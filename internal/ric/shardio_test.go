@@ -44,12 +44,13 @@ func TestOffsetPoolMatchesFullPoolSlice(t *testing.T) {
 			if want != got {
 				t.Fatalf("[%d,%d): sample %d differs: full %+v shard %+v", lo, hi, lo+j, want, got)
 			}
-			wc, gc := fullCovers[lo+j], shardCovers[j]
-			if len(wc) != len(gc) {
-				t.Fatalf("[%d,%d): sample %d cover count differs: %d vs %d", lo, hi, lo+j, len(wc), len(gc))
+			wlo, whi := fullCovers.Start[lo+j], fullCovers.Start[lo+j+1]
+			glo, ghi := shardCovers.Start[j], shardCovers.Start[j+1]
+			if whi-wlo != ghi-glo {
+				t.Fatalf("[%d,%d): sample %d cover count differs: %d vs %d", lo, hi, lo+j, whi-wlo, ghi-glo)
 			}
-			for k := range wc {
-				if wc[k].Node != gc[k].Node || !bytes.Equal(maskBytes(wc[k].Bits), maskBytes(gc[k].Bits)) {
+			for k := 0; k < whi-wlo; k++ {
+				if fullCovers.Nodes[wlo+k] != shardCovers.Nodes[glo+k] || !bytes.Equal(maskBytes(fullCovers.Mask(wlo+k)), maskBytes(shardCovers.Mask(glo+k))) {
 					t.Fatalf("[%d,%d): sample %d cover %d differs", lo, hi, lo+j, k)
 				}
 			}
