@@ -49,11 +49,12 @@ type coreBenchReport struct {
 }
 
 // runBenchCore measures the solver kernels the hot-path contracts
-// guard — RIC sample generation, the greedy seed-selection scans and
-// BT's restricted-instance builds (at MB's 64-root cap) — and writes a
-// machine-readable report. basePath, when non-empty,
-// names an earlier -benchcore file whose numbers become the "before"
-// column (used to pin the before/after deltas of a kernel change).
+// guard — RIC sample generation, one Alg. 6 Estimate draw, the greedy
+// seed-selection scans and BT's restricted-instance builds (at MB's
+// 64-root cap) — and writes a machine-readable report. basePath, when
+// non-empty, names an earlier -benchcore file whose numbers become the
+// "before" column (used to pin the before/after deltas of a kernel
+// change).
 func runBenchCore(outPath, basePath string) error {
 	const (
 		dataset  = "facebook"
@@ -105,6 +106,7 @@ func runBenchCore(outPath, basePath string) error {
 	}
 	add("RICGenerate/IC", benchGenerate(inst, diffusion.IC))
 	add("RICGenerate/LT", benchGenerate(inst, diffusion.LT))
+	add("Influenced/IC", benchInfluenced(inst, seeds))
 	add("PoolGenerate/IC", benchPoolGenerate(inst, poolSize))
 	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat))
 	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu))
@@ -163,6 +165,28 @@ func benchGenerate(inst *expt.Instance, model diffusion.Model) func(b *testing.B
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = g.Generate(rng)
+		}
+	}
+}
+
+// benchInfluenced times one Alg. 6 Estimate draw for a fixed seed set
+// (the GreedyCHat/k=10 seeds): the collective reverse BFS plus the
+// check whether the seeds reach the source community's threshold.
+func benchInfluenced(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B) {
+	return func(b *testing.B) {
+		g, err := ric.NewGenerator(inst.G, inst.Part, diffusion.IC)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inSeed := make([]bool, inst.G.NumNodes())
+		for _, s := range seeds {
+			inSeed[s] = true
+		}
+		rng := xrand.New(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = g.Influenced(rng, inSeed)
 		}
 	}
 }

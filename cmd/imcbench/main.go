@@ -9,9 +9,10 @@
 //	imcbench -experiment all -scale 0.05
 //
 // -benchcore instead runs the solver-kernel microbenchmarks (RIC
-// sample generation, the greedy seed-selection scans and BT) and writes a
-// machine-readable JSON report; -benchbase merges an earlier report in
-// as the before column, pinning a kernel change's before/after deltas.
+// sample generation, one Estimate draw, the greedy seed-selection scans
+// and BT) and writes a machine-readable JSON report; -benchbase merges
+// an earlier report in as the before column, pinning a kernel change's
+// before/after deltas.
 package main
 
 import (

@@ -3,6 +3,10 @@ package ric
 import (
 	"bytes"
 	"testing"
+
+	"imc/internal/diffusion"
+	"imc/internal/graph"
+	"imc/internal/xrand"
 )
 
 // FuzzPoolRoundTrip feeds arbitrary bytes to the pool deserializer.
@@ -160,6 +164,49 @@ func FuzzImportRange(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatal("accepted input does not re-export to its own bytes")
+		}
+	})
+}
+
+// FuzzSamplerMatchesReference replays one stream of refGraph (which has
+// self-loops) through Generate, Influenced and FractionalInfluence and
+// through the reference sampler in livein_test.go. The fuzzer picks the
+// stream, the weight scheme, the partition (its shuffle seed and
+// community size, up to one 150-member community of three mask words)
+// and the model; covers, answers and the stream state afterwards must
+// match the reference's.
+func FuzzSamplerMatchesReference(f *testing.F) {
+	base := refGraph(f)
+	weighted := make([]*graph.Graph, len(refSchemes))
+	for k, sc := range refSchemes {
+		weighted[k] = graph.ApplyWeights(base, sc.scheme, sc.p, 7)
+	}
+	// Constant1 (scheme 4) makes every edge live: the self-loops on 0,
+	// 7, 42 and 99 then sit inside any region that reaches them, and
+	// every edge between two members of a community is a live
+	// member-to-member edge.
+	f.Add(uint64(0), uint8(4), uint64(1), uint8(8), false)    // self-loops and member-to-member edges
+	f.Add(uint64(3), uint8(3), uint64(2), uint8(3), false)    // small communities, p = 0.37
+	f.Add(uint64(5), uint8(0), uint64(11), uint8(100), false) // W = 2, weighted cascade
+	f.Add(uint64(9), uint8(4), uint64(11), uint8(100), true)  // W = 2, LT
+	f.Add(uint64(2), uint8(1), uint64(4), uint8(150), false)  // one community, W = 3
+	f.Fuzz(func(t *testing.T, stream uint64, scheme uint8, partSeed uint64, size uint8, lt bool) {
+		part, inSeed := refPartition(t, partSeed, 1+int(size)%refGraphNodes)
+		model := diffusion.IC
+		if lt {
+			model = diffusion.LT
+		}
+		sampler, err := NewGenerator(weighted[int(scheme)%len(weighted)], part, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := xrand.New(partSeed ^ 0x5eed)
+		// Two streams through one generator, so the second draw runs on
+		// scratch the first one left behind.
+		for _, i := range []uint64{stream, stream + 1} {
+			if err := matchReference(sampler, inSeed, root, i); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

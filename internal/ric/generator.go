@@ -13,6 +13,12 @@ import (
 // triple. It owns per-sample scratch buffers and is therefore NOT safe
 // for concurrent use — the pool creates one generator per worker.
 //
+// One sample's live subgraph lives in flat arrays indexed by BFS slot:
+// the node discovered k-th by the collective reverse BFS has slot k, so
+// a community's members hold slots 0..|C|-1 (members are distinct, in
+// order). Nothing in the scratch is per node except stamp, and nothing
+// carries a pointer per entry.
+//
 //imc:compact
 type Generator struct {
 	g     *graph.Graph
@@ -20,28 +26,30 @@ type Generator struct {
 	model diffusion.Model
 	alias *xrand.Alias
 
-	// Epoch counters let us "clear" the per-node markers in O(1)
-	// between samples: epoch versions the collective reverse-BFS
-	// markers, coverGen is bumped once per Generate so cover slots stay
-	// valid across all member BFS passes of the same sample. The two
-	// int32s sit adjacent so they pack into one word — splitting them
-	// between the 8-byte-aligned slice headers costs a padded word each
-	// (the structlayout analyzer pins the minimal layout).
-	epoch    int32
-	coverGen int32
+	// epoch versions stamp (bumped once per sample) and mark (bumped
+	// once per member pass), so neither is ever cleared.
+	epoch int32
 
-	// Collective reverse-BFS scratch.
-	nodeEpoch []int32
-	queue     []graph.NodeID
-	// liveIn[u] holds the in-neighbors of u whose edge was sampled live
-	// in the current sample's deterministic subgraph. Entries are reset
-	// lazily via resetNodes.
-	liveIn     [][]graph.NodeID
-	resetNodes []graph.NodeID
+	// stamp[v] is node v's slot in the sample whose epoch it carries;
+	// any other epoch means v is outside the current region.
+	stamp []slotStamp
+	// region lists the explored nodes in discovery order: region[s] is
+	// the node with slot s.
+	region []graph.NodeID
+	// live[liveOff[s]:liveOff[s+1]] holds the slots of slot s's live
+	// in-neighbours — a CSR of the sampled deterministic subgraph
+	// restricted to the region.
+	liveOff []int32
+	live    []int32
+	// Slot-indexed scratch for the member passes and mask propagation.
+	mark  []int32
+	queue []int32
+}
 
-	// Per-member BFS scratch (cover-slot assignment).
-	coverEpoch []int32
-	coverSlot  []int32
+// slotStamp is one node's (epoch, slot) pair.
+type slotStamp struct {
+	epoch int32
+	slot  int32
 }
 
 // NewGenerator builds a generator. Community selection follows the
@@ -57,16 +65,12 @@ func NewGenerator(g *graph.Graph, part *community.Partition, model diffusion.Mod
 	for i := range weights {
 		weights[i] = part.Community(i).Benefit
 	}
-	n := g.NumNodes()
 	return &Generator{
-		g:          g,
-		part:       part,
-		model:      model,
-		alias:      xrand.NewAlias(weights),
-		nodeEpoch:  make([]int32, n),
-		liveIn:     make([][]graph.NodeID, n),
-		coverEpoch: make([]int32, n),
-		coverSlot:  make([]int32, n),
+		g:     g,
+		part:  part,
+		model: model,
+		alias: xrand.NewAlias(weights),
+		stamp: make([]slotStamp, g.NumNodes()),
 	}, nil
 }
 
@@ -76,58 +80,25 @@ func NewGenerator(g *graph.Graph, part *community.Partition, model diffusion.Mod
 //
 // Allocation contract: every node the collective BFS explores reaches
 // at least one member (the BFS walks reverse live edges starting FROM
-// the members), so the sample's cover set is exactly gen.resetNodes.
-// That makes the footprint exact — one node slice and one flat word
-// run holding every node's mask at the sample's natural width: two
+// the members), so the sample's cover set is exactly the region. That
+// makes the footprint exact — a copy of the region and one flat word
+// run holding every slot's mask at the sample's natural width: two
 // allocations per sample, both read once by the pool's fold.
 //
 //imc:hotpath
 func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
-	commIdx, members := gen.collectiveBFS(rng)
+	commIdx, _ := gen.explore(rng, nil)
 	comm := gen.part.Community(commIdx)
-	gen.coverGen++
-
-	numMembers := len(members)
-	touch := len(gen.resetNodes)
+	numMembers := len(comm.Members)
 	words := maskWords(numMembers)
-	coverBits := make([]uint64, touch*words)
-	coverNodes := make([]graph.NodeID, 0, touch)
-	// Hoist the scratch state out of the pointer: the BFS bound becomes
-	// a local length (one bounds proof per scan, no per-iteration field
-	// reload through gen) and the epoch tables index without re-reading
-	// the headers.
-	queue := gen.queue
-	nodeEpoch := gen.nodeEpoch
-	coverEpoch := gen.coverEpoch
-	coverSlot := gen.coverSlot
-	liveIn := gen.liveIn
-	coverGen := gen.coverGen
-	for j, m := range members {
-		gen.epoch++
-		epoch := gen.epoch
-		queue = queue[:0]
-		queue = append(queue, m)
-		nodeEpoch[m] = epoch
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			slot := coverSlot[v]
-			if coverEpoch[v] != coverGen {
-				slot = int32(len(coverNodes))
-				coverNodes = append(coverNodes, v)
-				coverEpoch[v] = coverGen
-				coverSlot[v] = slot
-			}
-			Mask(coverBits[int(slot)*words:]).set(j)
-			for _, w := range liveIn[v] {
-				if nodeEpoch[w] != epoch {
-					nodeEpoch[w] = epoch
-					queue = append(queue, w)
-				}
-			}
-		}
+	coverNodes := make([]graph.NodeID, len(gen.region))
+	copy(coverNodes, gen.region)
+	coverBits := make([]uint64, len(coverNodes)*words)
+	// Member j is slot j and covers itself.
+	for j, run := 0, coverBits; j < numMembers; j, run = j+1, run[words:] {
+		Mask(run).set(j)
 	}
-	gen.queue = queue
-	gen.release()
+	gen.propagate(coverBits, words)
 	return rawSample{
 		comm:       int32(commIdx),
 		threshold:  int32(comm.Threshold),
@@ -137,6 +108,44 @@ func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
 	}
 }
 
+// propagate turns the members' own bits in masks (words per slot) into
+// every slot's full member coverage: slot s reaches member j iff some
+// live path leads from s to j's slot, so each slot's mask is OR-ed
+// into its live in-neighbours' until nothing grows. One scan in slot
+// order carries every mask along the BFS tree, where an in-neighbour is
+// discovered after its target; only an edge to an earlier slot, whose
+// mask the scan has already passed on, re-pushes that slot, and only
+// when its mask grew. A mask grows at most |C| times, so the work is
+// bounded by |C|·W times the live edges.
+//
+//imc:hotpath
+func (gen *Generator) propagate(masks []uint64, words int) {
+	liveOff, live := gen.liveOff, gen.live
+	queue := gen.queue[:0]
+	lo, rest := liveOff[0], masks
+	for s, hi := range liveOff[1:] {
+		src := Mask(rest[:words])
+		rest = rest[words:]
+		for _, w := range live[lo:hi] {
+			if src.OrInto(masks[int(w)*words:int(w+1)*words]) && int(w) < s {
+				queue = append(queue, w)
+			}
+		}
+		lo = hi
+	}
+	for len(queue) > 0 {
+		s := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		src := Mask(masks[int(s)*words : int(s+1)*words])
+		for _, w := range live[liveOff[s]:liveOff[s+1]] {
+			if src.OrInto(masks[int(w)*words : int(w+1)*words]) {
+				queue = append(queue, w)
+			}
+		}
+	}
+	gen.queue = queue
+}
+
 // Influenced draws one RIC sample and reports whether the seed set
 // (given as an n-length membership slice) influences it, without
 // materializing the cover index. This is the hot path of the Estimate
@@ -144,21 +153,12 @@ func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
 //
 //imc:hotpath
 func (gen *Generator) Influenced(rng *xrand.RNG, inSeed []bool) bool {
-	commIdx, members := gen.collectiveBFS(rng)
-	comm := gen.part.Community(commIdx)
-	need := comm.Threshold
-	hit := 0
-	for _, m := range members {
-		if gen.memberReachedBy(m, inSeed) {
-			hit++
-			if hit >= need {
-				gen.release()
-				return true
-			}
-		}
+	commIdx, seeded := gen.explore(rng, inSeed)
+	if !seeded {
+		return false
 	}
-	gen.release()
-	return false
+	comm := gen.part.Community(commIdx)
+	return gen.membersReached(len(comm.Members), comm.Threshold, inSeed) >= comm.Threshold
 }
 
 // FractionalInfluence draws one RIC sample and returns
@@ -167,120 +167,124 @@ func (gen *Generator) Influenced(rng *xrand.RNG, inSeed []bool) bool {
 //
 //imc:hotpath
 func (gen *Generator) FractionalInfluence(rng *xrand.RNG, inSeed []bool) float64 {
-	commIdx, members := gen.collectiveBFS(rng)
+	commIdx, seeded := gen.explore(rng, inSeed)
+	if !seeded {
+		return 0
+	}
 	comm := gen.part.Community(commIdx)
+	return float64(gen.membersReached(len(comm.Members), comm.Threshold, inSeed)) / float64(comm.Threshold)
+}
+
+// membersReached counts the members (slots 0..numMembers-1) that some
+// seed reaches over the live subgraph, stopping at need: one backward
+// BFS over the slot CSR per member, each ending at its first seed.
+//
+//imc:hotpath
+func (gen *Generator) membersReached(numMembers, need int, inSeed []bool) int {
+	region, liveOff, live := gen.region, gen.liveOff, gen.live
+	mark := gen.mark
+	if len(mark) < len(region) {
+		mark = append(mark, make([]int32, len(region)-len(mark))...)
+	}
+	queue := gen.queue[:0]
 	hit := 0
-	for _, m := range members {
-		if gen.memberReachedBy(m, inSeed) {
-			hit++
-			if hit >= comm.Threshold {
+	members := mark[:numMembers]
+	for j := range members {
+		gen.epoch++
+		pass := gen.epoch
+		members[j] = pass
+		queue = append(queue[:0], int32(j))
+		for head := 0; head < len(queue); head++ {
+			s := queue[head]
+			if inSeed[region[s]] {
+				hit++
 				break
 			}
-		}
-	}
-	gen.release()
-	frac := float64(hit) / float64(comm.Threshold)
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
-}
-
-// memberReachedBy BFSes backwards from one member over the live
-// subgraph, reporting whether any seed node reaches the member.
-//
-//imc:hotpath
-func (gen *Generator) memberReachedBy(m graph.NodeID, inSeed []bool) bool {
-	gen.epoch++
-	epoch := gen.epoch
-	nodeEpoch := gen.nodeEpoch
-	liveIn := gen.liveIn
-	queue := gen.queue[:0]
-	queue = append(queue, m)
-	nodeEpoch[m] = epoch
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		if inSeed[v] {
-			gen.queue = queue // keep the grown capacity for the next draw
-			return true
-		}
-		for _, w := range liveIn[v] {
-			if nodeEpoch[w] != epoch {
-				nodeEpoch[w] = epoch
-				queue = append(queue, w)
+			for _, w := range live[liveOff[s]:liveOff[s+1]] {
+				if mark[w] != pass {
+					mark[w] = pass
+					queue = append(queue, w)
+				}
 			}
 		}
+		if hit >= need {
+			break
+		}
 	}
+	gen.mark = mark
 	gen.queue = queue
-	return false
+	return hit
 }
 
-// collectiveBFS performs Alg. 1's shared backward BFS: pick the source
+// explore performs Alg. 1's shared backward BFS: pick the source
 // community, then explore every path that could activate any member,
-// deciding each edge's live state exactly once. On return gen.liveIn
-// holds the sampled deterministic subgraph restricted to the explored
-// region, and gen.resetNodes lists the nodes to clean up.
+// deciding each node's in-edges exactly once, at its first dequeue. On
+// return gen.region, gen.liveOff and gen.live hold the sampled
+// deterministic subgraph restricted to the explored region, each live
+// in-neighbour rewritten to its slot. seeded reports whether any node
+// with inSeed set entered the region (never, for a nil inSeed); when
+// none did, no member can be influenced.
 //
 //imc:hotpath
-func (gen *Generator) collectiveBFS(rng *xrand.RNG) (int, []graph.NodeID) {
-	commIdx := gen.alias.Draw(rng)
+func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seeded bool) {
+	commIdx = gen.alias.Draw(rng)
 	members := gen.part.Community(commIdx).Members
 
 	gen.epoch++
 	epoch := gen.epoch
-	nodeEpoch := gen.nodeEpoch
-	liveIn := gen.liveIn
-	queue := gen.queue[:0]
-	resetNodes := gen.resetNodes[:0]
+	stamp := gen.stamp
+	region := gen.region[:0]
+	liveOff := gen.liveOff[:0]
+	live := gen.live[:0]
 	for _, m := range members {
-		if nodeEpoch[m] != epoch {
-			nodeEpoch[m] = epoch
-			queue = append(queue, m)
+		stamp[m] = slotStamp{epoch, int32(len(region))}
+		region = append(region, m)
+		if inSeed != nil && inSeed[m] {
+			seeded = true
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		resetNodes = append(resetNodes, u)
+	for s := 0; s < len(region); s++ {
+		u := region[s]
+		start := len(live)
+		liveOff = append(liveOff, int32(start))
 		switch gen.model {
 		case diffusion.LT:
-			gen.sampleInEdgesLT(u, rng)
-		default:
-			gen.sampleInEdgesIC(u, rng)
-		}
-		for _, v := range liveIn[u] {
-			if nodeEpoch[v] != epoch {
-				nodeEpoch[v] = epoch
-				queue = append(queue, v)
+			if v, ok := gen.pickInEdgeLT(u, rng); ok {
+				live = append(live, v)
 			}
+		default:
+			froms, coins := gen.g.InCoins(u)
+			live = rng.LiveIn(froms, coins, live)
+		}
+		for k := start; k < len(live); k++ {
+			v := live[k]
+			st := stamp[v]
+			if st.epoch != epoch {
+				st = slotStamp{epoch, int32(len(region))}
+				stamp[v] = st
+				region = append(region, v)
+				if inSeed != nil && inSeed[v] {
+					seeded = true
+				}
+			}
+			live[k] = st.slot
 		}
 	}
-	gen.queue = queue
-	gen.resetNodes = resetNodes
-	return commIdx, members
+	gen.region = region
+	gen.liveOff = append(liveOff, int32(len(live)))
+	gen.live = live
+	return commIdx, seeded
 }
 
-// sampleInEdgesIC decides each incoming edge of u independently with its
-// own probability (Independent Cascade), all in one LiveIn call over
-// the graph's precomputed integer coins. LiveIn draws the variates a
-// per-edge Bernoulli loop would and keeps the same edges, so every
-// sample equals that loop's (TestSamplerMatchesBernoulliReference).
+// pickInEdgeLT picks at most one live in-edge for u and returns its
+// source, chosen with probability proportional to edge weight and
+// total probability min(Σw, 1) — the standard reverse construction for
+// the Linear Threshold model.
 //
 //imc:hotpath
-func (gen *Generator) sampleInEdgesIC(u graph.NodeID, rng *xrand.RNG) {
-	froms, coins := gen.g.InCoins(u)
-	gen.liveIn[u] = rng.LiveIn(froms, coins, gen.liveIn[u][:0])
-}
-
-// sampleInEdgesLT picks at most one live in-edge for u, chosen with
-// probability proportional to edge weight and total probability
-// min(Σw, 1) — the standard reverse construction for the Linear
-// Threshold model.
-//
-//imc:hotpath
-func (gen *Generator) sampleInEdgesLT(u graph.NodeID, rng *xrand.RNG) {
+func (gen *Generator) pickInEdgeLT(u graph.NodeID, rng *xrand.RNG) (graph.NodeID, bool) {
 	froms, ws, _ := gen.g.InNeighbors(u)
 	ws = ws[:len(froms)] // one shared bounds proof for the parallel scan
-	live := gen.liveIn[u][:0]
 	total := 0.0
 	for _, w := range ws {
 		total += w
@@ -294,18 +298,9 @@ func (gen *Generator) sampleInEdgesLT(u graph.NodeID, rng *xrand.RNG) {
 		for i, v := range froms {
 			acc += ws[i]
 			if draw < acc {
-				live = append(live, v)
-				break
+				return v, true
 			}
 		}
 	}
-	gen.liveIn[u] = live
-}
-
-// release clears the live adjacency lists touched by the last sample.
-func (gen *Generator) release() {
-	for _, u := range gen.resetNodes {
-		gen.liveIn[u] = gen.liveIn[u][:0]
-	}
-	gen.resetNodes = gen.resetNodes[:0]
+	return 0, false
 }

@@ -23,8 +23,8 @@ var (
 	// drift would put two workers' slots on one line.
 	_ = [1]struct{}{}[unsafe.Sizeof(rawSample{})-64]
 
-	// Generator packs pointers first, the two int32 epoch counters
-	// adjacent, then the slice headers: 184 bytes, down from 192
-	// before the v6 reorder.
+	// Generator packs pointers first, then its one int32 epoch
+	// counter (padded to a word), then six slice headers of flat
+	// slot-indexed scratch: 184 bytes.
 	_ = [1]struct{}{}[unsafe.Sizeof(Generator{})-184]
 )

@@ -1,10 +1,13 @@
 package ric
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"imc/internal/community"
+	"imc/internal/diffusion"
 	"imc/internal/gen"
 	"imc/internal/graph"
 	"imc/internal/xrand"
@@ -12,9 +15,12 @@ import (
 
 // refSample is a reference RIC draw that shares no code with the
 // production sampler below the alias: the collective reverse BFS of
-// Alg. 1 with one Bernoulli coin per in-edge, in the same queue order,
-// returning the source community and the sampled live in-lists.
-func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, rng *xrand.RNG) (int, map[graph.NodeID][]graph.NodeID) {
+// Alg. 1, in the same queue order, returning the source community and
+// the sampled live in-lists. Under IC each in-edge gets one Bernoulli
+// coin; under LT a node with positive in-weight draws one Float64 and
+// keeps the first in-edge whose weight prefix sum exceeds it (the draw
+// scaled by the total when that exceeds 1).
+func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, model diffusion.Model, rng *xrand.RNG) (int, map[graph.NodeID][]graph.NodeID) {
 	commIdx := alias.Draw(rng)
 	live := make(map[graph.NodeID][]graph.NodeID)
 	seen := make(map[graph.NodeID]bool)
@@ -28,9 +34,26 @@ func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, rn
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		froms, ws, _ := g.InNeighbors(u)
-		for i, v := range froms {
-			if rng.Bernoulli(ws[i]) {
-				live[u] = append(live[u], v)
+		if model == diffusion.LT {
+			total := 0.0
+			for _, w := range ws {
+				total += w
+			}
+			if total > 0 {
+				draw := rng.Float64() * max(total, 1)
+				sum := 0.0
+				for i, w := range ws {
+					if sum += w; sum > draw {
+						live[u] = append(live[u], froms[i])
+						break
+					}
+				}
+			}
+		} else {
+			for i, v := range froms {
+				if rng.Bernoulli(ws[i]) {
+					live[u] = append(live[u], v)
+				}
 			}
 		}
 		for _, v := range live[u] {
@@ -79,19 +102,8 @@ func TestSamplerMatchesBernoulliReference(t *testing.T) {
 		inSeed[s] = true
 	}
 
-	schemes := []struct {
-		name   string
-		scheme graph.WeightScheme
-		p      float64
-	}{
-		{"WeightedCascade", graph.WeightedCascade, 0},
-		{"Trivalency", graph.Trivalency, 0},
-		{"Constant0", graph.ConstantWeight, 0},
-		{"Constant0.37", graph.ConstantWeight, 0.37},
-		{"Constant1", graph.ConstantWeight, 1},
-	}
 	const streams = 2000
-	for _, sc := range schemes {
+	for _, sc := range refSchemes {
 		t.Run(sc.name, func(t *testing.T) {
 			g := graph.ApplyWeights(karate, sc.scheme, sc.p, 7)
 			sampler, err := NewGenerator(g, part, 0)
@@ -105,7 +117,7 @@ func TestSamplerMatchesBernoulliReference(t *testing.T) {
 				root.SplitInto(i, &got)
 				root.SplitInto(i, &want)
 				raw := sampler.Generate(&got)
-				comm, live := refSample(g, part, sampler.alias, &want)
+				comm, live := refSample(g, part, sampler.alias, sampler.model, &want)
 				if got != want {
 					t.Fatalf("stream %d: Generate left the stream in a different state than the reference", i)
 				}
@@ -170,4 +182,211 @@ func sameSample(raw rawSample, comm int, part *community.Partition, live map[gra
 		}
 	}
 	return nil
+}
+
+// refHits counts the members of comm that some seed reaches in the
+// reference live subgraph.
+func refHits(part *community.Partition, comm int, live map[graph.NodeID][]graph.NodeID, inSeed []bool) int {
+	hit := 0
+	for _, m := range part.Community(comm).Members {
+		for _, v := range refReached(live, m) {
+			if inSeed[v] {
+				hit++
+				break
+			}
+		}
+	}
+	return hit
+}
+
+// matchReference replays stream i of root through Generate, Influenced
+// and FractionalInfluence and through the reference sampler: the
+// sample's covers, both answers (Influenced = hit ≥ h, Fractional =
+// min(hit, h)/h) and the stream state each leaves behind must agree.
+func matchReference(sampler *Generator, inSeed []bool, root *xrand.RNG, i uint64) error {
+	part := sampler.part
+	var got, want xrand.RNG
+	root.SplitInto(i, &got)
+	root.SplitInto(i, &want)
+	raw := sampler.Generate(&got)
+	comm, live := refSample(sampler.g, part, sampler.alias, sampler.model, &want)
+	if got != want {
+		return fmt.Errorf("stream %d: Generate left the stream in a different state than the reference", i)
+	}
+	if err := sameSample(raw, comm, part, live); err != nil {
+		return fmt.Errorf("stream %d: %v", i, err)
+	}
+	hit, h := refHits(part, comm, live, inSeed), part.Community(comm).Threshold
+
+	root.SplitInto(i, &got)
+	if ok := sampler.Influenced(&got, inSeed); ok != (hit >= h) {
+		return fmt.Errorf("stream %d: Influenced = %v, reference reaches %d of threshold %d", i, ok, hit, h)
+	}
+	if got != want {
+		return fmt.Errorf("stream %d: Influenced left the stream in a different state than the reference", i)
+	}
+
+	root.SplitInto(i, &got)
+	if frac, ref := sampler.FractionalInfluence(&got, inSeed), float64(min(hit, h))/float64(h); frac != ref {
+		return fmt.Errorf("stream %d: FractionalInfluence = %g, reference %g", i, frac, ref)
+	}
+	if got != want {
+		return fmt.Errorf("stream %d: FractionalInfluence left the stream in a different state than the reference", i)
+	}
+	return nil
+}
+
+// refSchemes are the weight schemes the reference tests sweep: the
+// weighted-cascade weights the goldens pin, plus non-uniform and
+// sentinel-only (0 and 1) coins.
+var refSchemes = []struct {
+	name   string
+	scheme graph.WeightScheme
+	p      float64
+}{
+	{"WeightedCascade", graph.WeightedCascade, 0},
+	{"Trivalency", graph.Trivalency, 0},
+	{"Constant0", graph.ConstantWeight, 0},
+	{"Constant0.37", graph.ConstantWeight, 0.37},
+	{"Constant1", graph.ConstantWeight, 1},
+}
+
+// TestSamplerMatchesReferenceModels extends the Bernoulli reference
+// check to FractionalInfluence and to the LT sampler, on the same
+// karate instance.
+func TestSamplerMatchesReferenceModels(t *testing.T) {
+	karate, err := gen.Karate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := community.Random(karate.NumNodes(), 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.SetBoundedThresholds(2)
+	part.SetPopulationBenefits()
+	inSeed := make([]bool, karate.NumNodes())
+	for _, s := range []graph.NodeID{0, 5, 24, 33} {
+		inSeed[s] = true
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		for _, sc := range refSchemes {
+			t.Run(fmt.Sprintf("%v/%s", model, sc.name), func(t *testing.T) {
+				sampler, err := NewGenerator(graph.ApplyWeights(karate, sc.scheme, sc.p, 7), part, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := xrand.New(99)
+				for i := uint64(0); i < 2000; i++ {
+					if err := matchReference(sampler, inSeed, root, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// refGraphNodes is the size of refGraph: large enough for a community
+// of more than 64 members (two mask words).
+const refGraphNodes = 150
+
+// refGraph is a 150-node preferential-attachment graph with self-loops
+// on a few nodes. Builder drops self-loops, but the binary graph format
+// carries them, so the graph is re-encoded with the loops added and
+// read back through ReadBinary — the path a graph file takes.
+func refGraph(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	base, err := gen.BarabasiAlbert(refGraphNodes, 3, 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loops := map[graph.NodeID]bool{0: true, 7: true, 42: true, 99: true}
+	var offs, tos []uint32
+	var ws []float64
+	for u := graph.NodeID(0); int(u) < refGraphNodes; u++ {
+		offs = append(offs, uint32(len(tos)))
+		outs, outW := base.OutNeighbors(u)
+		for k, v := range outs {
+			tos = append(tos, uint32(v))
+			ws = append(ws, outW[k])
+		}
+		if loops[u] {
+			tos = append(tos, uint32(u))
+			ws = append(ws, 0.5)
+		}
+	}
+	offs = append(offs, uint32(len(tos)))
+	var buf bytes.Buffer
+	buf.WriteString("IMCG")
+	for _, field := range []any{uint32(1), uint64(refGraphNodes), uint64(len(tos)), offs, tos, ws} {
+		if err := binary.Write(&buf, binary.LittleEndian, field); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	g, err := graph.ReadBinary(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// refPartition cuts a partSeed-shuffled node order into communities of
+// size members (the last one takes the remainder), with thresholds
+// spread over [1, |C|] and six partSeed-chosen seed nodes.
+func refPartition(tb testing.TB, partSeed uint64, size int) (*community.Partition, []bool) {
+	tb.Helper()
+	rng := xrand.New(partSeed)
+	perm := rng.Perm(refGraphNodes)
+	var sets [][]graph.NodeID
+	for lo := 0; lo < refGraphNodes; lo += size {
+		var set []graph.NodeID
+		for _, v := range perm[lo:min(lo+size, refGraphNodes)] {
+			set = append(set, graph.NodeID(v))
+		}
+		sets = append(sets, set)
+	}
+	part, err := community.New(refGraphNodes, sets)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < part.NumCommunities(); i++ {
+		if err := part.SetThreshold(i, 1+rng.Intn(len(part.Community(i).Members))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	part.SetPopulationBenefits()
+	inSeed := make([]bool, refGraphNodes)
+	for _, v := range perm[:6] {
+		inSeed[v] = true
+	}
+	return part, inSeed
+}
+
+// TestSamplerMatchesReferenceWideMasks checks multi-word mask
+// propagation: a 100-member community (W = 2) next to a 50-member one,
+// under both models and every weight scheme, on a graph with
+// self-loops.
+func TestSamplerMatchesReferenceWideMasks(t *testing.T) {
+	base := refGraph(t)
+	part, inSeed := refPartition(t, 11, 100)
+	if got := maskWords(len(part.Community(0).Members)); got != 2 {
+		t.Fatalf("widest community spans %d mask words, want 2", got)
+	}
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		for _, sc := range refSchemes {
+			t.Run(fmt.Sprintf("%v/%s", model, sc.name), func(t *testing.T) {
+				sampler, err := NewGenerator(graph.ApplyWeights(base, sc.scheme, sc.p, 7), part, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root := xrand.New(99)
+				for i := uint64(0); i < 300; i++ {
+					if err := matchReference(sampler, inSeed, root, i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -39,12 +39,16 @@ func (m Mask) OnesCount() int {
 	return c
 }
 
-// OrInto sets dst |= m. dst must be at least as long as m.
-func (m Mask) OrInto(dst Mask) {
+// OrInto sets dst |= m and reports whether dst gained a bit. dst must
+// be at least as long as m.
+func (m Mask) OrInto(dst Mask) bool {
 	dst = dst[:len(m)]
+	var gained uint64
 	for i, w := range m {
+		gained |= w &^ dst[i]
 		dst[i] |= w
 	}
+	return gained != 0
 }
 
 // NewBitsOver returns the number of bits set in m but not in base — the

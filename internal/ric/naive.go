@@ -1,7 +1,6 @@
 package ric
 
 import (
-	"imc/internal/diffusion"
 	"imc/internal/graph"
 	"imc/internal/xrand"
 )
@@ -22,50 +21,53 @@ func (gen *Generator) GenerateNaive(rng *xrand.RNG) rawSample {
 	comm := gen.part.Community(commIdx)
 	members := comm.Members
 	words := maskWords(len(members))
-	gen.coverGen++
+	gen.epoch++
+	sample := gen.epoch
 
 	raw := rawSample{
 		comm:       int32(commIdx),
 		threshold:  int32(comm.Threshold),
 		numMembers: int32(len(members)),
 	}
+	// reach marks v reached by the current pass, opening v's cover
+	// slot on its first touch in this sample, and sets member j's bit.
+	var pass int32
+	reach := func(v graph.NodeID, j int) {
+		st := gen.stamp[v]
+		if st.epoch != sample {
+			st = slotStamp{sample, int32(len(raw.coverNodes))}
+			gen.stamp[v] = st
+			raw.coverNodes = append(raw.coverNodes, v)
+			raw.coverBits = append(raw.coverBits, make([]uint64, words)...)
+			if int(st.slot) == len(gen.mark) {
+				gen.mark = append(gen.mark, 0)
+			}
+		}
+		gen.mark[st.slot] = pass
+		Mask(raw.coverBits[int(st.slot)*words:]).set(j)
+	}
 	for j, m := range members {
 		// Fresh edge world per member: reverse BFS re-sampling every
-		// edge it touches.
+		// edge it touches. Naive LT samples each in-edge independently
+		// too.
 		gen.epoch++
-		gen.queue = gen.queue[:0]
-		gen.queue = append(gen.queue, m)
-		gen.nodeEpoch[m] = gen.epoch
-		for head := 0; head < len(gen.queue); head++ {
-			v := gen.queue[head]
-			slot := gen.coverSlot[v]
-			if gen.coverEpoch[v] != gen.coverGen {
-				slot = int32(len(raw.coverNodes))
-				raw.coverNodes = append(raw.coverNodes, v)
-				raw.coverBits = append(raw.coverBits, make([]uint64, words)...)
-				gen.coverEpoch[v] = gen.coverGen
-				gen.coverSlot[v] = slot
-			}
-			Mask(raw.coverBits[int(slot)*words:]).set(j)
-			froms, ws, _ := gen.g.InNeighbors(v)
+		pass = gen.epoch
+		queue := append(gen.region[:0], m)
+		reach(m, j)
+		for head := 0; head < len(queue); head++ {
+			froms, ws, _ := gen.g.InNeighbors(queue[head])
 			for i, w := range froms {
-				if gen.nodeEpoch[w] == gen.epoch {
+				st := gen.stamp[w]
+				if st.epoch == sample && gen.mark[st.slot] == pass {
 					continue
 				}
-				live := false
-				switch gen.model {
-				case diffusion.LT:
-					// Naive LT: sample each in-edge independently too.
-					live = rng.Bernoulli(ws[i])
-				default:
-					live = rng.Bernoulli(ws[i])
-				}
-				if live {
-					gen.nodeEpoch[w] = gen.epoch
-					gen.queue = append(gen.queue, w)
+				if rng.Bernoulli(ws[i]) {
+					reach(w, j)
+					queue = append(queue, w)
 				}
 			}
 		}
+		gen.region = queue
 	}
 	return raw
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"imc/internal/expt"
@@ -157,5 +158,54 @@ func TestSolveColdWarmIdentical(t *testing.T) {
 	}
 	if m2.PoolCache != nil {
 		t.Fatal("/metrics poolCache present with caching disabled")
+	}
+}
+
+// TestSeedIDsOutOfRangeRejected: /estimate and /trace answer 400
+// "validation" for a seed id outside [0, n), with and without a pool
+// cache, and with the cache holding the key's snapshot — the state in
+// which the pool's CHat used to index past its per-node runs and panic
+// the handler.
+func TestSeedIDsOutOfRangeRejected(t *testing.T) {
+	inst := InstanceRequest{Dataset: "karate", Scale: 1, Bounded: true, Seed: 1}
+	for _, warm := range []bool{false, true} {
+		cfg := Config{MaxInflight: 64}
+		if warm {
+			cache, err := poolcache.Open(t.TempDir(), poolcache.Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.PoolCache = cache
+		}
+		ts := httptest.NewServer(NewWithOptions(nil, nil, cfg).Handler())
+		t.Cleanup(ts.Close)
+		if warm {
+			solve := SolveRequest{InstanceRequest: inst, Alg: "MAF", K: 2, MaxSamples: 1 << 10}
+			if status, body := postJSON(t, ts.URL+"/solve", solve, nil); status != http.StatusOK {
+				t.Fatalf("solve: status %d: %s", status, body)
+			}
+			if st := cfg.PoolCache.Stats(); st.Entries != 1 {
+				t.Fatalf("solve left no snapshot in the cache: %+v", st)
+			}
+		}
+		for _, bad := range []int32{-1, 34, 1 << 20} {
+			for path, body := range map[string]any{
+				"/estimate": EstimateRequest{InstanceRequest: inst, Seeds: []int32{0, bad}, Iterations: 10},
+				"/trace":    TraceRequest{InstanceRequest: inst, Seeds: []int32{bad, 0}},
+			} {
+				status, resp := postJSON(t, ts.URL+path, body, nil)
+				if status != http.StatusBadRequest || !strings.Contains(resp, `"validation"`) {
+					t.Errorf("warm=%v %s seed %d: status %d %s, want 400 validation", warm, path, bad, status, resp)
+				}
+			}
+		}
+		// The last valid id still answers.
+		var est EstimateResponse
+		if status, body := postJSON(t, ts.URL+"/estimate", EstimateRequest{InstanceRequest: inst, Seeds: []int32{33}, Iterations: 10}, &est); status != http.StatusOK {
+			t.Fatalf("warm=%v estimate seed 33: status %d: %s", warm, status, body)
+		}
+		if warm != (est.PoolBenefit != nil) {
+			t.Fatalf("warm=%v: poolBenefit %v", warm, est.PoolBenefit)
+		}
 	}
 }

@@ -587,6 +587,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeInstanceError(w, err)
 		return
 	}
+	if err := checkSeeds(req.Seeds, inst.G.NumNodes()); err != nil {
+		writeError(w, http.StatusBadRequest, kindValidation, err)
+		return
+	}
 	iters := req.Iterations
 	if iters < 1 {
 		iters = 2000
@@ -716,6 +720,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeInstanceError(w, err)
 		return
 	}
+	if err := checkSeeds(req.Seeds, inst.G.NumNodes()); err != nil {
+		writeError(w, http.StatusBadRequest, kindValidation, err)
+		return
+	}
 	rounds := traceCascade(inst, req.Seeds, req.Seed)
 	out := TraceResponse{Instance: inst.Name, Rounds: make([]TraceRoundJSON, 0, len(rounds))}
 	for _, round := range rounds {
@@ -725,6 +733,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		out.Rounds = append(out.Rounds, TraceRoundJSON{Round: round.Round, Activated: activated})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// checkSeeds rejects a seed id outside the instance's [0, n) node range.
+// The pool and the cascade simulators index per-node arrays by seed id,
+// so an unchecked id either panics or is silently dropped.
+func checkSeeds(seeds []int32, n int) error {
+	for _, v := range seeds {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("seed %d out of range [0, %d)", v, n)
+		}
+	}
+	return nil
 }
 
 // instance returns a cached or freshly built instance for the request.
