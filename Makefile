@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzReadBinary -fuzztime 30s
 	$(GO) test ./internal/ric/ -fuzz FuzzPoolRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ric/ -fuzz FuzzImportRange -fuzztime 30s
+	$(GO) test ./internal/ric/ -fuzz FuzzDecodeMatchesReference -fuzztime 30s
 	$(GO) test ./internal/ric/ -fuzz FuzzSamplerMatchesReference -fuzztime 30s
 	$(GO) test ./internal/xrand/ -fuzz FuzzLiveIn -fuzztime 30s
 

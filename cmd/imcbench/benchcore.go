@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -49,8 +50,8 @@ type coreBenchReport struct {
 }
 
 // runBenchCore measures the solver kernels the hot-path contracts
-// guard — RIC sample generation, one Alg. 6 Estimate draw, the greedy
-// seed-selection scans and BT's restricted-instance builds (at MB's
+// guard — RIC sample generation, one Alg. 6 Estimate draw, a pool-cache
+// hit's decode and adoption, the greedy seed-selection scans and BT's restricted-instance builds (at MB's
 // 64-root cap) — and writes a machine-readable report. basePath, when
 // non-empty, names an earlier -benchcore file whose numbers become the
 // "before" column (used to pin the before/after deltas of a kernel
@@ -108,6 +109,7 @@ func runBenchCore(outPath, basePath string) error {
 	add("RICGenerate/LT", benchGenerate(inst, diffusion.LT))
 	add("Influenced/IC", benchInfluenced(inst, seeds))
 	add("PoolGenerate/IC", benchPoolGenerate(inst, poolSize))
+	add("CacheAdopt/IC", benchCacheAdopt(inst, pool))
 	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat))
 	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu))
 	add("BT/k=10", benchGreedy(pool, k, func(p *ric.Pool, k int) ([]graph.NodeID, error) {
@@ -205,6 +207,36 @@ func benchPoolGenerate(inst *expt.Instance, count int) func(b *testing.B) {
 			}
 			if err := p.Generate(count); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchCacheAdopt times a pool-cache hit: decode a snapshot of src into
+// a donor, then adopt its samples into a fresh pool over IMCAF's
+// doubling schedule (a quarter, half, then all of src).
+func benchCacheAdopt(inst *expt.Instance, src *ric.Pool) func(b *testing.B) {
+	return func(b *testing.B) {
+		var snap bytes.Buffer
+		if err := src.Save(&snap); err != nil {
+			b.Fatal(err)
+		}
+		opts := ric.PoolOptions{Seed: src.Seed()}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			donor, err := ric.ReadDonor(inst.G, inst.Part, opts, bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := ric.NewPool(inst.G, inst.Part, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for target := src.NumSamples() / 4; target <= src.NumSamples(); target *= 2 {
+				if _, err := donor.ExtendTo(p, target); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

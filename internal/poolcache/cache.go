@@ -4,9 +4,11 @@
 // cached snapshot is always a byte-exact prefix of the sample sequence
 // any matching request would generate, and requests that need more
 // samples than the cache holds adopt the cached prefix and generate
-// only the missing tail ("incremental doubling"). Files are CRC-framed
-// and published atomically via internal/atomicio; a byte budget is
-// enforced with LRU eviction.
+// only the missing tail ("incremental doubling"). A hit decodes and
+// validates the snapshot once, into a ric.Donor, and each Grow folds
+// only the samples it adopts. Files are CRC-framed and published
+// atomically via internal/atomicio; a byte budget is enforced with LRU
+// eviction.
 package poolcache
 
 import (
@@ -36,8 +38,9 @@ import (
 //
 // The sample count is duplicated out of the pool header so the boot
 // scan and the grow-or-skip decision read 16 bytes instead of parsing
-// (or checksumming) the whole snapshot. The pool stream carries its own
-// identity (seed, model, weight digest) which ric.Pool.ReadInto
+// (or checksumming) the whole snapshot; a load drops a file whose
+// header count differs from the snapshot's. The pool stream carries its
+// own identity (seed, model, weight digest) which ric.ReadDonor
 // re-validates on load — the cache key should make a mismatch
 // impossible, but a renamed or hand-copied file still fails closed.
 

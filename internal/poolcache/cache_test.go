@@ -3,11 +3,14 @@ package poolcache
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"imc/internal/atomicio"
 	"imc/internal/community"
 	"imc/internal/diffusion"
 	"imc/internal/graph"
@@ -361,6 +364,65 @@ func TestCorruptSnapshotDropped(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt file not unlinked")
+	}
+}
+
+// TestHeaderCountMismatchDropped: a CRC-valid cache file whose IMCC
+// header over-states its sample count is corrupt like any other. The
+// index trusts the header count to decide whether a Save grows the
+// entry, so adopting such a file would block every later save of the
+// key; load drops it instead (one error, one miss, file unlinked), and
+// the next Save writes a good entry.
+func TestHeaderCountMismatchDropped(t *testing.T) {
+	g, part := smallInstance(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	c := openCache(t, dir, Options{Logf: t.Logf})
+	s := c.Begin(g, part, diffusion.IC, 4)
+	pool := newPool(t, g, part, 4)
+	if err := s.Grow(ctx, pool, 30); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, s.Key().String()+fileSuffix)
+	// The embedded pool holds 30 samples; the header claims 1000.
+	if err := atomicio.WriteCRCStream(path, func(w io.Writer) error {
+		var hdr [cacheHeaderSize]byte
+		copy(hdr[:4], cacheMagic[:])
+		binary.LittleEndian.PutUint32(hdr[4:8], cacheVersion)
+		binary.LittleEndian.PutUint64(hdr[8:16], 1000)
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
+		return pool.Save(w)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openCache(t, dir, Options{Logf: t.Logf})
+	s2 := c2.Begin(g, part, diffusion.IC, 4)
+	p2 := newPool(t, g, part, 4)
+	if err := s2.Grow(ctx, p2, 60); err != nil {
+		t.Fatal(err)
+	}
+	st := c2.Stats()
+	if st.Misses != 1 || st.Hits != 0 || st.Errors != 1 || st.AdoptedSamples != 0 {
+		t.Fatalf("mis-counted snapshot should count one miss and one error and adopt nothing: %+v", st)
+	}
+	if st.Entries != 0 {
+		t.Fatal("mis-counted entry not dropped")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("mis-counted file not unlinked")
+	}
+	if err := s2.Save(p2); err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.Saves != 1 || st.Entries != 1 {
+		t.Fatalf("Save after the drop should write the 60-sample pool: %+v", st)
+	}
+	if cached := c2.Begin(g, part, diffusion.IC, 4).Cached(); cached == nil || cached.NumSamples() != 60 {
+		t.Fatal("the 60-sample snapshot does not load")
 	}
 }
 

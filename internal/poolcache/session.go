@@ -17,8 +17,8 @@ import (
 )
 
 // Session is one request's view of the cache for a single pool
-// identity. It lazily loads the cached snapshot (at most once) into a
-// donor pool, satisfies Grow calls from the donor before generating,
+// identity. It lazily decodes the cached snapshot (at most once) into a
+// ric.Donor, satisfies Grow calls from the donor before generating,
 // and writes grown pools back with Save. A nil *Session is valid and
 // degrades to plain generation — callers wire the cache
 // unconditionally and never branch.
@@ -34,8 +34,9 @@ type Session struct {
 	model diffusion.Model      //imc:guardedby immutable
 	seed  uint64               //imc:guardedby immutable
 
-	once  sync.Once
-	donor *ric.Donor // written once inside once.Do(load), read after
+	once   sync.Once
+	donor  *ric.Donor // written once inside once.Do(load), read after
+	cached *ric.Pool  // the donor folded into a pool by the first Cached call
 }
 
 // Key returns the session's content address (zero for a nil session).
@@ -46,7 +47,7 @@ func (s *Session) Key() Key {
 	return s.key
 }
 
-// load reads the cached snapshot (if any) into a donor pool, counting
+// load decodes the cached snapshot (if any) into a donor, counting
 // one hit or miss per session. A snapshot that fails to read or
 // validate is dropped from the cache and counts an error and a miss —
 // the request then simply generates everything, as if cold.
@@ -58,7 +59,7 @@ func (s *Session) load() {
 		s.c.mu.Unlock()
 		return
 	}
-	pool, err := s.readSnapshot()
+	donor, err := s.readSnapshot()
 	if err != nil {
 		s.c.drop(s.key, err)
 		s.c.mu.Lock()
@@ -66,17 +67,20 @@ func (s *Session) load() {
 		s.c.mu.Unlock()
 		return
 	}
-	s.donor = ric.NewDonor(pool)
+	s.donor = donor
 	s.c.mu.Lock()
 	s.c.stats.Hits++
 	s.c.mu.Unlock()
 }
 
 // readSnapshot reads, CRC-checks, and decodes the cache file into a
-// fresh pool over the session's instance. ric.Pool.ReadInto re-checks
-// the identity header (seed, model, weight digest) — redundant with the
-// content address, but it means a hand-renamed file fails closed.
-func (s *Session) readSnapshot() (*ric.Pool, error) {
+// donor over the session's instance. ric.ReadDonor re-checks the
+// identity header (seed, model, weight digest) — redundant with the
+// content address, but it means a hand-renamed file fails closed. The
+// cache header's sample count must match the snapshot's: the index
+// trusts it to decide whether a Save grows the entry, so a header that
+// over-states the count would block every later save of the key.
+func (s *Session) readSnapshot() (*ric.Donor, error) {
 	body, err := atomicio.ReadCRCFile(s.c.path(s.key))
 	if err != nil {
 		return nil, err
@@ -90,20 +94,21 @@ func (s *Session) readSnapshot() (*ric.Pool, error) {
 	if v := binary.LittleEndian.Uint32(body[4:8]); v != cacheVersion {
 		return nil, fmt.Errorf("poolcache: unsupported cache version %d (want %d)", v, cacheVersion)
 	}
-	pool, err := ric.NewPool(s.g, s.part, ric.PoolOptions{Model: s.model, Seed: s.seed})
+	donor, err := ric.ReadDonor(s.g, s.part, ric.PoolOptions{Model: s.model, Seed: s.seed}, bytes.NewReader(body[cacheHeaderSize:]))
 	if err != nil {
 		return nil, err
 	}
-	if err := pool.ReadInto(bytes.NewReader(body[cacheHeaderSize:])); err != nil {
-		return nil, err
+	if n := binary.LittleEndian.Uint64(body[8:16]); n != uint64(donor.NumSamples()) {
+		return nil, fmt.Errorf("poolcache: header records %d samples but the snapshot holds %d", n, donor.NumSamples())
 	}
-	return pool, nil
+	return donor, nil
 }
 
-// Cached returns the loaded donor pool: the cache's frozen snapshot
-// for this identity, or nil on a miss. Read-only — callers evaluate
-// against it (ĉ_R of a seed set, say) but never mutate or grow it.
-// Safe on nil (always a miss).
+// Cached returns the cache's snapshot for this identity as a pool, or
+// nil on a miss. The first call folds the donor into a fresh pool;
+// Grow and Adopt never need it. Read-only — callers evaluate against it
+// (ĉ_R of a seed set, say) but never mutate or grow it. Safe on nil
+// (always a miss).
 func (s *Session) Cached() *ric.Pool {
 	if s == nil {
 		return nil
@@ -112,7 +117,18 @@ func (s *Session) Cached() *ric.Pool {
 	if s.donor == nil {
 		return nil
 	}
-	return s.donor.Pool()
+	if s.cached == nil {
+		pool, err := ric.NewPool(s.g, s.part, ric.PoolOptions{Model: s.model, Seed: s.seed})
+		if err == nil {
+			_, err = s.donor.ExtendTo(pool, s.donor.NumSamples())
+		}
+		if err != nil {
+			s.c.log("poolcache: session %s cannot fold its snapshot: %v", s.key, err)
+			return nil
+		}
+		s.cached = pool
+	}
+	return s.cached
 }
 
 // Adopt splices cached samples into pool up to target without

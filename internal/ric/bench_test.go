@@ -210,7 +210,7 @@ func BenchmarkPoolImportRange(b *testing.B) {
 	if err := pool.ExportRange(&buf, 2500, 5000); err != nil {
 		b.Fatal(err)
 	}
-	donor := NewDonor(pool)
+	donor := donorOf(b, pool)
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()

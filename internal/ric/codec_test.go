@@ -245,3 +245,56 @@ func TestDecodeAllocatesNoMoreThanGenerate(t *testing.T) {
 		t.Errorf("ImportRange allocates %.0f objects for %d samples, GenerateCtx %.0f", splice, count, generate)
 	}
 }
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// TestDecodeStagesInChunks pins the staging arenas: the decoder carves
+// every sample's cover nodes and mask words out of shared chunks, so
+// loading or splicing 2,000 samples allocates at most half of what
+// drawing them does — Generate's two slices per sample are gone, and
+// what is left is the inverted index both paths grow.
+func TestDecodeStagesInChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation adds allocations to fold's run growth, which both paths share")
+	}
+	const count, seed = 2000, 9
+	g, part := benchInstance(t)
+	src := buildPool(t, g, part, count, seed)
+	var snap, export bytes.Buffer
+	if err := src.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.ExportRange(&export, 0, count); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Pool {
+		p, err := NewPool(g, part, PoolOptions{Seed: seed, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	generate := testing.AllocsPerRun(3, func() {
+		if err := fresh().Generate(count); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range []struct {
+		name   string
+		decode func(p *Pool) error
+	}{
+		{"ReadInto", func(p *Pool) error { return p.ReadInto(bytes.NewReader(snap.Bytes())) }},
+		{"ImportRange", func(p *Pool) error { return p.ImportRange(bytes.NewReader(export.Bytes()), count) }},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := tc.decode(fresh()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs, GenerateCtx %.0f", tc.name, allocs, generate)
+		if allocs > generate/2 {
+			t.Errorf("%s allocates %.0f objects for %d samples, more than half of GenerateCtx's %.0f", tc.name, allocs, count, generate)
+		}
+	}
+}

@@ -9,6 +9,21 @@ import (
 	"imc/internal/graph"
 )
 
+// donorOf builds a donor from pool's samples the way the pool cache
+// does: Save, then ReadDonor.
+func donorOf(t testing.TB, pool *Pool) *Donor {
+	t.Helper()
+	var snap bytes.Buffer
+	if err := pool.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	donor, err := ReadDonor(pool.g, pool.part, PoolOptions{Model: pool.model, Seed: pool.seed}, &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return donor
+}
+
 // TestDonorExtendMatchesGeneration is the determinism pin behind the
 // pool cache: over the same (graph, weights, partition, model, seed),
 // generating 2Θ samples from scratch and loading a cached Θ-sample
@@ -20,21 +35,9 @@ func TestDonorExtendMatchesGeneration(t *testing.T) {
 	const theta, seed = 200, 21
 	cold := buildPool(t, g, part, 2*theta, seed)
 
-	// The "cache": a Θ-sample snapshot round-tripped through Save/ReadInto,
-	// exactly as poolcache stores and reloads it.
-	half := buildPool(t, g, part, theta, seed)
-	var snap bytes.Buffer
-	if err := half.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := NewPool(g, part, PoolOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.ReadInto(&snap); err != nil {
-		t.Fatal(err)
-	}
-	donor := NewDonor(loaded)
+	// The "cache": a Θ-sample snapshot round-tripped through
+	// Save/ReadDonor, exactly as poolcache stores and reloads it.
+	donor := donorOf(t, buildPool(t, g, part, theta, seed))
 
 	// The warm path: adopt the cached Θ, generate the second Θ.
 	warm, err := NewPool(g, part, PoolOptions{Seed: seed})
@@ -77,7 +80,7 @@ func TestDonorExtendMatchesGeneration(t *testing.T) {
 // a doubling schedule are no-ops once the donor is exhausted.
 func TestDonorExtendPartial(t *testing.T) {
 	g, part := smallInstance(t)
-	donor := NewDonor(buildPool(t, g, part, 30, 9))
+	donor := donorOf(t, buildPool(t, g, part, 30, 9))
 	p, err := NewPool(g, part, PoolOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestDonorExtendPartial(t *testing.T) {
 // stream family would silently corrupt estimates.
 func TestDonorRejectsMismatchedIdentity(t *testing.T) {
 	g, part := smallInstance(t)
-	donor := NewDonor(buildPool(t, g, part, 10, 9))
+	donor := donorOf(t, buildPool(t, g, part, 10, 9))
 
 	wrongSeed, err := NewPool(g, part, PoolOptions{Seed: 10})
 	if err != nil {

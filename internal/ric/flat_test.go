@@ -101,7 +101,7 @@ func TestWidePoolPathsBuildOneIndex(t *testing.T) {
 	sameIndex(t, "ExportRange→ImportRange", want, spliced)
 
 	adopted := fresh(0)
-	donor := NewDonor(want)
+	donor := donorOf(t, want)
 	for _, target := range []int{1, 150, total} {
 		if _, err := donor.ExtendTo(adopted, target); err != nil {
 			t.Fatal(err)

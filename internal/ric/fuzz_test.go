@@ -103,7 +103,7 @@ func FuzzImportRange(f *testing.F) {
 	const seed, have, want = 7, 20, 40
 	g, part := smallInstance(f)
 	src := buildPool(f, g, part, want, seed)
-	donor := NewDonor(src)
+	donor := donorOf(f, src)
 	var valid bytes.Buffer
 	if err := src.ExportRange(&valid, have, want); err != nil {
 		f.Fatal(err)

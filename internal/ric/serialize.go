@@ -167,6 +167,11 @@ type poolDecoder struct {
 	head, tail int
 	off        int64 // bytes consumed, so errors can name exact offsets
 	err        error // r's last error, returned once the window drains
+
+	// The staged samples' cover nodes and mask words are carved out of
+	// these shared arenas rather than allocated per sample.
+	nodes arena[graph.NodeID]
+	bits  arena[uint64]
 }
 
 func newPoolDecoder(r io.Reader, kind string) *poolDecoder {
@@ -174,19 +179,19 @@ func newPoolDecoder(r io.Reader, kind string) *poolDecoder {
 }
 
 // next consumes and returns the next n bytes, valid until the following
-// call. On a short stream it consumes nothing and returns how many of
-// the n bytes were there, with the error io.ReadFull would give: io.EOF
-// when there were none, io.ErrUnexpectedEOF when there were some.
-func (d *poolDecoder) next(n int) ([]byte, int, error) {
+// call. On a short stream it consumes nothing and returns the bytes
+// that were there, with the error io.ReadFull would give: io.EOF when
+// there were none, io.ErrUnexpectedEOF when there were some.
+func (d *poolDecoder) next(n int) ([]byte, error) {
 	if d.tail-d.head < n {
 		if err := d.fill(n); err != nil {
-			return nil, d.tail - d.head, err
+			return d.buf[d.head:d.tail], err
 		}
 	}
 	b := d.buf[d.head : d.head+n]
 	d.head += n
 	d.off += int64(n)
-	return b, n, nil
+	return b, nil
 }
 
 // fill moves the unconsumed bytes to the front of the window, growing it
@@ -216,7 +221,7 @@ func (d *poolDecoder) fill(n int) error {
 
 // magic reads the stream's 4-byte format magic.
 func (d *poolDecoder) magic() (magic [4]byte, err error) {
-	b, _, err := d.next(4)
+	b, err := d.next(4)
 	copy(magic[:], b)
 	return magic, err
 }
@@ -226,7 +231,7 @@ func (d *poolDecoder) magic() (magic [4]byte, err error) {
 // decodes millions of fields, and eager names cost an allocation each.
 
 func (d *poolDecoder) get32(field string, args ...int) (uint32, error) {
-	b, _, err := d.next(4)
+	b, err := d.next(4)
 	if err != nil {
 		return 0, d.truncated(err, field, args...)
 	}
@@ -234,25 +239,11 @@ func (d *poolDecoder) get32(field string, args ...int) (uint32, error) {
 }
 
 func (d *poolDecoder) get64(field string, args ...int) (uint64, error) {
-	b, _, err := d.next(8)
+	b, err := d.next(8)
 	if err != nil {
 		return 0, d.truncated(err, field, args...)
 	}
 	return binary.LittleEndian.Uint64(b), nil
-}
-
-// getMask appends one words-wide mask from the stream to dst with one
-// read. A short read names the first word it could not complete, exactly
-// as word-by-word reads would.
-func (d *poolDecoder) getMask(dst []uint64, words, i, c int) ([]uint64, error) {
-	b, got, err := d.next(words * 8)
-	if err != nil {
-		return dst, d.truncated(err, "sample %d cover %d mask word %d", i, c, got/8)
-	}
-	for wi := 0; wi < words; wi++ {
-		dst = append(dst, binary.LittleEndian.Uint64(b[wi*8:]))
-	}
-	return dst, nil
 }
 
 // truncated builds the error for a failed read of the named field.
@@ -268,7 +259,7 @@ func (d *poolDecoder) truncated(err error, field string, args ...int) error {
 // do: a truncated-then-concatenated or otherwise corrupt file that
 // still parses as a prefix would previously be accepted silently.
 func (d *poolDecoder) end() error {
-	if _, _, err := d.next(1); err == nil {
+	if _, err := d.next(1); err == nil {
 		return fmt.Errorf("ric: %s has trailing bytes after the last sample at offset %d", d.kind, d.off-1)
 	} else if err != io.EOF {
 		return fmt.Errorf("ric: %s read after last sample at offset %d: %w", d.kind, d.off, err)
@@ -277,11 +268,11 @@ func (d *poolDecoder) end() error {
 }
 
 // checkIdentity reads the shared identity block and validates it
-// against the pool: seed, model tag, and weight digest must match
+// against the family: seed, model tag, and weight digest must match
 // exactly — a stream taken under a different seed or diffusion model,
 // or over a different weighted graph of the same shape, is rejected
 // instead of silently forking the PRNG streams on the next Double.
-func (p *Pool) checkIdentity(d *poolDecoder) error {
+func (p *family) checkIdentity(d *poolDecoder) error {
 	seed, err := d.get64("seed")
 	if err != nil {
 		return err
@@ -323,16 +314,45 @@ func (p *Pool) checkIdentity(d *poolDecoder) error {
 // decodeChunk caps every allocation sized from a count the stream
 // declares before the bytes behind it have arrived, so a corrupt count
 // costs a bounded allocation and then a truncation error; records
-// below the cap, which real pools produce, still get one exact-size
-// allocation.
+// below the cap, which real pools produce, still get exact-size room.
+// It is also the most cover-record bytes decodeSample takes at once.
 const decodeChunk = 1 << 16
+
+// arenaFirstChunk is the length of an arena's first chunk; each later
+// chunk is eight times longer, up to decodeChunk elements. A few large
+// steps keep a big snapshot's chunk count low, and a short range
+// still stages in a few kilobytes.
+const arenaFirstChunk = 512
+
+// arena hands out sub-slices of shared chunks, so staging a decoded
+// sample costs no allocation of its own. Chunks grow geometrically, so
+// a short shard range stages in a few small chunks and a full snapshot
+// in few large ones.
+type arena[T any] struct {
+	free []T // the current chunk's unreserved tail
+	next int // length of the next chunk
+}
+
+// reserve returns an empty slice with room for n elements, carved from
+// the current chunk or from a new one when n does not fit. The slice's
+// capacity is exactly n, so appending past n reallocates instead of
+// running into the next reservation.
+func (a *arena[T]) reserve(n int) []T {
+	if n > len(a.free) {
+		a.next = min(max(8*a.next, arenaFirstChunk), decodeChunk)
+		a.free = make([]T, max(a.next, n))
+	}
+	s := a.free[:0:n]
+	a.free = a.free[n:]
+	return s
+}
 
 // decodeSamples reads, validates, and stages the records for global
 // samples [lo, hi), then checks the stream ends right after them. It
-// never touches the pool's sample state: the caller folds the staged
+// never touches a pool's sample state: the caller folds the staged
 // samples in only once the whole stream has decoded, so a failed
 // decode leaves the pool exactly as it was.
-func (p *Pool) decodeSamples(d *poolDecoder, lo, hi int) ([]rawSample, error) {
+func (p *family) decodeSamples(d *poolDecoder, lo, hi int) ([]rawSample, error) {
 	raws := make([]rawSample, 0, min(hi-lo, decodeChunk))
 	for i := lo; i < hi; i++ {
 		raw, err := p.decodeSample(d, i)
@@ -357,13 +377,21 @@ var (
 
 // decodeSample reads and validates one sample record. i names the
 // record in error messages. Every count is validated against the
-// pool's graph and partition (community range, member counts,
+// family's graph and partition (community range, member counts,
 // thresholds, exact mask widths), and every cover against the
 // canonical form (ascending nodes, nonzero in-range masks), so
 // truncated or corrupt input surfaces as a descriptive error naming
-// the field being read — never a panic. The sample's masks are
-// appended to one flat run at natural width, as Generate writes them.
-func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
+// the field being read — never a panic. The sample's cover nodes and
+// masks (at natural width, as Generate writes them) are staged in the
+// decoder's arenas.
+//
+// Once the cover count and mask width are known every cover record
+// has the same size, so the records are taken whole, up to decodeChunk
+// bytes at a time, and parsed in place. A short stream hands back the
+// bytes that did arrive, and the same loop parses those until it
+// reaches the first field they cannot complete: the error names that
+// field exactly as field-by-field reads would.
+func (p *family) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 	comm, err := d.get32("sample %d community", i)
 	if err != nil {
 		return rawSample{}, err
@@ -407,15 +435,30 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 		comm:       int32(comm),
 		threshold:  int32(threshold),
 		numMembers: int32(numMembers),
-		coverNodes: make([]graph.NodeID, 0, min(covers, decodeChunk)),
-		coverBits:  make([]uint64, 0, min(covers*words, decodeChunk)),
+		coverNodes: d.nodes.reserve(min(covers, decodeChunk)),
+		coverBits:  d.bits.reserve(min(covers*words, decodeChunk)),
 	}
+	// A cover record is node uint32, width uint32, words×uint64 mask.
+	size := 8 + 8*words
+	batch := max(1, decodeChunk/size)
+	// Once the stream runs short, b holds all that is left of it, and
+	// the first field b cannot complete is reported with the reader's
+	// error d.err, which truncated maps exactly as it maps next's.
+	var (
+		b     []byte // records taken from the stream and not yet parsed
+		short bool   // the stream ran out before the last record
+	)
 	prev := -1
 	for c := 0; c < covers; c++ {
-		node, err := d.get32("sample %d cover %d node", i, c)
-		if err != nil {
-			return rawSample{}, err
+		if len(b) == 0 && !short {
+			var err error
+			b, err = d.next(min(covers-c, batch) * size)
+			short = err != nil
 		}
+		if len(b) < 4 {
+			return rawSample{}, d.truncated(d.err, "sample %d cover %d node", i, c)
+		}
+		node := binary.LittleEndian.Uint32(b)
 		if int(node) >= p.g.NumNodes() {
 			return rawSample{}, fmt.Errorf("ric: sample %d: cover node %d out of range [0, %d)", i, node, p.g.NumNodes())
 		}
@@ -425,22 +468,26 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 			return rawSample{}, fmt.Errorf("ric: sample %d cover %d: node %d after node %d: %w", i, c, node, prev, errCoverOrder)
 		}
 		prev = int(node)
-		width, err := d.get32("sample %d cover %d mask width", i, c)
-		if err != nil {
-			return rawSample{}, err
+		if len(b) < 8 {
+			return rawSample{}, d.truncated(d.err, "sample %d cover %d mask width", i, c)
 		}
 		// Masks carry one bit per member, so the width is fully
 		// determined; a short mask would later index out of range in
 		// the solvers, a long one would corrupt union counts.
-		if int(width) != words {
+		if width := binary.LittleEndian.Uint32(b[4:]); int(width) != words {
 			return rawSample{}, fmt.Errorf("ric: sample %d: mask of %d words for %d members (want %d)", i, width, numMembers, words)
 		}
-		if raw.coverBits, err = d.getMask(raw.coverBits, words, i, c); err != nil {
-			return rawSample{}, err
+		if len(b) < size {
+			return rawSample{}, d.truncated(d.err, "sample %d cover %d mask word %d", i, c, (len(b)-8)/8)
 		}
+		at := len(raw.coverBits)
+		for k := 8; k < size; k += 8 {
+			raw.coverBits = append(raw.coverBits, binary.LittleEndian.Uint64(b[k:]))
+		}
+		b = b[size:]
 		// A bit past the last member counts a member that does not
 		// exist; an empty mask indexes a node that covers nothing.
-		m := Mask(raw.coverBits[len(raw.coverBits)-words:])
+		m := Mask(raw.coverBits[at:])
 		if m[words-1]&^topMask != 0 {
 			return rawSample{}, fmt.Errorf("ric: sample %d cover %d (node %d): %w (%d members)", i, c, node, errMaskRange, numMembers)
 		}
@@ -474,6 +521,7 @@ func (p *Pool) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 //
 // Only offset-0 pools can load a snapshot: IMCP records the sequence
 // prefix [0, samples), which is not the slice a shard pool holds.
+// ReadDonor runs the same decode and keeps the samples staged instead.
 func (p *Pool) ReadInto(r io.Reader) error {
 	if p.offset != 0 {
 		return fmt.Errorf("ric: ReadInto requires an offset-0 pool, this shard starts at stream %d (use ImportRange)", p.offset)
@@ -481,40 +529,58 @@ func (p *Pool) ReadInto(r io.Reader) error {
 	if len(p.samples) != 0 {
 		return fmt.Errorf("ric: ReadInto requires an empty pool, have %d samples", len(p.samples))
 	}
-	d := newPoolDecoder(r, "pool snapshot")
-	magic, err := d.magic()
-	if err != nil {
-		return fmt.Errorf("ric: pool snapshot truncated reading magic: %w", err)
-	}
-	if magic != poolMagic {
-		return fmt.Errorf("ric: bad pool magic %q", magic)
-	}
-	version, err := d.get32("version")
-	if err != nil {
-		return err
-	}
-	if version == 1 {
-		return fmt.Errorf("ric: pool snapshot is format v1, which carries no identity (seed/model/weights) and cannot be validated; regenerate the pool and re-save as v%d", poolVersion)
-	}
-	if version != poolVersion {
-		return fmt.Errorf("ric: unsupported pool version %d (want %d)", version, poolVersion)
-	}
-	if err := p.checkIdentity(d); err != nil {
-		return err
-	}
-	count, err := d.get64("sample count")
-	if err != nil {
-		return err
-	}
-	if count >= 1<<31 {
-		return fmt.Errorf("ric: sample count %d out of range", count)
-	}
-	raws, err := p.decodeSamples(d, 0, int(count))
+	raws, err := p.readSnapshot(r)
 	if err != nil {
 		return err
 	}
 	p.fold(raws)
 	return nil
+}
+
+// readSnapshot decodes and validates an IMCP stream written by Save,
+// staging its samples without folding them anywhere: ReadInto folds
+// them into a pool, ReadDonor keeps them as a donor.
+func (p *family) readSnapshot(r io.Reader) ([]rawSample, error) {
+	d, count, err := p.openSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	return p.decodeSamples(d, 0, count)
+}
+
+// openSnapshot validates an IMCP stream's header — magic, version,
+// identity block — and returns the decoder positioned at the first
+// record, with the declared sample count.
+func (p *family) openSnapshot(r io.Reader) (*poolDecoder, int, error) {
+	d := newPoolDecoder(r, "pool snapshot")
+	magic, err := d.magic()
+	if err != nil {
+		return nil, 0, fmt.Errorf("ric: pool snapshot truncated reading magic: %w", err)
+	}
+	if magic != poolMagic {
+		return nil, 0, fmt.Errorf("ric: bad pool magic %q", magic)
+	}
+	version, err := d.get32("version")
+	if err != nil {
+		return nil, 0, err
+	}
+	if version == 1 {
+		return nil, 0, fmt.Errorf("ric: pool snapshot is format v1, which carries no identity (seed/model/weights) and cannot be validated; regenerate the pool and re-save as v%d", poolVersion)
+	}
+	if version != poolVersion {
+		return nil, 0, fmt.Errorf("ric: unsupported pool version %d (want %d)", version, poolVersion)
+	}
+	if err := p.checkIdentity(d); err != nil {
+		return nil, 0, err
+	}
+	count, err := d.get64("sample count")
+	if err != nil {
+		return nil, 0, err
+	}
+	if count >= 1<<31 {
+		return nil, 0, fmt.Errorf("ric: sample count %d out of range", count)
+	}
+	return d, int(count), nil
 }
 
 // noEOF normalizes a bare io.EOF from a partial ReadFull into

@@ -88,41 +88,12 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 // stream's end is verified, so on any error the pool is left exactly
 // as it was.
 func (p *Pool) ImportRange(r io.Reader, hi int) error {
-	d := newPoolDecoder(r, "shard export")
-	magic, err := d.magic()
-	if err != nil {
-		return fmt.Errorf("ric: shard export truncated reading magic: %w", err)
-	}
-	if magic != shardMagic {
-		return fmt.Errorf("ric: bad shard magic %q", magic)
-	}
-	version, err := d.get32("version")
+	d, lo, end, err := p.openRange(r)
 	if err != nil {
 		return err
 	}
-	if version != shardVersion {
-		return fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
-	}
-	if err := p.checkIdentity(d); err != nil {
-		return err
-	}
-	lo64, err := d.get64("range lo")
-	if err != nil {
-		return err
-	}
-	hi64, err := d.get64("range hi")
-	if err != nil {
-		return err
-	}
-	if lo64 > hi64 || hi64 >= 1<<31 {
-		return fmt.Errorf("ric: shard export range [%d, %d) invalid", lo64, hi64)
-	}
-	lo := int(lo64)
-	if next := p.offset + len(p.samples); lo != next {
-		return fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
-	}
-	if int(hi64) != hi {
-		return fmt.Errorf("ric: shard export ends at sample %d, want %d", hi64, hi)
+	if end != hi {
+		return fmt.Errorf("ric: shard export ends at sample %d, want %d", end, hi)
 	}
 	raws, err := p.decodeSamples(d, lo, hi)
 	if err != nil {
@@ -130,4 +101,45 @@ func (p *Pool) ImportRange(r io.Reader, hi int) error {
 	}
 	p.fold(raws)
 	return nil
+}
+
+// openRange validates an IMCS stream's header — magic, version,
+// identity block, range — and returns the decoder positioned at the
+// first record, with the declared range [lo, hi). lo must be the pool's
+// next global sample index.
+func (p *Pool) openRange(r io.Reader) (*poolDecoder, int, int, error) {
+	d := newPoolDecoder(r, "shard export")
+	magic, err := d.magic()
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("ric: shard export truncated reading magic: %w", err)
+	}
+	if magic != shardMagic {
+		return nil, 0, 0, fmt.Errorf("ric: bad shard magic %q", magic)
+	}
+	version, err := d.get32("version")
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if version != shardVersion {
+		return nil, 0, 0, fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
+	}
+	if err := p.checkIdentity(d); err != nil {
+		return nil, 0, 0, err
+	}
+	lo64, err := d.get64("range lo")
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	hi64, err := d.get64("range hi")
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if lo64 > hi64 || hi64 >= 1<<31 {
+		return nil, 0, 0, fmt.Errorf("ric: shard export range [%d, %d) invalid", lo64, hi64)
+	}
+	lo := int(lo64)
+	if next := p.offset + len(p.samples); lo != next {
+		return nil, 0, 0, fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
+	}
+	return d, lo, int(hi64), nil
 }
