@@ -67,6 +67,17 @@ func TestPublicAPISolveFixedAndEstimate(t *testing.T) {
 	}
 }
 
+// TestPublicAPIEstimateRejectsBadSeeds: Estimate errors on a seed id
+// outside [0, n) instead of estimating the in-range rest.
+func TestPublicAPIEstimateRejectsBadSeeds(t *testing.T) {
+	g, part := buildTestInstance(t)
+	for _, bad := range []NodeID{-5, NodeID(g.NumNodes()) + 7} {
+		if _, err := Estimate(g, part, []NodeID{0, bad}, EstimateOptions{Eps: 0.2, Delta: 0.2, TMax: 1 << 10, Seed: 3}); err == nil {
+			t.Fatalf("Estimate accepted seed %d on a %d-node graph", bad, g.NumNodes())
+		}
+	}
+}
+
 func TestPublicAPIBaselines(t *testing.T) {
 	g, part := buildTestInstance(t)
 	if seeds, err := HBC(g, part, 3); err != nil || len(seeds) != 3 {

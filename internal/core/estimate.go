@@ -171,9 +171,10 @@ func newSampler(g *graph.Graph, part *community.Partition, seeds []graph.NodeID,
 		fractional: opts.Fractional,
 	}
 	for _, v := range seeds {
-		if v >= 0 && int(v) < len(s.inSeed) {
-			s.inSeed[v] = true
+		if v < 0 || int(v) >= len(s.inSeed) {
+			return nil, fmt.Errorf("core: estimate seed %d out of range [0, %d)", v, len(s.inSeed))
 		}
+		s.inSeed[v] = true
 	}
 	for w := range s.gens {
 		gen, err := ric.NewGenerator(g, part, opts.Model)

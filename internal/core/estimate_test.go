@@ -258,6 +258,24 @@ func TestEstimateCancellation(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsOutOfRangeSeeds: a seed id outside [0, n) is an
+// error naming the id, not silently dropped — before, {0, −5, n+7}
+// returned exactly {0}'s estimate.
+func TestEstimateRejectsOutOfRangeSeeds(t *testing.T) {
+	g, part := testInstance(t, 3)
+	n := graph.NodeID(g.NumNodes())
+	opts := EstimateOptions{Eps: 0.2, Delta: 0.2, TMax: 1 << 12, Seed: 5}
+	if _, err := Estimate(g, part, []graph.NodeID{0}, opts); err != nil {
+		t.Fatalf("valid seed set: %v", err)
+	}
+	for _, bad := range []graph.NodeID{-5, n, n + 7} {
+		_, err := Estimate(g, part, []graph.NodeID{0, bad}, opts)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("seed %d out of range", bad)) {
+			t.Fatalf("seed %d: err = %v, want an out-of-range error", bad, err)
+		}
+	}
+}
+
 // BenchmarkEstimate measures one converging Alg. 6 run per op at one
 // and two workers.
 func BenchmarkEstimate(b *testing.B) {

@@ -41,6 +41,9 @@ type Generator struct {
 	// restricted to the region.
 	liveOff []int32
 	live    []int32
+	// root[s] is the member (slot) at the root of slot s's BFS tree,
+	// filled by treeHits.
+	root []int32
 	// Slot-indexed scratch for the member passes and mask propagation.
 	mark  []int32
 	queue []int32
@@ -149,7 +152,9 @@ func (gen *Generator) propagate(masks []uint64, words int) {
 // Influenced draws one RIC sample and reports whether the seed set
 // (given as an n-length membership slice) influences it, without
 // materializing the cover index. This is the hot path of the Estimate
-// procedure (paper Alg. 6).
+// procedure (paper Alg. 6). When seeds lie in the BFS trees of h
+// distinct members the answer is decided, and the per-member passes
+// are skipped.
 //
 //imc:hotpath
 func (gen *Generator) Influenced(rng *xrand.RNG, inSeed []bool) bool {
@@ -158,12 +163,18 @@ func (gen *Generator) Influenced(rng *xrand.RNG, inSeed []bool) bool {
 		return false
 	}
 	comm := gen.part.Community(commIdx)
-	return gen.membersReached(len(comm.Members), comm.Threshold, inSeed) >= comm.Threshold
+	h := comm.Threshold
+	if gen.treeHits(len(comm.Members), h, inSeed) >= h {
+		return true
+	}
+	return gen.membersReached(len(comm.Members), h, inSeed) >= h
 }
 
 // FractionalInfluence draws one RIC sample and returns
 // min(|I_g(S)|/h_g, 1) — the fractional statistic whose expectation is
-// ν(S)/b (paper eq. 6). Used by the ν-guided stop rule.
+// ν(S)/b (paper eq. 6). Used by the ν-guided stop rule. Like
+// Influenced, it skips the per-member passes once the BFS trees decide
+// the answer (here: min(|I_g(S)|, h) = h).
 //
 //imc:hotpath
 func (gen *Generator) FractionalInfluence(rng *xrand.RNG, inSeed []bool) float64 {
@@ -172,7 +183,67 @@ func (gen *Generator) FractionalInfluence(rng *xrand.RNG, inSeed []bool) float64
 		return 0
 	}
 	comm := gen.part.Community(commIdx)
-	return float64(gen.membersReached(len(comm.Members), comm.Threshold, inSeed)) / float64(comm.Threshold)
+	h := comm.Threshold
+	if gen.treeHits(len(comm.Members), h, inSeed) >= h {
+		return 1
+	}
+	return float64(gen.membersReached(len(comm.Members), h, inSeed)) / float64(h)
+}
+
+// treeHits counts, up to need, the members whose BFS tree holds a seed.
+// The tree is explore's tree of first discoveries, rooted at the
+// members: its edges are live edges walked backwards, so a seed in
+// member j's tree reaches j, and the count is a lower bound on
+// membersReached's. Slot w was discovered by the first slot whose live
+// list holds it, because explore dequeues slots in order, so one pass
+// over the slot CSR in the same order finds every slot's root, in
+// gen.root, without explore recording anything. mark flags the slots
+// whose root is known, and among the members those whose tree holds a
+// seed.
+//
+//imc:hotpath
+func (gen *Generator) treeHits(numMembers, need int, inSeed []bool) int {
+	region, liveOff, live := gen.region, gen.liveOff, gen.live
+	mark, root := gen.mark, gen.root
+	if len(mark) < len(region) {
+		mark = append(mark, make([]int32, len(region)-len(mark))...)
+	}
+	if len(root) < len(region) {
+		root = append(root, make([]int32, len(region)-len(root))...)
+	}
+	gen.epoch += 2
+	known, seededTree := gen.epoch-1, gen.epoch
+	hits := 0
+	members, memberRoot := mark[:numMembers], root[:numMembers]
+	for j, v := range region[:numMembers] {
+		memberRoot[j] = int32(j)
+		members[j] = known
+		if inSeed[v] {
+			members[j] = seededTree
+			hits++
+		}
+	}
+	roots := root[:len(liveOff)-1]
+	lo := liveOff[0]
+	for s, hi := range liveOff[1:] {
+		if hits >= need {
+			break
+		}
+		r := roots[s]
+		for _, w := range live[lo:hi] {
+			if m := mark[w]; m != known && m != seededTree {
+				mark[w] = known
+				root[w] = r
+				if inSeed[region[w]] && mark[r] == known {
+					mark[r] = seededTree
+					hits++
+				}
+			}
+		}
+		lo = hi
+	}
+	gen.mark, gen.root = mark, root
+	return hits
 }
 
 // membersReached counts the members (slots 0..numMembers-1) that some

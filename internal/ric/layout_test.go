@@ -24,7 +24,7 @@ var (
 	_ = [1]struct{}{}[unsafe.Sizeof(rawSample{})-64]
 
 	// Generator packs pointers first, then its one int32 epoch
-	// counter (padded to a word), then six slice headers of flat
-	// slot-indexed scratch: 184 bytes.
-	_ = [1]struct{}{}[unsafe.Sizeof(Generator{})-184]
+	// counter (padded to a word), then seven slice headers of flat
+	// slot-indexed scratch: 208 bytes.
+	_ = [1]struct{}{}[unsafe.Sizeof(Generator{})-208]
 )

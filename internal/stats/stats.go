@@ -154,3 +154,57 @@ func GeometricMean(data []float64) float64 {
 	}
 	return math.Exp(logSum / float64(n))
 }
+
+// ChiSquareSurvival returns Pr[X ≥ x] for X ~ χ²(df), the upper-tail
+// p-value of a χ² statistic x on df degrees of freedom. It is the
+// regularized upper incomplete gamma function Q(df/2, x/2), evaluated
+// by its power series below x/2 = df/2 + 1 and by Lentz's continued
+// fraction above (Numerical Recipes §6.2), each to a relative 1e-15.
+// df < 1 returns NaN; x ≤ 0 returns 1.
+func ChiSquareSurvival(x float64, df int) float64 {
+	if df < 1 {
+		return math.NaN()
+	}
+	if !(x > 0) {
+		return 1
+	}
+	a, y := float64(df)/2, x/2
+	lg, _ := math.Lgamma(a)
+	front := math.Exp(a*math.Log(y) - y - lg) // y^a·e^−y / Γ(a)
+	const eps = 1e-15
+	if y < a+1 {
+		// P(a, y) = front · Σₙ yⁿ / (a(a+1)…(a+n)).
+		term := 1 / a
+		sum := term
+		for n := 1; n < 1000 && term > sum*eps; n++ {
+			term *= y / (a + float64(n))
+			sum += term
+		}
+		return max(0, 1-front*sum)
+	}
+	// Q(a, y) = front / (y+1−a− 1·(1−a)/(y+3−a− 2·(2−a)/(y+5−a− …))).
+	const tiny = 1e-300
+	b := y + 1 - a
+	c := 1 / tiny
+	d := 1 / b
+	h := d
+	for n := 1; n < 1000; n++ {
+		an := -float64(n) * (float64(n) - a)
+		b += 2
+		d = an*d + b
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = b + an/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		delta := d * c
+		h *= delta
+		if math.Abs(delta-1) < eps {
+			break
+		}
+	}
+	return front * h
+}

@@ -145,3 +145,45 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChiSquareSurvival checks the χ² upper tail against the closed
+// form for even df, Q(a, y) = e^−y·Σ_{k<a} yᵏ/k!, on both sides of the
+// series/continued-fraction switch, and against tabled 5% critical
+// values for odd and even df.
+func TestChiSquareSurvival(t *testing.T) {
+	for _, df := range []int{2, 4, 10, 30, 100} {
+		for _, x := range []float64{0.01, 0.5, 1, 3, float64(df) - 1, float64(df), float64(df) + 3, 2 * float64(df), 5 * float64(df), 300} {
+			a, y := df/2, x/2
+			term, sum := 1.0, 1.0
+			for k := 1; k < a; k++ {
+				term *= y / float64(k)
+				sum += term
+			}
+			want := math.Exp(-y) * sum
+			if got := ChiSquareSurvival(x, df); math.Abs(got-want) > 1e-12*max(want, 1e-3) {
+				t.Errorf("ChiSquareSurvival(%g, %d) = %.17g, want %.17g", x, df, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		x  float64
+		df int
+	}{
+		{3.841458820694124, 1},
+		{7.814727903251178, 3},
+		{9.487729036781154, 4},
+		{18.307038053275146, 10},
+		{37.65248413348277, 25},
+		{124.34211340400407, 100},
+	} {
+		if got := ChiSquareSurvival(c.x, c.df); math.Abs(got-0.05) > 1e-9 {
+			t.Errorf("ChiSquareSurvival(%g, %d) = %.12g, want 0.05", c.x, c.df, got)
+		}
+	}
+	if got := ChiSquareSurvival(0, 3); got != 1 {
+		t.Errorf("ChiSquareSurvival(0, 3) = %g, want 1", got)
+	}
+	if got := ChiSquareSurvival(1, 0); !math.IsNaN(got) {
+		t.Errorf("ChiSquareSurvival(1, 0) = %g, want NaN", got)
+	}
+}
