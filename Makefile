@@ -41,7 +41,7 @@ race:
 jobs-test:
 	$(GO) test -race -count=1 ./internal/job/ ./internal/serve/
 
-# The pool snapshot format (v2 identity headers) and the shared pool
+# The pool snapshot format (identity headers, IMCP v3) and the shared pool
 # cache, race-enabled: serialization identity checks, donor adoption
 # determinism, cache store/evict/boot behavior, and the serve-level
 # cold-vs-warm byte-identity integration test.
@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/ric/ -fuzz FuzzDecodeMatchesReference -fuzztime 30s
 	$(GO) test ./internal/ric/ -fuzz FuzzSamplerMatchesReference -fuzztime 30s
 	$(GO) test ./internal/xrand/ -fuzz FuzzLiveIn -fuzztime 30s
+	$(GO) test ./internal/xrand/ -fuzz FuzzLiveCount -fuzztime 30s
 
 # Regenerate every table and figure at a laptop-friendly scale.
 experiments:

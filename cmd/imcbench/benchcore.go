@@ -52,7 +52,8 @@ type coreBenchReport struct {
 // runBenchCore measures the solver kernels the hot-path contracts
 // guard — RIC sample generation, one Alg. 6 Estimate draw, a pool-cache
 // hit's decode and adoption, the greedy seed-selection scans and BT's restricted-instance builds (at MB's
-// 64-root cap) — and writes a machine-readable report. basePath, when
+// 64-root cap), and the two live-edge kernels on one weighted-cascade
+// node per in-degree — and writes a machine-readable report. basePath, when
 // non-empty, names an earlier -benchcore file whose numbers become the
 // "before" column (used to pin the before/after deltas of a kernel
 // change).
@@ -117,6 +118,12 @@ func runBenchCore(outPath, basePath string) error {
 		return res.Seeds, err
 	}))
 	add("MCBenefit/IC", benchMCBenefit(inst, seeds))
+	// One weighted-cascade node per row, through each live-edge kernel:
+	// the evidence for xrand.UseCount's degree cutoff.
+	for _, d := range []int{2, 4, 8, 10, 12, 16, 32, 128} {
+		add(fmt.Sprintf("LiveIn/WC/d=%d", d), benchLiveKernel(d, false))
+		add(fmt.Sprintf("LiveCount/WC/d=%d", d), benchLiveKernel(d, true))
+	}
 
 	if basePath != "" {
 		data, err := os.ReadFile(basePath)
@@ -266,6 +273,32 @@ func benchGreedy(pool *ric.Pool, k int, algo func(*ric.Pool, int) ([]graph.NodeI
 		for i := 0; i < b.N; i++ {
 			if _, err := algo(pool, k); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchLiveKernel times one weighted-cascade node of in-degree d (every
+// in-edge of weight 1/d) through LiveCount when count is set, else
+// through LiveIn.
+func benchLiveKernel(d int, count bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		froms := make([]int32, d)
+		coins := make([]uint64, d)
+		for i := range froms {
+			froms[i] = int32(i)
+			coins[i] = xrand.Threshold(1 / float64(d))
+		}
+		cdf := xrand.CountTable(d, coins[0])
+		dst := make([]int32, 0, d)
+		rng := xrand.New(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if count {
+				dst = rng.LiveCount(froms, cdf, dst[:0])
+			} else {
+				dst = rng.LiveIn(froms, coins, dst[:0])
 			}
 		}
 	}

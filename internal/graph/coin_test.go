@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,35 +79,72 @@ func TestConstantWeightClamps(t *testing.T) {
 }
 
 // checkCoins fails unless every in-edge's coin is the Threshold of its
-// weight, in InNeighbors order.
+// weight, in InNeighbors order, and exactly the nodes whose in-edges
+// share one coin that xrand.UseCount admits carry that (degree, coin)'s
+// CountTable.
 func checkCoins(t *testing.T, what string, g *Graph) {
 	t.Helper()
+	counted := 0
 	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
 		froms, ws, _ := g.InNeighbors(v)
-		cf, coins := g.InCoins(v)
+		cf, coins, cdf := g.InCoins(v)
 		if len(cf) != len(froms) || len(coins) != len(ws) {
 			t.Fatalf("%s: node %d has %d/%d coins for %d in-edges", what, v, len(cf), len(coins), len(froms))
 		}
+		uniform := len(ws) > 0
 		for i := range froms {
 			if cf[i] != froms[i] || coins[i] != xrand.Threshold(ws[i]) {
 				t.Fatalf("%s: node %d in-edge %d: coin %d for weight %g, want %d",
 					what, v, i, coins[i], ws[i], xrand.Threshold(ws[i]))
 			}
+			uniform = uniform && coins[i] == coins[0]
 		}
+		if !uniform || !xrand.UseCount(len(coins), coins[0]) {
+			if cdf != nil {
+				t.Fatalf("%s: node %d (in-degree %d) has a count table it does not qualify for", what, v, len(coins))
+			}
+			continue
+		}
+		want := xrand.CountTable(len(coins), coins[0])
+		if len(cdf) < len(want) || !slices.Equal(cdf[:len(want)], want) {
+			t.Fatalf("%s: node %d (in-degree %d, coin %d): count table does not start with its CountTable", what, v, len(coins), coins[0])
+		}
+		counted++
 	}
+	t.Logf("%s: %d of %d nodes carry a count table", what, counted, g.NumNodes())
 }
 
 // TestInCoinsEveryConstructor: Build, ReadBinary and ApplyWeights each
-// leave the coin table in step with the reverse weights.
+// leave the coin and count tables in step with the reverse weights.
+// Beside a few sparse nodes, node 6 has 12 in-edges of weight 1/12 (a
+// count table), node 7 the same 12 sources at mixed weights (none), and
+// node 8 has 10 in-edges of weight 1/12 (its own table, not node 6's).
 func TestInCoinsEveryConstructor(t *testing.T) {
-	b := NewBuilder(6)
+	b := NewBuilder(21)
 	b.AddEdge(0, 1, 0.5)
 	b.AddEdge(2, 1, 0)
 	b.AddEdge(3, 1, 1)
 	b.AddEdge(1, 4, 1.0/3)
 	b.AddEdge(5, 4, 0.001)
 	b.AddEdge(4, 0, 0.9)
+	for u := NodeID(9); u < 21; u++ {
+		b.AddEdge(u, 6, 1.0/12)
+		b.AddEdge(u, 7, float64(u)/100)
+		if u < 19 {
+			b.AddEdge(u, 8, 1.0/12)
+		}
+	}
 	g := mustBuild(t, b)
+	for v, want := range map[NodeID]bool{0: false, 1: false, 6: true, 7: false, 8: true} {
+		if _, _, cdf := g.InCoins(v); (cdf != nil) != want {
+			t.Fatalf("node %d: count table present = %v, want %v", v, cdf != nil, want)
+		}
+	}
+	_, _, c6 := g.InCoins(6)
+	_, _, c8 := g.InCoins(8)
+	if &c6[0] == &c8[0] {
+		t.Fatal("nodes of in-degree 12 and 10 share one count table")
+	}
 	checkCoins(t, "Build", g)
 
 	var buf bytes.Buffer

@@ -48,9 +48,15 @@ type Graph struct {
 	inEID  []EdgeID
 
 	// inCoin[i] is xrand.Threshold(inW[i]), the integer coin the
-	// reverse IC sampler keeps edge i against. Every constructor fills
-	// it from inW; it is neither serialized nor digested.
-	inCoin []uint64
+	// reverse IC sampler keeps edge i against. For a node whose in-edges
+	// xrand.UseCount admits (all one drawing coin, degree and mean live
+	// count in range), countAt[v] is the offset in countCDF of its
+	// xrand.CountTable, shared by every node with the same (degree,
+	// coin); it is −1 for every other node. Every constructor fills all
+	// three from inW; none is serialized or digested.
+	inCoin   []uint64
+	countAt  []int32
+	countCDF []uint64
 }
 
 // NumNodes returns the node count n.
@@ -85,19 +91,58 @@ func (g *Graph) InNeighbors(v NodeID) ([]NodeID, []float64, []EdgeID) {
 }
 
 // InCoins returns the sources and integer coins (xrand.Threshold of
-// each weight) of v's in-edges, the inputs of xrand.(*RNG).LiveIn. The
+// each weight) of v's in-edges, the inputs of xrand.(*RNG).LiveIn, and
+// for a node that xrand.UseCount admits its live-count table, the input
+// of xrand.(*RNG).LiveCount (it runs on past the node's own table,
+// which LiveCount allows); cdf is nil for every other node. The
 // returned slices alias internal storage and must not be modified.
-func (g *Graph) InCoins(v NodeID) ([]NodeID, []uint64) {
+func (g *Graph) InCoins(v NodeID) (froms []NodeID, coins, cdf []uint64) {
 	lo, hi := g.inOff[v], g.inOff[v+1]
-	return g.inFrom[lo:hi], g.inCoin[lo:hi]
+	if at := g.countAt[v]; at >= 0 {
+		cdf = g.countCDF[at:]
+	}
+	return g.inFrom[lo:hi], g.inCoin[lo:hi], cdf
 }
 
-// fillCoins derives inCoin from inW; every constructor calls it once
-// the reverse weights are final.
+// fillCoins derives inCoin from inW, and the live-count tables of the
+// nodes xrand.UseCount admits; every constructor calls it once the
+// reverse weights are final.
 func (g *Graph) fillCoins() {
 	g.inCoin = make([]uint64, len(g.inW))
 	for i, w := range g.inW {
 		g.inCoin[i] = xrand.Threshold(w)
+	}
+	g.countAt = make([]int32, g.n)
+	g.countCDF = nil
+	type shape struct {
+		d    int
+		coin uint64
+	}
+	tables := make(map[shape]int32)
+	for v := range g.countAt {
+		g.countAt[v] = -1
+		coins := g.inCoin[g.inOff[v]:g.inOff[v+1]]
+		if len(coins) == 0 || !xrand.UseCount(len(coins), coins[0]) {
+			continue
+		}
+		uniform := true
+		for _, c := range coins[1:] {
+			if c != coins[0] {
+				uniform = false
+				break
+			}
+		}
+		if !uniform {
+			continue
+		}
+		key := shape{len(coins), coins[0]}
+		at, ok := tables[key]
+		if !ok {
+			at = int32(len(g.countCDF))
+			g.countCDF = append(g.countCDF, xrand.CountTable(key.d, key.coin)...)
+			tables[key] = at
+		}
+		g.countAt[v] = at
 	}
 }
 

@@ -1,10 +1,17 @@
 package job
 
 import (
+	"encoding/binary"
+	"io"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"imc/internal/atomicio"
 	"imc/internal/core"
+	"imc/internal/ric"
 )
 
 // TestInterruptedJobResumesByteIdentical is the subsystem's contract
@@ -113,5 +120,84 @@ func TestInterruptedJobResumesByteIdentical(t *testing.T) {
 	}
 	if resumed.TotalBenefit != baseline.TotalBenefit || resumed.Instance != baseline.Instance || resumed.Alg != baseline.Alg {
 		t.Fatalf("result metadata drifted: %+v vs %+v", resumed, baseline)
+	}
+}
+
+// TestV2CheckpointRestartsCold: a job whose checkpoint holds a pool
+// saved by the previous reverse sampler (IMCP v2) cannot resume from
+// it — ReadInto refuses the stream — so the worker drops it, restarts
+// the solve from scratch, and returns exactly the seed set of a cold
+// run.
+func TestV2CheckpointRestartsCold(t *testing.T) {
+	spec := testSpec(43)
+
+	baseStore := openTestStore(t, t.TempDir())
+	baseJob, _, err := baseStore.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePool := newTestPool(t, baseStore)
+	basePool.Start()
+	if j := waitTerminal(t, baseStore, baseJob.ID); j.State != StateSucceeded {
+		t.Fatalf("baseline state %s (%s)", j.State, j.Error)
+	}
+	baseline, err := baseStore.Result(baseJob.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdownPool(t, basePool)
+
+	s := openTestStore(t, t.TempDir())
+	j, _, err := s.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := testBuildInstance(j.Spec.InstanceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := ric.NewPool(inst.G, inst.Part, ric.PoolOptions{Model: j.Spec.model(), Seed: j.Spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Generate(256); err != nil {
+		t.Fatal(err)
+	}
+	// Write a v3 checkpoint, then re-frame it with the embedded pool's
+	// version word set to 2.
+	path := s.checkpointPath(j.ID)
+	if err := writeCheckpointFile(path, j.Spec, core.Checkpoint{Pool: pool, Doublings: 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[:len(data)-4]
+	poolAt := ckptHeaderSize + int(binary.LittleEndian.Uint32(body[12:16]))
+	binary.LittleEndian.PutUint32(body[poolAt+4:poolAt+8], 2)
+	if err := atomicio.WriteCRCStream(path, func(w io.Writer) error {
+		_, err := w.Write(body)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadCheckpoint(j.ID, inst); err == nil || !strings.Contains(err.Error(), "format v2") {
+		t.Fatalf("v2 checkpoint pool: err = %v, want the v2 upgrade error", err)
+	}
+
+	p := newTestPool(t, s)
+	p.Start()
+	defer shutdownPool(t, p)
+	if done := waitTerminal(t, s, j.ID); done.State != StateSucceeded {
+		t.Fatalf("state %s (%s)", done.State, done.Error)
+	}
+	got, err := s.Result(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Seeds, baseline.Seeds) || got.Benefit != baseline.Benefit {
+		t.Fatalf("restart after a v2 checkpoint gave seeds %v (benefit %v), cold run %v (benefit %v)",
+			got.Seeds, got.Benefit, baseline.Seeds, baseline.Benefit)
 	}
 }

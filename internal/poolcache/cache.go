@@ -33,7 +33,7 @@ import (
 //	magic    [4]byte  "IMCC"
 //	version  uint32   (1)
 //	samples  uint64   sample count of the embedded pool
-//	pool     ric pool stream (Pool.Save, format v2)
+//	pool     ric pool stream (Pool.Save, format v3)
 //	crc32    uint32   IEEE checksum of everything before it
 //
 // The sample count is duplicated out of the pool header so the boot

@@ -426,6 +426,63 @@ func TestHeaderCountMismatchDropped(t *testing.T) {
 	}
 }
 
+// TestOldSamplerEntryNeverAdopted: entries written under the previous
+// reverse sampler (pool format v2, key tag v1) are never adopted. The
+// file under the instance's previous key is never looked up, because
+// the key tag changed with the sampler; and a v2 stream found under the
+// current key is refused by the decoder, counted as an error and a
+// miss, and dropped. Either way the session regenerates, byte-identical
+// to a cold pool.
+func TestOldSamplerEntryNeverAdopted(t *testing.T) {
+	g, part := smallInstance(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	// KeyFor(g, part, IC, 4) as the previous sampler's cache computed it.
+	const prevKey = "78bd57f8c5304d3cf7165a7d6210c570d2a98d7d3ad57847076612b94bd2551f"
+	key := KeyFor(g, part, diffusion.IC, 4)
+	if key.String() == prevKey {
+		t.Fatal("the key tag did not change with the sampler")
+	}
+	old := newPool(t, g, part, 4)
+	if err := old.EnsureCtx(ctx, 30); err != nil {
+		t.Fatal(err)
+	}
+	v2 := saveBytes(t, old)
+	binary.LittleEndian.PutUint32(v2[4:8], 2)
+	for _, name := range []string{prevKey, key.String()} {
+		if err := atomicio.WriteCRCStream(filepath.Join(dir, name+fileSuffix), func(w io.Writer) error {
+			var hdr [cacheHeaderSize]byte
+			copy(hdr[:4], cacheMagic[:])
+			binary.LittleEndian.PutUint32(hdr[4:8], cacheVersion)
+			binary.LittleEndian.PutUint64(hdr[8:16], 30)
+			if _, err := w.Write(hdr[:]); err != nil {
+				return err
+			}
+			_, err := w.Write(v2)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := openCache(t, dir, Options{Logf: t.Logf})
+	s := c.Begin(g, part, diffusion.IC, 4)
+	p := newPool(t, g, part, 4)
+	if err := s.Grow(ctx, p, 60); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.AdoptedSamples != 0 || st.Errors != 1 {
+		t.Fatalf("a v2 entry should count one error and adopt nothing: %+v", st)
+	}
+	cold := newPool(t, g, part, 4)
+	if err := cold.EnsureCtx(ctx, 60); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, p), saveBytes(t, cold)) {
+		t.Fatal("pool grown past a v2 entry differs from a cold pool")
+	}
+}
+
 func TestBootIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("x"), 0o644); err != nil {

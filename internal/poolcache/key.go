@@ -48,7 +48,9 @@ func parseKey(s string) (Key, bool) {
 // representation is itself canonical — builders sort adjacency), member
 // order for communities (Partition stores members ascending), raw IEEE
 // bits for weights and benefits. A leading version tag keeps old cache
-// files from aliasing new keys if the layout ever changes.
+// files from aliasing new keys when the layout or the sampler changes:
+// v2 is the first key of the count-then-positions sampler (IMCP v3), so
+// a cached v2-era prefix is never looked up, let alone extended.
 func KeyFor(g *graph.Graph, part *community.Partition, model diffusion.Model, seed uint64) Key {
 	h := sha256.New()
 	w := bufio.NewWriterSize(h, 1<<16)
@@ -63,7 +65,7 @@ func KeyFor(g *graph.Graph, part *community.Partition, model diffusion.Model, se
 	}
 	putF := func(v float64) { put64(math.Float64bits(v)) }
 
-	io.WriteString(w, "imc poolcache key v1\n")
+	io.WriteString(w, "imc poolcache key v2\n")
 	put64(uint64(g.NumNodes()))
 	put64(uint64(g.NumEdges()))
 	for u := 0; u < g.NumNodes(); u++ {

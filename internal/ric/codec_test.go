@@ -52,9 +52,11 @@ func sha256Hex(b []byte) string {
 
 // TestCodecGoldenDigests pins the exact bytes Save and ExportRange
 // emit for a fixed instance, seed, and sample count under both
-// diffusion models. The digests were recorded before the encoder was
-// rewritten to batch each record into one write, so they prove the
-// IMCP v2 and IMCS v1 layouts did not move by a single byte.
+// diffusion models. The digests were first recorded before the encoder
+// was rewritten to batch each record into one write, and re-recorded
+// for IMCP v3 / IMCS v2, whose IC samples come from the
+// count-then-positions kernel; the LT streams differ from their v2/v1
+// recordings in the version word only.
 func TestCodecGoldenDigests(t *testing.T) {
 	g, part := codecInstance(t)
 	for _, tc := range []struct {
@@ -62,11 +64,11 @@ func TestCodecGoldenDigests(t *testing.T) {
 		save, exported string
 	}{
 		{diffusion.IC,
-			"89f9ad84dc4175e3c5cebc7633bfb5428308a06d93dd7a50c277a9cb8f0982be",
-			"5dfac1af68cdd48d90264d3f6547c4a6edee6ef098daf80bc691df90fa03e5e7"},
+			"8057f4a87528105ecea33a4e4f2841ebe750b08ea115376a2477cebf9d188bed",
+			"427dca0319055a2ff2281b700b84d457706a1a171ecdd13769cd152867c8dbf6"},
 		{diffusion.LT,
-			"9dc61810f39c1fe60ba4c5c91e2364b579cc99d2b3990a99972864d6e6f5f0c3",
-			"c08a5adb68dbf3a6b91431134145a18fc76eb794425c586f48a82cfafb4375bd"},
+			"f30a6f5f7713e4815a20af6f39674f51c104fcefa6849543936a1786b976961f",
+			"bce94f525e99e19c878bd45746d502f0c7c0c1e06bdcfbb1f3d8eb06fbb528de"},
 	} {
 		pool, err := NewPool(g, part, PoolOptions{Seed: 19, Model: tc.model})
 		if err != nil {

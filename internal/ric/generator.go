@@ -324,8 +324,12 @@ func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seede
 				live = append(live, v)
 			}
 		default:
-			froms, coins := gen.g.InCoins(u)
-			live = rng.LiveIn(froms, coins, live)
+			froms, coins, cdf := gen.g.InCoins(u)
+			if cdf != nil {
+				live = rng.LiveCount(froms, cdf, live)
+			} else {
+				live = rng.LiveIn(froms, coins, live)
+			}
 		}
 		for k := start; k < len(live); k++ {
 			v := live[k]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"testing"
 
 	"imc/internal/community"
@@ -14,10 +15,12 @@ import (
 )
 
 // refSample is a reference RIC draw that shares no code with the
-// production sampler below the alias: the collective reverse BFS of
-// Alg. 1, in the same queue order, returning the source community and
-// the sampled live in-lists. Under IC each in-edge gets one Bernoulli
-// coin; under LT a node with positive in-weight draws one Float64 and
+// production sampler below the alias and the count tables: the
+// collective reverse BFS of Alg. 1, in the same queue order, returning
+// the source community and the sampled live in-lists. Under IC a node
+// whose in-edges share one weight that xrand.UseCount admits draws its
+// live count and positions naively (refLiveCount); every other in-edge
+// gets one Bernoulli coin; under LT a node with positive in-weight draws one Float64 and
 // keeps the first in-edge whose weight prefix sum exceeds it (the draw
 // scaled by the total when that exceeds 1).
 func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, model diffusion.Model, rng *xrand.RNG) (int, map[graph.NodeID][]graph.NodeID) {
@@ -49,6 +52,8 @@ func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, mo
 					}
 				}
 			}
+		} else if cdf := refCountTable(ws); cdf != nil {
+			live[u] = refLiveCount(rng, froms, cdf)
 		} else {
 			for i, v := range froms {
 				if rng.Bernoulli(ws[i]) {
@@ -64,6 +69,49 @@ func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, mo
 		}
 	}
 	return commIdx, live
+}
+
+// refCountTable returns the live-count table of a node whose in-edge
+// weights ws are all one value p that xrand.UseCount admits, and nil
+// for every other node (those flip one Bernoulli coin per edge).
+func refCountTable(ws []float64) []uint64 {
+	if len(ws) == 0 {
+		return nil
+	}
+	for _, w := range ws {
+		if w != ws[0] {
+			return nil
+		}
+	}
+	if c := xrand.Threshold(ws[0]); xrand.UseCount(len(ws), c) {
+		return xrand.CountTable(len(ws), c)
+	}
+	return nil
+}
+
+// refLiveCount is the naive count-then-positions draw: one Float64
+// against the table for the live count k, then k distinct positions by
+// Intn with repeats redrawn, sorted into edge order.
+func refLiveCount(rng *xrand.RNG, froms []graph.NodeID, cdf []uint64) []graph.NodeID {
+	f := rng.Float64()
+	k := 0
+	for !(f < float64(cdf[k])/(1<<53)) {
+		k++
+	}
+	taken := make(map[int]bool)
+	var pos []int
+	for len(pos) < k {
+		if p := rng.Intn(len(froms)); !taken[p] {
+			taken[p] = true
+			pos = append(pos, p)
+		}
+	}
+	sort.Ints(pos)
+	var live []graph.NodeID
+	for _, p := range pos {
+		live = append(live, froms[p])
+	}
+	return live
 }
 
 // refReached lists the nodes with a live path to m (m included).
@@ -237,7 +285,9 @@ func matchReference(sampler *Generator, inSeed []bool, root *xrand.RNG, i uint64
 }
 
 // refSchemes are the weight schemes the reference tests sweep: the
-// weighted-cascade weights the goldens pin, plus non-uniform and
+// weighted-cascade weights the goldens pin, plus non-uniform coins,
+// constant ones below (0.05, live-count tables on the dense nodes) and
+// above (0.37, per-edge coins) xrand.UseCount's q ≤ 1/8 bound, and
 // sentinel-only (0 and 1) coins.
 var refSchemes = []struct {
 	name   string
@@ -247,6 +297,7 @@ var refSchemes = []struct {
 	{"WeightedCascade", graph.WeightedCascade, 0},
 	{"Trivalency", graph.Trivalency, 0},
 	{"Constant0", graph.ConstantWeight, 0},
+	{"Constant0.05", graph.ConstantWeight, 0.05},
 	{"Constant0.37", graph.ConstantWeight, 0.37},
 	{"Constant1", graph.ConstantWeight, 1},
 }

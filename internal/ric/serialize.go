@@ -15,10 +15,10 @@ import (
 // configurations will be compared against the same sample set, and the
 // pool cache shares snapshots across requests.
 //
-// Layout (little endian), format v2:
+// Layout (little endian), format v3:
 //
 //	magic    [4]byte  "IMCP"
-//	version  uint32   (2)
+//	version  uint32   (3)
 //	seed     uint64   the pool's PRNG seed (sample i ← stream i)
 //	model    uint32   diffusion model tag (IC=1, LT=2)
 //	wdigest  uint64   graph.WeightDigest of the sampled graph
@@ -37,6 +37,14 @@ import (
 // guaranteed to extend the sample sequence it claims to be a prefix of.
 // v1 streams are rejected outright: they cannot be trusted.
 //
+// v3 has v2's layout byte for byte; the version is the sampler's. From
+// v3 on, a node whose in-edges share one weight is decided by the
+// count-then-positions kernel (xrand.(*RNG).LiveCount) where
+// xrand.UseCount admits it, which draws other variates than v2's
+// per-edge coins, so sample i of stream i changed. A v2 prefix extended
+// with v3 samples would mix the two samplers: v2 streams are rejected
+// with an upgrade error too.
+//
 // The per-sample record body is shared with the IMCS shard-range export
 // (shardio.go) via poolEncoder/poolDecoder, so the two formats cannot
 // drift apart.
@@ -46,8 +54,8 @@ import (
 var poolMagic = [4]byte{'I', 'M', 'C', 'P'}
 
 const (
-	poolVersion = 2
-	// poolHeaderSize is the fixed v2 header length: magic, version,
+	poolVersion = 3
+	// poolHeaderSize is the fixed v3 header length: magic, version,
 	// seed, model, wdigest, n, r, samples.
 	poolHeaderSize = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8
 )
@@ -100,7 +108,7 @@ func (e *poolEncoder) encodeSample(smp Sample, covers *CoverView, i int) error {
 	return err
 }
 
-// Save serializes the pool's samples and cover index in format v2. The
+// Save serializes the pool's samples and cover index in format v3. The
 // header carries the pool's identity (seed, model, weight digest), so
 // ReadInto can refuse a snapshot that would fork the PRNG streams.
 //
@@ -504,12 +512,13 @@ func (p *family) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 // same seed and model, and still empty. Decoding is defensive on two
 // axes:
 //
-// Identity: the v2 header's seed, model tag, and weight digest must
+// Identity: the header's seed, model tag, and weight digest must
 // match the pool's exactly — a snapshot taken under a different seed or
 // diffusion model, or over a different weighted graph of the same
 // shape, is rejected instead of silently forking the PRNG streams on
-// the next Double. v1 streams are rejected with an upgrade error: they
-// carry no identity and cannot be trusted.
+// the next Double. v1 and v2 streams are rejected with an upgrade
+// error: v1 carries no identity, and v2's samples come from the
+// previous reverse sampler.
 //
 // Shape: every count is validated against the pool's graph and
 // partition (community range, member counts, thresholds, exact mask
@@ -566,6 +575,9 @@ func (p *family) openSnapshot(r io.Reader) (*poolDecoder, int, error) {
 	}
 	if version == 1 {
 		return nil, 0, fmt.Errorf("ric: pool snapshot is format v1, which carries no identity (seed/model/weights) and cannot be validated; regenerate the pool and re-save as v%d", poolVersion)
+	}
+	if version == 2 {
+		return nil, 0, fmt.Errorf("ric: pool snapshot is format v2, whose samples were drawn by the previous reverse sampler and do not extend under the current one; regenerate the pool and re-save as v%d", poolVersion)
 	}
 	if version != poolVersion {
 		return nil, 0, fmt.Errorf("ric: unsupported pool version %d (want %d)", version, poolVersion)

@@ -2,6 +2,7 @@ package ric
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,8 +128,23 @@ func TestReadIntoRejectsIdentityMismatch(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "format v1") {
 			t.Fatalf("want v1-upgrade error, got %v", err)
 		}
-		if !strings.Contains(err.Error(), "re-save as v2") {
+		if !strings.Contains(err.Error(), fmt.Sprintf("re-save as v%d", poolVersion)) {
 			t.Fatalf("v1 error should tell the operator what to do, got %v", err)
+		}
+	})
+	t.Run("v2 stream", func(t *testing.T) {
+		v2 := append([]byte(nil), good...)
+		v2[4], v2[5], v2[6], v2[7] = 2, 0, 0, 0
+		p, err := NewPool(g, part, PoolOptions{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.ReadInto(bytes.NewReader(v2))
+		if err == nil || !strings.Contains(err.Error(), "format v2") || !strings.Contains(err.Error(), "re-save as v3") {
+			t.Fatalf("want a v2-upgrade error naming v3, got %v", err)
+		}
+		if p.NumSamples() != 0 {
+			t.Fatalf("rejected v2 stream left %d samples", p.NumSamples())
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
@@ -221,6 +237,7 @@ func TestReadIntoRejectsCorrupt(t *testing.T) {
 		{"truncated mid-mask", func(b []byte) []byte { return b[:len(b)-3] }, "truncated"},
 		{"bad version", func(b []byte) []byte { put32(b, 4, 99); return b }, "unsupported pool version 99"},
 		{"v1 version", func(b []byte) []byte { put32(b, 4, 1); return b }, "format v1"},
+		{"v2 version", func(b []byte) []byte { put32(b, 4, 2); return b }, "format v2"},
 		{"flipped seed", func(b []byte) []byte { b[8] ^= 0xff; return b }, "mix PRNG streams"},
 		{"flipped model", func(b []byte) []byte { put32(b, 16, 2); return b }, "sampled under model"},
 		{"flipped digest", func(b []byte) []byte { b[20] ^= 0xff; return b }, "weight digest"},

@@ -14,29 +14,32 @@ import (
 // the spliced pool is byte-identical to in-process generation no matter
 // how the ranges were cut.
 //
-// Layout (little endian), format IMCS v1:
+// Layout (little endian), format IMCS v2:
 //
 //	magic    [4]byte  "IMCS"
-//	version  uint32   (1)
+//	version  uint32   (2)
 //	seed     uint64   ┐
-//	model    uint32   │ identity block, same as IMCP v2
+//	model    uint32   │ identity block, same as IMCP v3
 //	wdigest  uint64   │ (seed, model, weight digest, n, r)
 //	n        uint64   │
 //	r        uint64   ┘
 //	lo       uint64   first global sample index in the range
 //	hi       uint64   one past the last global sample index
-//	per sample (hi-lo records): same body as IMCP v2
+//	per sample (hi-lo records): same body as IMCP v3
 //
 // The identity block and per-sample codec are shared with serialize.go,
 // so the formats cannot drift; the only difference is the [lo, hi)
-// range replacing IMCP's implicit [0, samples) prefix.
+// range replacing IMCP's implicit [0, samples) prefix. v2 has v1's
+// layout; the version is the sampler's, bumped with IMCP v3 (see
+// serialize.go), so a v1 range from a worker still running the previous
+// sampler is rejected instead of spliced.
 
 var shardMagic = [4]byte{'I', 'M', 'C', 'S'}
 
-const shardVersion = 1
+const shardVersion = 2
 
 // ExportRange serializes global samples [lo, hi) of the pool in IMCS
-// v1. The range must lie inside the pool's generated span
+// v2. The range must lie inside the pool's generated span
 // [Offset(), Offset()+NumSamples()); lo == hi writes a valid empty
 // range (a worker acknowledging a zero-width assignment).
 func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
@@ -119,6 +122,9 @@ func (p *Pool) openRange(r io.Reader) (*poolDecoder, int, int, error) {
 	version, err := d.get32("version")
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	if version == 1 {
+		return nil, 0, 0, fmt.Errorf("ric: shard export is format v1, drawn by the previous reverse sampler; upgrade the worker to export v%d", shardVersion)
 	}
 	if version != shardVersion {
 		return nil, 0, 0, fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)

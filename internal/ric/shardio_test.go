@@ -194,8 +194,9 @@ func TestImportRangeRejectsIdentityMismatch(t *testing.T) {
 	}
 }
 
-// TestImportRangeRejectsCorruption: truncation and trailing bytes
-// surface as descriptive errors, never panics.
+// TestImportRangeRejectsCorruption: truncation, trailing bytes, a bad
+// magic and a v1 (previous sampler) range surface as descriptive
+// errors, never panics.
 func TestImportRangeRejectsCorruption(t *testing.T) {
 	g, part := smallInstance(t)
 	shard := buildShard(t, 0, 20, 3)
@@ -225,6 +226,16 @@ func TestImportRangeRejectsCorruption(t *testing.T) {
 	if err := fresh().ImportRange(bytes.NewReader(bad), 20); err == nil ||
 		!strings.Contains(err.Error(), "shard magic") {
 		t.Fatalf("bad magic accepted: %v", err)
+	}
+	v1 := append([]byte{}, good...)
+	v1[4] = 1
+	p := fresh()
+	if err := p.ImportRange(bytes.NewReader(v1), 20); err == nil ||
+		!strings.Contains(err.Error(), "format v1") {
+		t.Fatalf("v1 export accepted: %v", err)
+	}
+	if p.NumSamples() != 0 {
+		t.Fatalf("rejected v1 export left %d samples", p.NumSamples())
 	}
 }
 

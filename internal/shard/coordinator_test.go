@@ -183,32 +183,7 @@ func TestGrowDegradesToLocal(t *testing.T) {
 func TestGrowRecoversFromTruncatedPayload(t *testing.T) {
 	const lo, theta, poolSeed = 40, 80, 11
 	export := localExport(t, lo, theta, poolSeed)
-	truncated := export[:len(export)-3]
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+PoolPath, func(rw http.ResponseWriter, r *http.Request) {
-		if err := WriteFrame(rw, truncated); err != nil {
-			t.Error(err)
-		}
-	})
-	worker := httptest.NewServer(mux)
-	defer worker.Close()
-	c := quietCoordinator(t)
-	c.Register(worker.URL)
-
-	g, part, err := testBuild(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.EnsureCtx(context.Background(), lo); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Grow(context.Background(), testSpec, p, theta); err != nil {
-		t.Fatal(err)
-	}
+	p, c := growFromPayload(t, export[:len(export)-3], lo, theta, poolSeed)
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -221,22 +196,19 @@ func TestGrowRecoversFromTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestGrowRejectsOverlongExport: a worker that answers [40, 80) with an
-// export of [40, 90) must not grow the pool past its target. The import
-// is refused before anything is staged, so Grow's local completion
-// regenerates [40, 80) and the result is byte-identical to local
-// generation.
-func TestGrowRejectsOverlongExport(t *testing.T) {
-	const lo, theta, poolSeed = 40, 80, 11
-	overlong := localExport(t, lo, theta+10, poolSeed)
+// growFromPayload grows a seed-poolSeed pool from lo to theta samples
+// through a coordinator whose one worker answers every range request
+// with payload, and returns the pool and the coordinator.
+func growFromPayload(t *testing.T, payload []byte, lo, theta int, poolSeed uint64) (*ric.Pool, *Coordinator) {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PoolPath, func(rw http.ResponseWriter, r *http.Request) {
-		if err := WriteFrame(rw, overlong); err != nil {
+		if err := WriteFrame(rw, payload); err != nil {
 			t.Error(err)
 		}
 	})
 	worker := httptest.NewServer(mux)
-	defer worker.Close()
+	t.Cleanup(worker.Close)
 	c := quietCoordinator(t)
 	c.Register(worker.URL)
 
@@ -254,6 +226,17 @@ func TestGrowRejectsOverlongExport(t *testing.T) {
 	if err := c.Grow(context.Background(), testSpec, p, theta); err != nil {
 		t.Fatal(err)
 	}
+	return p, c
+}
+
+// TestGrowRejectsOverlongExport: a worker that answers [40, 80) with an
+// export of [40, 90) must not grow the pool past its target. The import
+// is refused before anything is staged, so Grow's local completion
+// regenerates [40, 80) and the result is byte-identical to local
+// generation.
+func TestGrowRejectsOverlongExport(t *testing.T) {
+	const lo, theta, poolSeed = 40, 80, 11
+	p, c := growFromPayload(t, localExport(t, lo, theta+10, poolSeed), lo, theta, poolSeed)
 	if p.NumSamples() != theta {
 		t.Fatalf("grow left %d samples, want %d", p.NumSamples(), theta)
 	}
@@ -266,6 +249,26 @@ func TestGrowRejectsOverlongExport(t *testing.T) {
 	}
 	if m := c.Metrics(); m.LocalFallbacks != 1 {
 		t.Errorf("overlong export recorded %d local fallbacks, want 1", m.LocalFallbacks)
+	}
+}
+
+// TestGrowRejectsV1Export: a worker still on the previous sampler
+// answers with an IMCS v1 range. The import refuses it, and Grow
+// completes the pool locally, byte-identical to local generation.
+func TestGrowRejectsV1Export(t *testing.T) {
+	const lo, theta, poolSeed = 40, 80, 11
+	v1 := localExport(t, lo, theta, poolSeed)
+	v1[4], v1[5], v1[6], v1[7] = 1, 0, 0, 0
+	p, c := growFromPayload(t, v1, lo, theta, poolSeed)
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), flatSaveBytes(t, theta, poolSeed)) {
+		t.Fatal("grow after a v1 worker export diverged from local generation")
+	}
+	if m := c.Metrics(); m.LocalFallbacks != 1 {
+		t.Errorf("v1 export recorded %d local fallbacks, want 1", m.LocalFallbacks)
 	}
 }
 

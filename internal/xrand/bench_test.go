@@ -1,6 +1,9 @@
 package xrand
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkUint64 measures the raw generator throughput.
 func BenchmarkUint64(b *testing.B) {
@@ -80,5 +83,33 @@ func BenchmarkBernoulliLoop(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		dst = bernoulliLiveIn(r, froms, ws, dst[:0])
+	}
+}
+
+// BenchmarkLiveKernels times one weighted-cascade node (d in-edges of
+// weight 1/d) through LiveIn and through LiveCount, per degree — the
+// comparison the countMinDegree cutoff rests on.
+func BenchmarkLiveKernels(b *testing.B) {
+	for _, d := range []int{2, 4, 8, 10, 12, 16, 32, 128} {
+		froms := make([]int32, d)
+		coins := make([]uint64, d)
+		for i := range froms {
+			froms[i] = int32(i)
+			coins[i] = Threshold(1 / float64(d))
+		}
+		cdf := CountTable(d, coins[0])
+		dst := make([]int32, 0, d)
+		b.Run(fmt.Sprintf("LiveIn/d=%d", d), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				dst = r.LiveIn(froms, coins, dst[:0])
+			}
+		})
+		b.Run(fmt.Sprintf("LiveCount/d=%d", d), func(b *testing.B) {
+			r := New(1)
+			for i := 0; i < b.N; i++ {
+				dst = r.LiveCount(froms, cdf, dst[:0])
+			}
+		})
 	}
 }

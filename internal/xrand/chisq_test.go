@@ -27,6 +27,12 @@ func liveInSampler(d int, p float64) liveSampler {
 	return func(r *RNG, froms []int32, dst []int32) []int32 { return r.LiveIn(froms, coins, dst) }
 }
 
+// liveCountSampler is LiveCount on d edges of weight p.
+func liveCountSampler(d int, p float64) liveSampler {
+	cdf := CountTable(d, Threshold(p))
+	return func(r *RNG, froms []int32, dst []int32) []int32 { return r.LiveCount(froms, cdf, dst) }
+}
+
 // binomialPMF returns Pr[K = k] for K ~ Binomial(d, p), k = 0..d, by
 // log-gamma.
 func binomialPMF(d int, p float64) []float64 {
@@ -120,12 +126,16 @@ var liveLawCases = []struct {
 
 // TestLiveLawChiSquare: a node of in-degree d whose in-edges all have
 // weight p keeps Binomial(d, p) of them, at uniform positions, under
-// weighted cascade and constant weights.
+// weighted cascade and constant weights — through LiveIn and through
+// LiveCount, each on its own streams.
 func TestLiveLawChiSquare(t *testing.T) {
 	const trials = 40000
 	for i, c := range liveLawCases {
 		t.Run(fmt.Sprintf("LiveIn/d=%d/p=%.4g", c.d, c.p), func(t *testing.T) {
 			checkLiveLaw(t, liveInSampler(c.d, c.p), c.d, c.p, uint64(1000+i), trials)
+		})
+		t.Run(fmt.Sprintf("LiveCount/d=%d/p=%.4g", c.d, c.p), func(t *testing.T) {
+			checkLiveLaw(t, liveCountSampler(c.d, c.p), c.d, c.p, uint64(2000+i), trials)
 		})
 	}
 }

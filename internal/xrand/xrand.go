@@ -11,6 +11,7 @@ package xrand
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 )
@@ -213,6 +214,143 @@ func (r *RNG) LiveIn(froms []int32, coins []uint64, dst []int32) []int32 {
 	}
 	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 	return dst[:k]
+}
+
+// The count-then-positions kernel. A node whose d in-edges all carry
+// the same drawing coin c keeps each edge independently with
+// probability q = c/2⁵³, so the number K of kept edges is Binomial(d, q)
+// and, given K = k, the kept set is a uniform k-subset of the d edges.
+// LiveCount draws exactly that: one variate against the cumulative
+// table of K, then k distinct positions. It costs 1+K variates (plus
+// the rare redraw) instead of LiveIn's d, which pays where d is large
+// and q small — under weighted cascade q = 1/d, so K averages 1.
+//
+// The admission rule follows the LiveIn-vs-LiveCount benchmark rows
+// (`imcbench -benchcore`, go1.24.0, linux/amd64): LiveIn costs about
+// 5 ns per in-edge, LiveCount about 45 ns at a mean live count of 1
+// and some 35–45 ns more per further live edge (a draw, a repeat check
+// and a place in the sort). So LiveCount needs enough edges to beat a
+// fixed cost, and a small enough q that its per-live-edge cost stays
+// under LiveIn's per-edge one.
+const (
+	// countMinDegree is the smallest in-degree LiveCount serves: under
+	// weighted cascade LiveIn is still ahead at d = 8 and LiveCount from
+	// d = 10 on (3× at d = 32, 13× at d = 128).
+	countMinDegree = 10
+	// 1/countMaxProb is the largest edge probability q LiveCount
+	// serves (under weighted cascade countMinDegree binds first). At
+	// q = 1/4 LiveCount is over 2× slower than LiveIn (d = 16 and 32).
+	countMaxProb = 8
+	// countMaxMean bounds the mean live count d·q: LiveCount's repeat
+	// check grows with the square of K, and its table with K.
+	countMaxMean = 8
+)
+
+// UseCount reports whether LiveCount should decide a node of in-degree
+// d whose in-edges all carry coin c: c must draw (not a sentinel), d
+// must reach countMinDegree, q = c/2⁵³ must be at most 1/countMaxProb,
+// and the mean live count d·q at most countMaxMean.
+func UseCount(d int, c uint64) bool {
+	return d >= countMinDegree && (c-1)>>53 == 0 && c <= countOne/countMaxProb &&
+		float64(d)*float64(c) <= countMaxMean*float64(countOne)
+}
+
+// countOne is 2⁵³, the last entry of every count table: above every
+// variate m = Uint64()>>11, so the table scan always stops.
+const countOne uint64 = 1 << 53
+
+// CountTable returns the cumulative live-count table of d edges with
+// coin c (q = c/2⁵³): entry k is ⌈Pr[K ≤ k]·2⁵³⌉ for K ~ Binomial(d, q),
+// computed in 128-bit floating point so every entry is within 1 of the
+// exact value. The table stops at the first entry that reaches 2⁵³,
+// which is forced to 2⁵³ exactly (it is also the entry for k = d if no
+// earlier one does), so it holds at most d+1 entries. c must draw.
+func CountTable(d int, c uint64) []uint64 {
+	const prec = 128
+	newF := func() *big.Float { return new(big.Float).SetPrec(prec) }
+	one := newF().SetUint64(countOne)
+	fail := newF().SetUint64(countOne - c) // (1−q)·2⁵³
+	// pmf = Pr[K = 0] = (1−q)^d by squaring.
+	base := newF().Quo(fail, one)
+	pmf := newF().SetInt64(1)
+	for e := d; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			pmf.Mul(pmf, base)
+		}
+		base.Mul(base, base)
+	}
+	odds := newF().Quo(newF().SetUint64(c), fail) // q/(1−q)
+	cdf := newF().Set(pmf)
+	scaled, step := newF(), newF()
+	var table []uint64
+	for k := 0; ; k++ {
+		scaled.Mul(cdf, one)
+		t, acc := scaled.Uint64()
+		if acc == big.Below {
+			t++
+		}
+		if t >= countOne || k == d {
+			return append(table, countOne)
+		}
+		table = append(table, t)
+		// Pr[K = k+1] = Pr[K = k]·(d−k)/(k+1)·q/(1−q).
+		step.SetInt64(int64(d - k))
+		pmf.Mul(pmf, step)
+		step.SetInt64(int64(k + 1))
+		pmf.Quo(pmf, step)
+		pmf.Mul(pmf, odds)
+		cdf.Add(cdf, pmf)
+	}
+}
+
+// LiveCount decides the in-edges of a node that UseCount admits and
+// appends the sources of the live ones to dst, in edge order, returning
+// the extended slice. cdf is the node's CountTable; anything past its
+// final 2⁵³ entry is never read, so a caller may pass a table that runs
+// on into the next one. The law of the kept set is the per-edge one
+// (see CountTable for the resolution); the variates it consumes are
+// not LiveIn's.
+//
+// One variate m picks the live count K, the first k with m < cdf[k].
+// Then each of the K positions is one bounded draw (Intn(d)'s Lemire
+// step, inlined), redrawn while it repeats a position already taken.
+// dst's tail holds the positions until they are sorted and mapped to
+// sources. dst grows once, by K.
+//
+//imc:hotpath
+func (r *RNG) LiveCount(froms []int32, cdf []uint64, dst []int32) []int32 {
+	m := r.Uint64() >> 11
+	k := 0
+	for k < len(cdf) && cdf[k] <= m {
+		k++
+	}
+	d := len(froms)
+	k = min(k, d) // only a malformed table could ask for more
+	base := len(dst)
+	dst = slices.Grow(dst, k)[:base+k]
+	out := dst[base:]
+	un := uint64(d)
+	for n := range out {
+	draw:
+		hi, lo := bits.Mul64(r.Uint64(), un)
+		if lo < un {
+			for floor := -un % un; lo < floor; {
+				hi, lo = bits.Mul64(r.Uint64(), un)
+			}
+		}
+		pos := int32(hi)
+		for _, taken := range out[:n] {
+			if taken == pos {
+				goto draw
+			}
+		}
+		out[n] = pos
+	}
+	slices.Sort(out)
+	for i, pos := range out {
+		out[i] = froms[pos]
+	}
+	return dst
 }
 
 // Perm returns a random permutation of [0, n).
