@@ -188,18 +188,27 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 	f.Add(valid, false, false)
 	f.Add(export.Bytes(), true, false)
 	f.Add(export.Bytes()[:len(export.Bytes())-3], true, true)
-	// A truncation at every field boundary of the shortest 3-word record:
-	// its four header fields, then each cover's node, width and words.
-	rec, covers := shortestRecordOfWidth(f, valid, 3)
-	cuts := []int{rec, rec + 4, rec + 8, rec + 12}
-	for c := 0; c < covers; c++ {
-		at := rec + recordHeader + c*(8+8*3)
-		cuts = append(cuts, at, at+4, at+8, at+16, at+24)
+	// A truncation at every field boundary of the shortest words-wide
+	// record: its four header fields, then each cover's node, width and
+	// mask words. addCuts returns the record's offset.
+	addCuts := func(words int) int {
+		rec, covers := shortestRecordOfWidth(f, valid, words)
+		cover := 8 + 8*words
+		cuts := []int{rec, rec + 4, rec + 8, rec + 12}
+		for c := 0; c < covers; c++ {
+			at := rec + recordHeader + c*cover
+			cuts = append(cuts, at, at+4)
+			for w := 0; w < words; w++ {
+				cuts = append(cuts, at+8+8*w)
+			}
+		}
+		cuts = append(cuts, rec+recordHeader+covers*cover)
+		for k, cut := range cuts {
+			f.Add(append([]byte(nil), valid[:cut]...), false, k%2 == 1)
+		}
+		return rec
 	}
-	cuts = append(cuts, rec+recordHeader+covers*(8+8*3))
-	for k, cut := range cuts {
-		f.Add(append([]byte(nil), valid[:cut]...), false, k%2 == 1)
-	}
+	rec := addCuts(3)
 	// The three canonical-form corruptions of that record's first cover:
 	// a mask bit above the 130 members, its node repeated by the next
 	// cover, an empty mask.
@@ -213,6 +222,10 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		corrupt(bad)
 		f.Add(bad, false, false)
 	}
+	// The same truncations for the 1- and 2-word masks, whose block
+	// reads end at other offsets.
+	addCuts(1)
+	addCuts(2)
 
 	// The IMCS stream splices onto the first have samples. Opening a
 	// stream reads the pool but never changes it, so one pool serves
