@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"imc/internal/xrand"
 )
@@ -114,11 +115,7 @@ func (g *Graph) fillCoins() {
 	}
 	g.countAt = make([]int32, g.n)
 	g.countCDF = nil
-	type shape struct {
-		d    int
-		coin uint64
-	}
-	tables := make(map[shape]int32)
+	tables := make(map[countShape]int32)
 	for v := range g.countAt {
 		g.countAt[v] = -1
 		coins := g.inCoin[g.inOff[v]:g.inOff[v+1]]
@@ -135,15 +132,39 @@ func (g *Graph) fillCoins() {
 		if !uniform {
 			continue
 		}
-		key := shape{len(coins), coins[0]}
+		key := countShape{len(coins), coins[0]}
 		at, ok := tables[key]
 		if !ok {
 			at = int32(len(g.countCDF))
-			g.countCDF = append(g.countCDF, xrand.CountTable(key.d, key.coin)...)
+			g.countCDF = append(g.countCDF, countTable(key)...)
 			tables[key] = at
 		}
 		g.countAt[v] = at
 	}
+}
+
+// countShape is what a live-count table depends on: the in-degree and
+// the coin every in-edge carries.
+type countShape struct {
+	d    int
+	coin uint64
+}
+
+// countTables memoizes xrand.CountTable for the process, one table per
+// shape any graph has asked for. A table costs ~20 µs of 128-bit float
+// arithmetic, and every graph construction (ApplyWeights included)
+// needs one per shape, so building them afresh dominated weighting a
+// graph; the shapes a graph family uses are few (one per in-degree
+// under weighted cascade). Entries are never mutated once stored.
+var countTables sync.Map // countShape → []uint64
+
+// countTable returns the shape's table, building it on first use.
+func countTable(key countShape) []uint64 {
+	if t, ok := countTables.Load(key); ok {
+		return t.([]uint64)
+	}
+	t, _ := countTables.LoadOrStore(key, xrand.CountTable(key.d, key.coin))
+	return t.([]uint64)
 }
 
 // OutEdgeIDs returns the global edge IDs of u's out-edges, parallel to

@@ -30,21 +30,33 @@ func (u UBG) Solve(pool *ric.Pool, k int) (Result, error) {
 	return u.SolveCtx(context.Background(), pool, k)
 }
 
-// SolveCtx implements CtxSolver: both greedy halves poll ctx at batch
-// boundaries.
+// SolveCtx implements CtxSolver. The two greedy halves are
+// independent — each keeps its own coverage State and only reads the
+// pool — so they run concurrently, and SolveCtx returns once both have.
+// Each polls ctx at batch boundaries; on failure the ν half's error
+// wins, as it would if the halves ran in order.
 //
 //imc:longrun
 func (UBG) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
 	if err := validate(pool, k); err != nil {
 		return Result{}, err
 	}
-	sNu, err := GreedyNuCtx(ctx, pool, k)
-	if err != nil {
-		return Result{}, err
+	var (
+		sC   []graph.NodeID
+		errC error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		sC, errC = GreedyCHatCtx(ctx, pool, k)
+	}()
+	sNu, errNu := GreedyNuCtx(ctx, pool, k)
+	<-done
+	if errNu != nil {
+		return Result{}, errNu
 	}
-	sC, err := GreedyCHatCtx(ctx, pool, k)
-	if err != nil {
-		return Result{}, err
+	if errC != nil {
+		return Result{}, errC
 	}
 	rNu := finalize(pool, sNu)
 	rC := finalize(pool, sC)

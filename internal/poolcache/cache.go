@@ -26,6 +26,7 @@ import (
 	"imc/internal/community"
 	"imc/internal/diffusion"
 	"imc/internal/graph"
+	"imc/internal/ric"
 )
 
 // Cache file layout (little endian), wrapped in an atomicio CRC frame:
@@ -185,12 +186,24 @@ func (c *Cache) scan() error {
 		if err != nil {
 			continue
 		}
-		samples, err := readHeader(filepath.Join(c.dir, name))
+		path := filepath.Join(c.dir, name)
+		samples, stale, err := readHeader(path)
 		if err != nil {
 			c.log("poolcache: ignoring %s at boot: %v", name, err)
 			c.mu.Lock()
 			c.stats.Errors++
 			c.mu.Unlock()
+			continue
+		}
+		if stale != nil {
+			// An entry of a previous stream format can never load, so
+			// indexing it would only spend the byte budget until LRU
+			// pushed it out.
+			c.log("poolcache: removing %s at boot: %v", name, stale)
+			c.mu.Lock()
+			c.stats.Errors++
+			c.mu.Unlock()
+			os.Remove(path)
 			continue
 		}
 		files = append(files, found{key: key, size: info.Size(), samples: samples, mod: info.ModTime().UnixNano()})
@@ -207,25 +220,32 @@ func (c *Cache) scan() error {
 }
 
 // readHeader reads and validates the 16-byte cache header of one file,
-// returning the embedded sample count. The CRC frame is not verified —
-// that happens on load, when the whole file is read anyway.
-func readHeader(path string) (uint64, error) {
+// returning the embedded sample count, and checks the magic and version
+// of the stream behind it. A bad cache header (a foreign or torn file)
+// is err; a good one over a stream this build does not decode, such as
+// one written by a previous sampler version, is stale. The CRC frame is
+// not verified — that happens on load, when the whole file is read
+// anyway.
+func readHeader(path string) (samples uint64, stale, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer f.Close()
-	var hdr [cacheHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, fmt.Errorf("short header: %w", err)
+	var hdr [cacheHeaderSize + ric.StreamHeaderSize]byte
+	if _, err := io.ReadFull(f, hdr[:cacheHeaderSize]); err != nil {
+		return 0, nil, fmt.Errorf("short header: %w", err)
 	}
 	if !bytes.Equal(hdr[:4], cacheMagic[:]) {
-		return 0, fmt.Errorf("bad magic %q", hdr[:4])
+		return 0, nil, fmt.Errorf("bad magic %q", hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != cacheVersion {
-		return 0, fmt.Errorf("unsupported cache version %d (want %d)", v, cacheVersion)
+		return 0, nil, fmt.Errorf("unsupported cache version %d (want %d)", v, cacheVersion)
 	}
-	return binary.LittleEndian.Uint64(hdr[8:16]), nil
+	if _, err := io.ReadFull(f, hdr[cacheHeaderSize:]); err != nil {
+		return 0, nil, fmt.Errorf("short stream header: %w", err)
+	}
+	return binary.LittleEndian.Uint64(hdr[8:16]), ric.CheckStreamHeader(hdr[cacheHeaderSize:]), nil
 }
 
 func (c *Cache) path(k Key) string {

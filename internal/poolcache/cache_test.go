@@ -428,11 +428,12 @@ func TestHeaderCountMismatchDropped(t *testing.T) {
 
 // TestOldSamplerEntryNeverAdopted: entries written under the previous
 // reverse sampler (pool format v2, key tag v1) are never adopted. The
-// file under the instance's previous key is never looked up, because
-// the key tag changed with the sampler; and a v2 stream found under the
-// current key is refused by the decoder, counted as an error and a
-// miss, and dropped. Either way the session regenerates, byte-identical
-// to a cold pool.
+// boot scan reads the stream version behind each cache header and
+// unlinks the file under the instance's previous key, counting an
+// error, so it neither is indexed nor spends the byte budget; and a v2
+// stream found under the current key is refused by the decoder,
+// counted as an error and a miss, and dropped. Either way the session
+// regenerates, byte-identical to a cold pool.
 func TestOldSamplerEntryNeverAdopted(t *testing.T) {
 	g, part := smallInstance(t)
 	ctx := context.Background()
@@ -449,7 +450,8 @@ func TestOldSamplerEntryNeverAdopted(t *testing.T) {
 	}
 	v2 := saveBytes(t, old)
 	binary.LittleEndian.PutUint32(v2[4:8], 2)
-	for _, name := range []string{prevKey, key.String()} {
+	writeV2 := func(name string) {
+		t.Helper()
 		if err := atomicio.WriteCRCStream(filepath.Join(dir, name+fileSuffix), func(w io.Writer) error {
 			var hdr [cacheHeaderSize]byte
 			copy(hdr[:4], cacheMagic[:])
@@ -465,14 +467,34 @@ func TestOldSamplerEntryNeverAdopted(t *testing.T) {
 		}
 	}
 
+	// At boot the previous key's entry is unlinked, not indexed: it can
+	// never be hit, so it must not spend the byte budget.
+	writeV2(prevKey)
 	c := openCache(t, dir, Options{Logf: t.Logf})
+	if _, err := os.Stat(filepath.Join(dir, prevKey+fileSuffix)); !os.IsNotExist(err) {
+		t.Fatalf("the previous-key v2 entry survived the boot scan: %v", err)
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Errors != 1 {
+		t.Fatalf("a v2 entry at boot should count one error and index nothing: %+v", st)
+	}
+
+	// A v2 stream under the current key, put in place of an indexed
+	// entry after boot, is refused by the decoder.
+	warm := newPool(t, g, part, 4)
+	if err := warm.EnsureCtx(ctx, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Begin(g, part, diffusion.IC, 4).Save(warm); err != nil {
+		t.Fatal(err)
+	}
+	writeV2(key.String())
 	s := c.Begin(g, part, diffusion.IC, 4)
 	p := newPool(t, g, part, 4)
 	if err := s.Grow(ctx, p, 60); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.AdoptedSamples != 0 || st.Errors != 1 {
-		t.Fatalf("a v2 entry should count one error and adopt nothing: %+v", st)
+	if st := c.Stats(); st.Hits != 0 || st.AdoptedSamples != 0 || st.Errors != 2 {
+		t.Fatalf("a v2 entry should count one more error and adopt nothing: %+v", st)
 	}
 	cold := newPool(t, g, part, 4)
 	if err := cold.EnsureCtx(ctx, 60); err != nil {

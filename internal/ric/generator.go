@@ -42,7 +42,7 @@ type Generator struct {
 	liveOff []int32
 	live    []int32
 	// root[s] is the member (slot) at the root of slot s's BFS tree,
-	// filled by treeHits.
+	// kept by explore when it runs against a seed set.
 	root []int32
 	// Slot-indexed scratch for the member passes and mask propagation.
 	mark  []int32
@@ -90,7 +90,7 @@ func NewGenerator(g *graph.Graph, part *community.Partition, model diffusion.Mod
 //
 //imc:hotpath
 func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
-	commIdx, _ := gen.explore(rng, nil)
+	commIdx, _, _ := gen.explore(rng, nil)
 	comm := gen.part.Community(commIdx)
 	numMembers := len(comm.Members)
 	words := maskWords(numMembers)
@@ -152,98 +152,40 @@ func (gen *Generator) propagate(masks []uint64, words int) {
 // Influenced draws one RIC sample and reports whether the seed set
 // (given as an n-length membership slice) influences it, without
 // materializing the cover index. This is the hot path of the Estimate
-// procedure (paper Alg. 6). When seeds lie in the BFS trees of h
-// distinct members the answer is decided, and the per-member passes
-// are skipped.
+// procedure (paper Alg. 6). The draw stops as soon as seeds lie in the
+// BFS trees of h distinct members, which decides it; only a draw that
+// explore leaves undecided with a seed in its region runs the
+// per-member passes. A stopped draw leaves rng where the decision fell,
+// short of where the full sample would have left it.
 //
 //imc:hotpath
 func (gen *Generator) Influenced(rng *xrand.RNG, inSeed []bool) bool {
-	commIdx, seeded := gen.explore(rng, inSeed)
-	if !seeded {
-		return false
+	commIdx, seeded, decided := gen.explore(rng, inSeed)
+	if decided || !seeded {
+		return decided
 	}
 	comm := gen.part.Community(commIdx)
-	h := comm.Threshold
-	if gen.treeHits(len(comm.Members), h, inSeed) >= h {
-		return true
-	}
-	return gen.membersReached(len(comm.Members), h, inSeed) >= h
+	return gen.membersReached(len(comm.Members), comm.Threshold, inSeed) >= comm.Threshold
 }
 
 // FractionalInfluence draws one RIC sample and returns
 // min(|I_g(S)|/h_g, 1) — the fractional statistic whose expectation is
 // ν(S)/b (paper eq. 6). Used by the ν-guided stop rule. Like
-// Influenced, it skips the per-member passes once the BFS trees decide
-// the answer (here: min(|I_g(S)|, h) = h).
+// Influenced, it stops once the BFS trees decide the answer (here:
+// min(|I_g(S)|, h) = h).
 //
 //imc:hotpath
 func (gen *Generator) FractionalInfluence(rng *xrand.RNG, inSeed []bool) float64 {
-	commIdx, seeded := gen.explore(rng, inSeed)
+	commIdx, seeded, decided := gen.explore(rng, inSeed)
+	if decided {
+		return 1
+	}
 	if !seeded {
 		return 0
 	}
 	comm := gen.part.Community(commIdx)
 	h := comm.Threshold
-	if gen.treeHits(len(comm.Members), h, inSeed) >= h {
-		return 1
-	}
 	return float64(gen.membersReached(len(comm.Members), h, inSeed)) / float64(h)
-}
-
-// treeHits counts, up to need, the members whose BFS tree holds a seed.
-// The tree is explore's tree of first discoveries, rooted at the
-// members: its edges are live edges walked backwards, so a seed in
-// member j's tree reaches j, and the count is a lower bound on
-// membersReached's. Slot w was discovered by the first slot whose live
-// list holds it, because explore dequeues slots in order, so one pass
-// over the slot CSR in the same order finds every slot's root, in
-// gen.root, without explore recording anything. mark flags the slots
-// whose root is known, and among the members those whose tree holds a
-// seed.
-//
-//imc:hotpath
-func (gen *Generator) treeHits(numMembers, need int, inSeed []bool) int {
-	region, liveOff, live := gen.region, gen.liveOff, gen.live
-	mark, root := gen.mark, gen.root
-	if len(mark) < len(region) {
-		mark = append(mark, make([]int32, len(region)-len(mark))...)
-	}
-	if len(root) < len(region) {
-		root = append(root, make([]int32, len(region)-len(root))...)
-	}
-	gen.epoch += 2
-	known, seededTree := gen.epoch-1, gen.epoch
-	hits := 0
-	members, memberRoot := mark[:numMembers], root[:numMembers]
-	for j, v := range region[:numMembers] {
-		memberRoot[j] = int32(j)
-		members[j] = known
-		if inSeed[v] {
-			members[j] = seededTree
-			hits++
-		}
-	}
-	roots := root[:len(liveOff)-1]
-	lo := liveOff[0]
-	for s, hi := range liveOff[1:] {
-		if hits >= need {
-			break
-		}
-		r := roots[s]
-		for _, w := range live[lo:hi] {
-			if m := mark[w]; m != known && m != seededTree {
-				mark[w] = known
-				root[w] = r
-				if inSeed[region[w]] && mark[r] == known {
-					mark[r] = seededTree
-					hits++
-				}
-			}
-		}
-		lo = hi
-	}
-	gen.mark, gen.root = mark, root
-	return hits
 }
 
 // membersReached counts the members (slots 0..numMembers-1) that some
@@ -296,10 +238,20 @@ func (gen *Generator) membersReached(numMembers, need int, inSeed []bool) int {
 // with inSeed set entered the region (never, for a nil inSeed); when
 // none did, no member can be influenced.
 //
+// From the first seed on, explore also keeps root[s], the member at
+// the root of slot s's BFS tree: the tree of first discoveries, whose
+// edges are live edges walked backwards, so a seed in member j's tree
+// reaches j. mark[j] == epoch flags the members whose tree holds a
+// seed. Once h distinct members' trees do, the sample is influenced
+// whatever the rest of the BFS would find, so explore returns at once
+// with decided set, leaving the subgraph unfinished. A draw no seed
+// enters keeps no roots at all.
+//
 //imc:hotpath
-func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seeded bool) {
+func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seeded, decided bool) {
 	commIdx = gen.alias.Draw(rng)
-	members := gen.part.Community(commIdx).Members
+	comm := gen.part.Community(commIdx)
+	members := comm.Members
 
 	gen.epoch++
 	epoch := gen.epoch
@@ -307,6 +259,11 @@ func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seede
 	region := gen.region[:0]
 	liveOff := gen.liveOff[:0]
 	live := gen.live[:0]
+	// root holds every slot's root once tracking is set, at the first
+	// seed.
+	root := gen.root[:0]
+	tracking := false
+	hits := 0
 	for _, m := range members {
 		stamp[m] = slotStamp{epoch, int32(len(region))}
 		region = append(region, m)
@@ -314,6 +271,23 @@ func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seede
 			seeded = true
 		}
 	}
+	if seeded {
+		root, tracking = gen.rootsSoFar(len(members), nil, nil), true
+		mark := gen.mark[:len(members)]
+		for j, m := range members {
+			if inSeed[m] {
+				mark[j] = epoch
+				hits++
+			}
+		}
+		decided = hits >= comm.Threshold
+	}
+	if decided {
+		// The members alone decide the sample: no in-edge is drawn.
+		gen.region, gen.liveOff, gen.root = region, append(liveOff, 0), root
+		return commIdx, seeded, decided
+	}
+bfs:
 	for s := 0; s < len(region); s++ {
 		u := region[s]
 		start := len(live)
@@ -334,21 +308,74 @@ func (gen *Generator) explore(rng *xrand.RNG, inSeed []bool) (commIdx int, seede
 		for k := start; k < len(live); k++ {
 			v := live[k]
 			st := stamp[v]
-			if st.epoch != epoch {
-				st = slotStamp{epoch, int32(len(region))}
-				stamp[v] = st
-				region = append(region, v)
-				if inSeed != nil && inSeed[v] {
-					seeded = true
+			if st.epoch == epoch {
+				live[k] = st.slot
+				continue
+			}
+			st = slotStamp{epoch, int32(len(region))}
+			stamp[v] = st
+			region = append(region, v)
+			live[k] = st.slot
+			if tracking {
+				//lint:allow hotpath: root grows with region inside this loop, so no length relation holds before it; every expanded slot has a root
+				root = append(root, root[s])
+			}
+			if inSeed == nil || !inSeed[v] {
+				continue
+			}
+			seeded = true
+			if !tracking {
+				root, tracking = gen.rootsSoFar(len(members), liveOff, live[:k+1]), true
+			}
+			if r := root[len(root)-1]; gen.mark[r] != epoch {
+				gen.mark[r] = epoch
+				if hits++; hits >= comm.Threshold {
+					decided = true
+					break bfs
 				}
 			}
-			live[k] = st.slot
 		}
 	}
 	gen.region = region
 	gen.liveOff = append(liveOff, int32(len(live)))
 	gen.live = live
-	return commIdx, seeded
+	gen.root = root
+	return commIdx, seeded, decided
+}
+
+// rootsSoFar returns the BFS-tree root of every slot explore has
+// discovered so far, in gen.root's storage, and makes gen.mark cover
+// the members. liveOff and live are the slot CSR written so far: a row
+// per expanded slot, the last one (the slot being expanded) running to
+// the end of live, its newest discovery. Slots are numbered in
+// discovery order, so scanning the rows in order, an entry equal to
+// the next undiscovered slot is that slot's discovery and takes the
+// root of the row's slot.
+//
+//imc:hotpath
+func (gen *Generator) rootsSoFar(numMembers int, liveOff, live []int32) []int32 {
+	if len(gen.mark) < numMembers {
+		gen.mark = append(gen.mark, make([]int32, numMembers-len(gen.mark))...)
+	}
+	root := gen.root[:0]
+	for j := 0; j < numMembers; j++ {
+		root = append(root, int32(j))
+	}
+	next := int32(numMembers)
+	for t, lo := range liveOff {
+		hi := int32(len(live))
+		if t+1 < len(liveOff) {
+			hi = liveOff[t+1]
+		}
+		for _, w := range live[lo:hi] {
+			if w == next {
+				//lint:allow hotpath: root grows as the scan discovers slots, so no length relation holds before the loop; row t's slot was discovered before it was expanded
+				root = append(root, root[t])
+				next++
+			}
+		}
+	}
+	return root
 }
 
 // pickInEdgeLT picks at most one live in-edge for u and returns its

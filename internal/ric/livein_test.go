@@ -23,16 +23,34 @@ import (
 // gets one Bernoulli coin; under LT a node with positive in-weight draws one Float64 and
 // keeps the first in-edge whose weight prefix sum exceeds it (the draw
 // scaled by the total when that exceeds 1).
-func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, model diffusion.Model, rng *xrand.RNG) (int, map[graph.NodeID][]graph.NodeID) {
+//
+// With a non-nil inSeed it also applies the rule Influenced and
+// FractionalInfluence stop on: every node's BFS-tree root is the
+// member its discoverer's tree grows from (a member is its own), and
+// the draw stops once seeds lie in the trees of h distinct members —
+// before any in-edge is drawn if the members alone decide it, else
+// right after the in-list that does. decided reports that stop; live
+// then holds only the in-lists drawn before it.
+func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, model diffusion.Model, rng *xrand.RNG, inSeed []bool) (comm int, live map[graph.NodeID][]graph.NodeID, decided bool) {
 	commIdx := alias.Draw(rng)
-	live := make(map[graph.NodeID][]graph.NodeID)
+	live = make(map[graph.NodeID][]graph.NodeID)
 	seen := make(map[graph.NodeID]bool)
+	root := make(map[graph.NodeID]int)
+	seededTree := make(map[int]bool)
+	need := part.Community(commIdx).Threshold
 	var queue []graph.NodeID
-	for _, m := range part.Community(commIdx).Members {
+	for j, m := range part.Community(commIdx).Members {
 		if !seen[m] {
 			seen[m] = true
+			root[m] = j
 			queue = append(queue, m)
+			if inSeed != nil && inSeed[m] {
+				seededTree[j] = true
+			}
 		}
+	}
+	if inSeed != nil && len(seededTree) >= need {
+		return commIdx, live, true
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -64,11 +82,18 @@ func refSample(g *graph.Graph, part *community.Partition, alias *xrand.Alias, mo
 		for _, v := range live[u] {
 			if !seen[v] {
 				seen[v] = true
+				root[v] = root[u]
 				queue = append(queue, v)
+				if inSeed != nil && inSeed[v] {
+					seededTree[root[v]] = true
+				}
 			}
 		}
+		if inSeed != nil && len(seededTree) >= need {
+			return commIdx, live, true
+		}
 	}
-	return commIdx, live
+	return commIdx, live, false
 }
 
 // refCountTable returns the live-count table of a node whose in-edge
@@ -165,7 +190,7 @@ func TestSamplerMatchesBernoulliReference(t *testing.T) {
 				root.SplitInto(i, &got)
 				root.SplitInto(i, &want)
 				raw := sampler.Generate(&got)
-				comm, live := refSample(g, part, sampler.alias, sampler.model, &want)
+				comm, live, _ := refSample(g, part, sampler.alias, sampler.model, &want, nil)
 				if got != want {
 					t.Fatalf("stream %d: Generate left the stream in a different state than the reference", i)
 				}
@@ -174,7 +199,9 @@ func TestSamplerMatchesBernoulliReference(t *testing.T) {
 				}
 
 				root.SplitInto(i, &got)
+				root.SplitInto(i, &want)
 				ok := sampler.Influenced(&got, inSeed)
+				_, _, decided := refSample(g, part, sampler.alias, sampler.model, &want, inSeed)
 				hit := 0
 				for _, m := range part.Community(comm).Members {
 					for _, v := range refReached(live, m) {
@@ -184,7 +211,11 @@ func TestSamplerMatchesBernoulliReference(t *testing.T) {
 						}
 					}
 				}
-				if refOK := hit >= part.Community(comm).Threshold; ok != refOK {
+				refOK := hit >= part.Community(comm).Threshold
+				if decided && !refOK {
+					t.Fatalf("stream %d: the reference stopped as decided, but the full sample reaches only %d members", i, hit)
+				}
+				if ok != refOK {
 					t.Fatalf("stream %d: Influenced = %v, reference = %v", i, ok, refOK)
 				}
 				if got != want {
@@ -251,13 +282,16 @@ func refHits(part *community.Partition, comm int, live map[graph.NodeID][]graph.
 // and FractionalInfluence and through the reference sampler: the
 // sample's covers, both answers (Influenced = hit ≥ h, Fractional =
 // min(hit, h)/h) and the stream state each leaves behind must agree.
+// Generate's state is the full reference draw's; the estimators' is
+// the reference's under its decision rule, which must never stop early
+// on a sample the full draw leaves uninfluenced.
 func matchReference(sampler *Generator, inSeed []bool, root *xrand.RNG, i uint64) error {
 	part := sampler.part
 	var got, want xrand.RNG
 	root.SplitInto(i, &got)
 	root.SplitInto(i, &want)
 	raw := sampler.Generate(&got)
-	comm, live := refSample(sampler.g, part, sampler.alias, sampler.model, &want)
+	comm, live, _ := refSample(sampler.g, part, sampler.alias, sampler.model, &want, nil)
 	if got != want {
 		return fmt.Errorf("stream %d: Generate left the stream in a different state than the reference", i)
 	}
@@ -265,6 +299,10 @@ func matchReference(sampler *Generator, inSeed []bool, root *xrand.RNG, i uint64
 		return fmt.Errorf("stream %d: %v", i, err)
 	}
 	hit, h := refHits(part, comm, live, inSeed), part.Community(comm).Threshold
+	root.SplitInto(i, &want)
+	if _, _, decided := refSample(sampler.g, part, sampler.alias, sampler.model, &want, inSeed); decided && hit < h {
+		return fmt.Errorf("stream %d: the reference stopped as decided, but the full sample reaches %d of threshold %d", i, hit, h)
+	}
 
 	root.SplitInto(i, &got)
 	if ok := sampler.Influenced(&got, inSeed); ok != (hit >= h) {

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -219,6 +220,68 @@ func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	for _, seeds := range [][]graph.NodeID{{0}, {1, 3}, {2, 4, 5}} {
 		if p1.CHat(seeds) != p4.CHat(seeds) {
 			t.Fatalf("ĉ_R differs across worker counts for seeds %v", seeds)
+		}
+	}
+}
+
+// TestFoldIndependentOfWorkers: a fold large enough to split into one
+// chunk per worker builds the index a one-worker (serial) fold does,
+// whichever path feeds it: generation, a snapshot, or staged ranges.
+func TestFoldIndependentOfWorkers(t *testing.T) {
+	const seed, n = 23, 8 * foldChunkMin
+	g, part := smallInstance(t)
+	serial, err := NewPool(g, part, PoolOptions{Seed: seed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Generate(n); err != nil {
+		t.Fatal(err)
+	}
+	want := capturePool(t, serial)
+	for _, workers := range []int{2, 4} {
+		newPool := func() *Pool {
+			p, err := NewPool(g, part, PoolOptions{Seed: seed, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		generated := newPool()
+		if err := generated.Generate(n / 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := generated.Generate(n - n/4); err != nil {
+			t.Fatal(err)
+		}
+		loaded := newPool()
+		if err := loaded.ReadInto(bytes.NewReader(want.save)); err != nil {
+			t.Fatal(err)
+		}
+		spliced := newPool()
+		var staged []*StagedRange
+		for _, r := range [][2]int{{0, n / 2}, {n / 2, n}} {
+			var buf bytes.Buffer
+			if err := serial.ExportRange(&buf, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+			s, err := spliced.StageRange(&buf, r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged = append(staged, s)
+		}
+		if err := spliced.FoldRange(staged[1]); err == nil {
+			t.Fatal("a staged range folded out of order")
+		}
+		for _, s := range staged {
+			if err := spliced.FoldRange(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, p := range map[string]*Pool{"generated": generated, "loaded": loaded, "spliced": spliced} {
+			if !capturePool(t, p).equal(want) {
+				t.Fatalf("workers=%d: %s pool differs from the serial fold", workers, name)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package ric
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,38 +59,49 @@ const (
 	poolHeaderSize = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8
 )
 
-// poolEncoder writes the little-endian primitives and per-sample
+// poolEncoder assembles the little-endian primitives and per-sample
 // records shared by the IMCP (full pool) and IMCS (shard range)
-// formats.
+// formats in its own buffer and hands them to w in runs of about
+// encodeFlush bytes. The buffer grows to what the stream needs, so a
+// short shard range costs a few kilobytes, not a fixed-size writer.
 type poolEncoder struct {
-	bw      *bufio.Writer
-	scratch [8]byte
-	record  []byte // one sample record, reused across encodeSample calls
+	w   io.Writer
+	buf []byte
 }
 
-func (e *poolEncoder) put32(v uint32) error {
-	binary.LittleEndian.PutUint32(e.scratch[:4], v)
-	_, err := e.bw.Write(e.scratch[:4])
+// encodeFlush is how many buffered bytes trigger a write to the
+// underlying writer.
+const encodeFlush = 64 << 10
+
+func (e *poolEncoder) put32(v uint32) {
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+func (e *poolEncoder) put64(v uint64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+// flush writes out the buffered bytes once at least atLeast of them
+// are waiting (flush(1) writes whatever is left).
+func (e *poolEncoder) flush(atLeast int) error {
+	if len(e.buf) < atLeast {
+		return nil
+	}
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
 }
 
-func (e *poolEncoder) put64(v uint64) error {
-	binary.LittleEndian.PutUint64(e.scratch[:], v)
-	_, err := e.bw.Write(e.scratch[:])
-	return err
-}
-
-// encodeSample writes sample i's record: comm, threshold, numMembers,
+// encodeSample appends sample i's record: comm, threshold, numMembers,
 // cover count, then each cover's node, mask width, and mask words. The
 // covers come from the sample-major view in ascending node order, and
 // each mask is written at the sample's natural width ⌈NumMembers/64⌉,
 // not the pool's padded W, so the bytes do not depend on the index
-// layout. The record is assembled in a reused buffer and written once,
-// not once per field.
+// layout.
 func (e *poolEncoder) encodeSample(smp Sample, covers *CoverView, i int) error {
 	words := maskWords(int(smp.NumMembers))
 	lo, hi := covers.Start[i], covers.Start[i+1]
-	b := e.record[:0]
+	b := e.buf
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Comm))
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.Threshold))
 	b = binary.LittleEndian.AppendUint32(b, uint32(smp.NumMembers))
@@ -103,9 +113,8 @@ func (e *poolEncoder) encodeSample(smp Sample, covers *CoverView, i int) error {
 			b = binary.LittleEndian.AppendUint64(b, word)
 		}
 	}
-	e.record = b
-	_, err := e.bw.Write(b)
-	return err
+	e.buf = b
+	return e.flush(encodeFlush)
 }
 
 // Save serializes the pool's samples and cover index in format v3. The
@@ -119,48 +128,32 @@ func (p *Pool) Save(w io.Writer) error {
 	if p.offset != 0 {
 		return fmt.Errorf("ric: Save requires an offset-0 pool, this shard starts at stream %d (use ExportRange)", p.offset)
 	}
-	enc := &poolEncoder{bw: bufio.NewWriterSize(w, 1<<20)}
-	if _, err := enc.bw.Write(poolMagic[:]); err != nil {
-		return fmt.Errorf("ric: write magic: %w", err)
-	}
-	if err := enc.put32(poolVersion); err != nil {
-		return err
-	}
-	if err := p.encodeIdentity(enc); err != nil {
-		return err
-	}
-	if err := enc.put64(uint64(len(p.samples))); err != nil {
-		return err
-	}
+	enc := &poolEncoder{w: w}
+	enc.buf = append(enc.buf, poolMagic[:]...)
+	enc.put32(poolVersion)
+	p.encodeIdentity(enc)
+	enc.put64(uint64(len(p.samples)))
 	// Rebuild the per-sample cover lists from the inverted index.
 	covers := p.SampleCovers()
 	for i, smp := range p.samples {
 		if err := enc.encodeSample(smp, covers, i); err != nil {
-			return err
+			return fmt.Errorf("ric: write pool: %w", err)
 		}
 	}
-	if err := enc.bw.Flush(); err != nil {
-		return fmt.Errorf("ric: flush pool: %w", err)
+	if err := enc.flush(1); err != nil {
+		return fmt.Errorf("ric: write pool: %w", err)
 	}
 	return nil
 }
 
-// encodeIdentity writes the shared identity block: seed, model tag,
+// encodeIdentity appends the shared identity block: seed, model tag,
 // weight digest, node count, community count.
-func (p *Pool) encodeIdentity(enc *poolEncoder) error {
-	if err := enc.put64(p.seed); err != nil {
-		return err
-	}
-	if err := enc.put32(uint32(p.model)); err != nil {
-		return err
-	}
-	if err := enc.put64(p.g.WeightDigest()); err != nil {
-		return err
-	}
-	if err := enc.put64(uint64(p.g.NumNodes())); err != nil {
-		return err
-	}
-	return enc.put64(uint64(p.part.NumCommunities()))
+func (p *Pool) encodeIdentity(enc *poolEncoder) {
+	enc.put64(p.seed)
+	enc.put32(uint32(p.model))
+	enc.put64(p.g.WeightDigest())
+	enc.put64(uint64(p.g.NumNodes()))
+	enc.put64(uint64(p.part.NumCommunities()))
 }
 
 // poolDecoder reads the primitives and per-sample records shared by the
@@ -573,14 +566,8 @@ func (p *family) openSnapshot(r io.Reader) (*poolDecoder, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if version == 1 {
-		return nil, 0, fmt.Errorf("ric: pool snapshot is format v1, which carries no identity (seed/model/weights) and cannot be validated; regenerate the pool and re-save as v%d", poolVersion)
-	}
-	if version == 2 {
-		return nil, 0, fmt.Errorf("ric: pool snapshot is format v2, whose samples were drawn by the previous reverse sampler and do not extend under the current one; regenerate the pool and re-save as v%d", poolVersion)
-	}
-	if version != poolVersion {
-		return nil, 0, fmt.Errorf("ric: unsupported pool version %d (want %d)", version, poolVersion)
+	if err := checkVersion(poolMagic, version); err != nil {
+		return nil, 0, err
 	}
 	if err := p.checkIdentity(d); err != nil {
 		return nil, 0, err
@@ -593,6 +580,50 @@ func (p *family) openSnapshot(r io.Reader) (*poolDecoder, int, error) {
 		return nil, 0, fmt.Errorf("ric: sample count %d out of range", count)
 	}
 	return d, int(count), nil
+}
+
+// StreamHeaderSize is the length of the prefix every IMCP and IMCS
+// stream opens with: the 4-byte magic and the uint32 version.
+const StreamHeaderSize = 8
+
+// CheckStreamHeader reports whether head, a stream's first
+// StreamHeaderSize bytes, opens a stream this build decodes: an IMCP
+// pool snapshot or an IMCS shard range at its current version. It
+// returns the error the full decode would give for a stream of another
+// format or version, without reading further, so a store can tell an
+// entry that can never load from its header alone.
+func CheckStreamHeader(head []byte) error {
+	if len(head) < StreamHeaderSize {
+		return fmt.Errorf("ric: stream header truncated: %d of %d bytes", len(head), StreamHeaderSize)
+	}
+	magic := [4]byte(head[:4])
+	if magic != poolMagic && magic != shardMagic {
+		return fmt.Errorf("ric: bad stream magic %q", magic)
+	}
+	return checkVersion(magic, binary.LittleEndian.Uint32(head[4:8]))
+}
+
+// checkVersion accepts the current version of the IMCP (poolMagic) or
+// IMCS (shardMagic) format, and names why any other one cannot load.
+func checkVersion(magic [4]byte, version uint32) error {
+	if magic == shardMagic {
+		switch version {
+		case shardVersion:
+			return nil
+		case 1:
+			return fmt.Errorf("ric: shard export is format v1, drawn by the previous reverse sampler; upgrade the worker to export v%d", shardVersion)
+		}
+		return fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
+	}
+	switch version {
+	case poolVersion:
+		return nil
+	case 1:
+		return fmt.Errorf("ric: pool snapshot is format v1, which carries no identity (seed/model/weights) and cannot be validated; regenerate the pool and re-save as v%d", poolVersion)
+	case 2:
+		return fmt.Errorf("ric: pool snapshot is format v2, whose samples were drawn by the previous reverse sampler and do not extend under the current one; regenerate the pool and re-save as v%d", poolVersion)
+	}
+	return fmt.Errorf("ric: unsupported pool version %d (want %d)", version, poolVersion)
 }
 
 // noEOF normalizes a bare io.EOF from a partial ReadFull into

@@ -1,7 +1,6 @@
 package ric
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 )
@@ -50,30 +49,20 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 		return fmt.Errorf("ric: ExportRange [%d, %d) outside the pool's generated span [%d, %d)",
 			lo, hi, p.offset, p.offset+len(p.samples))
 	}
-	enc := &poolEncoder{bw: bufio.NewWriterSize(w, 1<<20)}
-	if _, err := enc.bw.Write(shardMagic[:]); err != nil {
-		return fmt.Errorf("ric: write shard magic: %w", err)
-	}
-	if err := enc.put32(shardVersion); err != nil {
-		return err
-	}
-	if err := p.encodeIdentity(enc); err != nil {
-		return err
-	}
-	if err := enc.put64(uint64(lo)); err != nil {
-		return err
-	}
-	if err := enc.put64(uint64(hi)); err != nil {
-		return err
-	}
+	enc := &poolEncoder{w: w}
+	enc.buf = append(enc.buf, shardMagic[:]...)
+	enc.put32(shardVersion)
+	p.encodeIdentity(enc)
+	enc.put64(uint64(lo))
+	enc.put64(uint64(hi))
 	covers := p.SampleCovers()
 	for i := lo - p.offset; i < hi-p.offset; i++ {
 		if err := enc.encodeSample(p.samples[i], covers, i); err != nil {
-			return err
+			return fmt.Errorf("ric: write shard export: %w", err)
 		}
 	}
-	if err := enc.bw.Flush(); err != nil {
-		return fmt.Errorf("ric: flush shard export: %w", err)
+	if err := enc.flush(1); err != nil {
+		return fmt.Errorf("ric: write shard export: %w", err)
 	}
 	return nil
 }
@@ -91,26 +80,60 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 // stream's end is verified, so on any error the pool is left exactly
 // as it was.
 func (p *Pool) ImportRange(r io.Reader, hi int) error {
-	d, lo, end, err := p.openRange(r)
+	s, err := p.StageRange(r, p.offset+len(p.samples), hi)
 	if err != nil {
 		return err
 	}
-	if end != hi {
-		return fmt.Errorf("ric: shard export ends at sample %d, want %d", end, hi)
+	return p.FoldRange(s)
+}
+
+// StagedRange is a shard export of global samples [lo, hi), decoded
+// and validated against a pool's identity but not yet folded into it.
+type StagedRange struct {
+	lo, hi int
+	raws   []rawSample
+}
+
+// StageRange decodes an IMCS export that must declare exactly global
+// samples [lo, hi), with ImportRange's validation, and keeps the
+// samples staged for FoldRange. It reads the pool's identity (graph,
+// partition, seed, model) and never its samples, so ranges can stage
+// concurrently with each other and with a FoldRange on the same pool:
+// a coordinator decodes each range as it arrives and folds them in
+// order.
+func (p *Pool) StageRange(r io.Reader, lo, hi int) (*StagedRange, error) {
+	d, declLo, declHi, err := p.openRange(r)
+	if err != nil {
+		return nil, err
+	}
+	if declLo != lo {
+		return nil, fmt.Errorf("ric: shard export starts at sample %d, want %d — ranges must splice in order, gap-free", declLo, lo)
+	}
+	if declHi != hi {
+		return nil, fmt.Errorf("ric: shard export ends at sample %d, want %d", declHi, hi)
 	}
 	raws, err := p.decodeSamples(d, lo, hi)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.fold(raws)
+	return &StagedRange{lo: lo, hi: hi, raws: raws}, nil
+}
+
+// FoldRange appends a staged range to the pool. The range must start
+// at the pool's next global sample index, so ranges fold in order and
+// gap-free; on error the pool is left as it was.
+func (p *Pool) FoldRange(s *StagedRange) error {
+	if next := p.offset + len(p.samples); s.lo != next {
+		return fmt.Errorf("ric: shard range starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", s.lo, next)
+	}
+	p.fold(s.raws)
 	return nil
 }
 
 // openRange validates an IMCS stream's header — magic, version,
 // identity block, range — and returns the decoder positioned at the
-// first record, with the declared range [lo, hi). lo must be the pool's
-// next global sample index.
-func (p *Pool) openRange(r io.Reader) (*poolDecoder, int, int, error) {
+// first record, with the declared range [lo, hi).
+func (p *family) openRange(r io.Reader) (*poolDecoder, int, int, error) {
 	d := newPoolDecoder(r, "shard export")
 	magic, err := d.magic()
 	if err != nil {
@@ -123,11 +146,8 @@ func (p *Pool) openRange(r io.Reader) (*poolDecoder, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if version == 1 {
-		return nil, 0, 0, fmt.Errorf("ric: shard export is format v1, drawn by the previous reverse sampler; upgrade the worker to export v%d", shardVersion)
-	}
-	if version != shardVersion {
-		return nil, 0, 0, fmt.Errorf("ric: unsupported shard export version %d (want %d)", version, shardVersion)
+	if err := checkVersion(shardMagic, version); err != nil {
+		return nil, 0, 0, err
 	}
 	if err := p.checkIdentity(d); err != nil {
 		return nil, 0, 0, err
@@ -143,9 +163,5 @@ func (p *Pool) openRange(r io.Reader) (*poolDecoder, int, int, error) {
 	if lo64 > hi64 || hi64 >= 1<<31 {
 		return nil, 0, 0, fmt.Errorf("ric: shard export range [%d, %d) invalid", lo64, hi64)
 	}
-	lo := int(lo64)
-	if next := p.offset + len(p.samples); lo != next {
-		return nil, 0, 0, fmt.Errorf("ric: shard export starts at sample %d but the pool's next sample is %d — ranges must splice in order, gap-free", lo, next)
-	}
-	return d, lo, int(hi64), nil
+	return d, int(lo64), int(hi64), nil
 }

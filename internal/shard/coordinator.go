@@ -184,42 +184,68 @@ func (c *Coordinator) Grow(ctx context.Context, spec InstanceSpec, pool *ric.Poo
 		return pool.EnsureCtx(ctx, target)
 	}
 	ranges := SplitRanges(cur, target, len(workers))
-	payloads := c.fetchRanges(ctx, spec, pool.Seed(), ranges, workers)
 
-	// Splice sequentially in range order — ImportRange enforces the
-	// gap-free contract — regenerating any failed range locally. The
-	// merge latency histogram times this splice phase.
-	start := c.now()
+	// Each range is fetched and decoded in its own goroutine, as soon as
+	// its payload arrives; only the fold below waits for the ranges
+	// before it. Grow waits for every goroutine before it returns, and
+	// cancels the fetches still running when it stops early.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	fetchCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	arrived := make([]chan stagedRange, len(ranges))
+	for i := range arrived {
+		arrived[i] = make(chan stagedRange, 1)
+	}
 	for i, r := range ranges {
+		wg.Add(1)
+		go func(r Range, first string, out chan<- stagedRange) {
+			defer wg.Done()
+			out <- c.stageRange(fetchCtx, spec, pool, r, first)
+		}(r, workers[i%len(workers)], arrived[i])
+	}
+
+	// Fold in range order — FoldRange enforces the gap-free contract —
+	// regenerating any range no worker delivered locally. The merge
+	// latency histogram times the coordinator's own work here: folds and
+	// local regeneration, not the waits for ranges still in flight.
+	var spliced time.Duration
+	for i, r := range ranges {
+		got := <-arrived[i]
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		data := payloads[i]
-		if data == nil {
+		start := c.now()
+		if got.staged == nil && got.err == nil {
 			c.mu.Lock()
 			c.localFallbacks++
 			c.mu.Unlock()
 			if err := pool.EnsureCtx(ctx, r.Hi); err != nil {
 				return err
 			}
+			spliced += c.now().Sub(start)
 			continue
 		}
-		if err := pool.ImportRange(bytes.NewReader(data), r.Hi); err != nil {
-			// A failed import — corrupt, or not exactly [r.Lo, r.Hi) —
-			// leaves the pool exactly as it was (decode checks the
-			// declared range and stages the whole range before folding
-			// it in), so the pool is a valid prefix: abandon the
-			// distributed path and complete it locally.
-			c.logger.Warn("shard import failed, completing locally", "range", r, "err", err)
+		if got.err == nil {
+			got.err = pool.FoldRange(got.staged)
+		}
+		if got.err != nil {
+			// A range that does not decode — corrupt, or not exactly
+			// [r.Lo, r.Hi) — was never folded, so the pool is a valid
+			// prefix: abandon the distributed path and complete it
+			// locally.
+			c.logger.Warn("shard import failed, completing locally", "range", r, "err", got.err)
 			c.mu.Lock()
 			c.localFallbacks++
 			c.mu.Unlock()
+			cancel()
 			return pool.EnsureCtx(ctx, target)
 		}
+		spliced += c.now().Sub(start)
 	}
 	c.mu.Lock()
 	c.merges++
-	c.mergeLatency.Observe(c.now().Sub(start).Seconds())
+	c.mergeLatency.Observe(spliced.Seconds())
 	c.mu.Unlock()
 	return nil
 }
@@ -232,23 +258,23 @@ func (c *Coordinator) GrowFunc(spec InstanceSpec) func(context.Context, *ric.Poo
 	}
 }
 
-// fetchRanges gathers each range's IMCS export concurrently. A slot is
-// nil when every attempt failed — the caller regenerates that range
-// locally. Worker assignment starts round-robin over the sorted live
-// set and reassigns on failure.
-func (c *Coordinator) fetchRanges(ctx context.Context, spec InstanceSpec, poolSeed uint64, ranges []Range, workers []string) [][]byte {
-	payloads := make([][]byte, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r Range, first string) {
-			defer wg.Done()
-			//lint:allow falseshare: one store per range, after a network round-trip that dwarfs any cache-line bounce; padding would cost more than it saves
-			payloads[i] = c.fetchRange(ctx, spec, poolSeed, r, first)
-		}(i, r, workers[i%len(workers)])
+// stagedRange is one range's outcome: its decoded samples, or the
+// decode error of the payload a worker sent, or neither when no worker
+// delivered a payload (the caller then regenerates the range locally).
+type stagedRange struct {
+	staged *ric.StagedRange
+	err    error
+}
+
+// stageRange fetches one range's IMCS export and decodes it against
+// the pool's identity, without touching the pool's samples.
+func (c *Coordinator) stageRange(ctx context.Context, spec InstanceSpec, pool *ric.Pool, r Range, first string) stagedRange {
+	data := c.fetchRange(ctx, spec, pool.Seed(), r, first)
+	if data == nil {
+		return stagedRange{}
 	}
-	wg.Wait()
-	return payloads
+	staged, err := pool.StageRange(bytes.NewReader(data), r.Lo, r.Hi)
+	return stagedRange{staged: staged, err: err}
 }
 
 // fetchRange tries one range on up to maxAttempts workers, preferring

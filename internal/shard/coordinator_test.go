@@ -3,10 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"imc/internal/ric"
 )
@@ -193,6 +195,73 @@ func TestGrowRecoversFromTruncatedPayload(t *testing.T) {
 	}
 	if m := c.Metrics(); m.LocalFallbacks != 1 {
 		t.Errorf("truncated payload recorded %d local fallbacks, want 1", m.LocalFallbacks)
+	}
+}
+
+// TestGrowCorruptRangeBeforeEarlierLands: ranges decode as they
+// arrive, so range 1's corrupt payload is found while range 0 is still
+// in flight. Range 0 must still fold first, and the pool, a valid
+// prefix, completes locally, byte-identical to local generation.
+func TestGrowCorruptRangeBeforeEarlierLands(t *testing.T) {
+	const lo, theta, poolSeed = 40, 120, 11
+	ranges := SplitRanges(lo, theta, 2)
+	first := localExport(t, ranges[0].Lo, ranges[0].Hi, poolSeed)
+	later := localExport(t, ranges[1].Lo, ranges[1].Hi, poolSeed)
+	corrupt := later[:len(later)-3]
+	laterServed := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+PoolPath, func(rw http.ResponseWriter, r *http.Request) {
+		var req GenRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+			return
+		}
+		payload := corrupt
+		if req.Lo == ranges[0].Lo {
+			select {
+			case <-laterServed:
+			case <-time.After(10 * time.Second):
+				t.Error("range 1 was never requested")
+			}
+			payload = first
+		}
+		if err := WriteFrame(rw, payload); err != nil {
+			t.Error(err)
+		}
+		if req.Lo != ranges[0].Lo {
+			rw.(http.Flusher).Flush()
+			close(laterServed)
+		}
+	})
+	c := quietCoordinator(t)
+	for i := 0; i < 2; i++ {
+		worker := httptest.NewServer(mux)
+		t.Cleanup(worker.Close)
+		c.Register(worker.URL)
+	}
+	g, part, err := testBuild(testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ric.NewPool(g, part, ric.PoolOptions{Seed: poolSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnsureCtx(context.Background(), lo); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Grow(context.Background(), testSpec, p, theta); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), flatSaveBytes(t, theta, poolSeed)) {
+		t.Fatal("grow after a corrupt later range diverged from local generation")
+	}
+	if m := c.Metrics(); m.LocalFallbacks != 1 || m.Merges != 0 {
+		t.Errorf("corrupt later range recorded %d local fallbacks and %d merges, want 1 and 0", m.LocalFallbacks, m.Merges)
 	}
 }
 

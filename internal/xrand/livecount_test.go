@@ -142,8 +142,17 @@ func TestCountTableExact(t *testing.T) {
 // also when the table slice runs on past its final entry.
 func TestLiveCountMatchesReference(t *testing.T) {
 	seeder := New(77)
-	for _, c := range countCases() {
+	// LiveCount keeps taken positions in one bit word up to d = 64 and
+	// in a scanned, sorted list above; the cases straddle the cut.
+	cases := append(countCases(), [2]uint64{63, Threshold(0.1)}, [2]uint64{65, Threshold(0.1)})
+	narrow, wide := 0, 0
+	for _, c := range cases {
 		d, coin := int(c[0]), c[1]
+		if d <= 64 {
+			narrow++
+		} else {
+			wide++
+		}
 		table := CountTable(d, coin)
 		runOn := append(slices.Clone(table), 0, 1, 2)
 		froms := make([]int32, d)
@@ -155,6 +164,9 @@ func TestLiveCountMatchesReference(t *testing.T) {
 			checkLiveCount(t, state, froms, table, nil)
 			checkLiveCount(t, state, froms, runOn, []int32{-1})
 		}
+	}
+	if narrow == 0 || wide == 0 {
+		t.Fatalf("cases cover %d nodes with d ≤ 64 and %d with d > 64, want both", narrow, wide)
 	}
 }
 

@@ -314,8 +314,12 @@ func CountTable(d int, c uint64) []uint64 {
 // One variate m picks the live count K, the first k with m < cdf[k].
 // Then each of the K positions is one bounded draw (Intn(d)'s Lemire
 // step, inlined), redrawn while it repeats a position already taken.
-// dst's tail holds the positions until they are sorted and mapped to
-// sources. dst grows once, by K.
+// For d ≤ 64 the taken positions are one bit word, so a repeat check is
+// one test and the sources come out in edge order by walking its set
+// bits; a wider node keeps the positions in dst's tail, scans them for
+// repeats, and sorts them before mapping them to sources. Both ways
+// consume the same variates and keep the same sources in the same
+// order. dst grows once, by K.
 //
 //imc:hotpath
 func (r *RNG) LiveCount(froms []int32, cdf []uint64, dst []int32) []int32 {
@@ -330,6 +334,26 @@ func (r *RNG) LiveCount(froms []int32, cdf []uint64, dst []int32) []int32 {
 	dst = slices.Grow(dst, k)[:base+k]
 	out := dst[base:]
 	un := uint64(d)
+	if d <= 64 {
+		var taken uint64
+		for n := 0; n < k; {
+			hi, lo := bits.Mul64(r.Uint64(), un)
+			if lo < un {
+				for floor := -un % un; lo < floor; {
+					hi, lo = bits.Mul64(r.Uint64(), un)
+				}
+			}
+			if bit := uint64(1) << hi; taken&bit == 0 {
+				taken |= bit
+				n++
+			}
+		}
+		for i := range out {
+			out[i] = froms[bits.TrailingZeros64(taken)&63]
+			taken &= taken - 1
+		}
+		return dst
+	}
 	for n := range out {
 	draw:
 		hi, lo := bits.Mul64(r.Uint64(), un)
