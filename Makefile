@@ -20,8 +20,7 @@ lint:
 lint-bench:
 	$(GO) run ./cmd/imclint -bench BENCH_lint.json ./...
 
-# Dump the whole-program call graph with per-function effect summaries
-# and the lock-order graph.
+# Dump the whole-program call graph with per-function effect summaries.
 graph:
 	$(GO) run ./cmd/imclint -graph ./...
 

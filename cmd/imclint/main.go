@@ -1,37 +1,30 @@
 // Command imclint runs the repository's static-analysis suite:
-// twenty-four analyzers built on go/parser, go/ast, and go/types (one
-// of them, hotpath, also reads the compiler's own -m=2 and
-// bounds-check diagnostics) that machine-check the determinism,
-// concurrency, allocation, layering, numeric, hot-path performance,
-// and memory-layout invariants the RIC-sampling guarantees depend on
-// (see DESIGN.md, "Static analysis & invariants").
+// fourteen analyzers built on go/parser, go/ast, and go/types (one of
+// them, hotpath, also reads the compiler's own -m=2 and bounds-check
+// diagnostics) that machine-check the determinism, concurrency,
+// allocation, layering, numeric, hot-path performance, and
+// memory-layout invariants the RIC-sampling guarantees depend on (see
+// DESIGN.md, "Static analysis & invariants").
 //
 // Usage:
 //
-//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-bench file] [-cache=false] [packages]
+//	imclint [-check name,name] [-list] [-graph] [-update-api] [-json] [-bench file] [packages]
 //
 // Packages default to ./... relative to the enclosing module. Exit
 // status is 1 when any diagnostic fires, 0 on a clean tree, 2 on usage
 // or load errors. Intentional violations are suppressed with a
 // `//lint:allow <check>: <reason>` comment on the offending line or the
-// line above; the suite reports stale or malformed suppressions itself.
+// line above. The suite itself reports stale or malformed suppressions
+// and //imc: directives that would do nothing.
 //
 // -graph dumps the whole-program call graph (node/edge/SCC stats, then
-// one entry per function with its effect summary and resolved callees,
-// followed by the lock-order graph: witness edges and any cycles) and
-// exits. -update-api regenerates the exported-API snapshot the
+// one entry per function with its effect summary and resolved callees)
+// and exits. -update-api regenerates the exported-API snapshot the
 // apisurface analyzer checks against. -bench additionally writes a
 // BENCH_lint.json-shaped file with per-analyzer wall time, findings
-// count, and the call/lock graph sizes.
+// count, and the call-graph size.
 //
-// -json emits a {"callgraph": stats, "lockgraph": stats, "findings":
-// [...]} object.
-//
-// Full-module runs consult a per-package fact cache under
-// <module>/.imclint-cache/, keyed by a content hash over the module's
-// analysis inputs; when nothing has changed the whole report replays
-// without parsing a file. -cache=false disables it, and the -json
-// report carries hit/miss counts under "cache".
+// -json emits a {"callgraph": stats, "findings": [...]} object.
 package main
 
 import (
@@ -64,12 +57,9 @@ type finding struct {
 
 // report is the -json output shape: call-graph stats alongside the
 // findings, so the CI artifact records the interprocedural view the
-// findings were computed against. Cache is present only when the fact
-// cache was consulted (full-module runs with -cache left on).
+// findings were computed against.
 type report struct {
 	CallGraph lint.CallGraphStats `json:"callgraph"`
-	LockGraph lint.LockGraphStats `json:"lockgraph"`
-	Cache     *cacheStats         `json:"cache,omitempty"`
 	Findings  []finding           `json:"findings"`
 }
 
@@ -83,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		updateAPI = fs.Bool("update-api", false, "regenerate the exported-API snapshot and exit")
 		jsonOut   = fs.Bool("json", false, "emit callgraph stats + findings as JSON")
 		bench     = fs.String("bench", "", "write per-analyzer wall time + findings counts to this JSON file")
-		cacheOn   = fs.Bool("cache", true, "use the per-package fact cache on full-module runs")
-		cacheDir  = fs.String("cache-dir", "", "fact-cache directory (default <module>/.imclint-cache)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -118,32 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The fact cache only serves full-module lint runs: -graph and
-	// -update-api need the live program, -bench must time real work, and
-	// a partial package list has no stable manifest to replay.
-	var cache *factCache
-	if *cacheOn && !*graph && !*updateAPI && *bench == "" && fullModuleLoad(fs.Args()) {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(loader.ModuleDir, ".imclint-cache")
-		}
-		names := make([]string, len(analyzers))
-		for i, a := range analyzers {
-			names[i] = a.Name
-		}
-		// Hash errors (unreadable tree) just disable the cache; the
-		// loader will surface anything that actually matters.
-		if c, err := openCache(dir, loader.ModuleDir, strings.Join(names, ",")); err == nil {
-			cache = c
-		}
-	}
-	if cache != nil {
-		if m, cached, ok := cache.replay(); ok {
-			rep := report{CallGraph: m.CallGraph, LockGraph: m.LockGraph, Cache: &cache.stats, Findings: append([]finding{}, cached...)}
-			return emit(stdout, stderr, *jsonOut, rep)
-		}
-	}
-
 	pkgs, err := loader.Load(fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "imclint:", err)
@@ -154,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *graph {
 		var b strings.Builder
 		prog.Graph.Dump(&b)
-		prog.DumpLocks(&b)
 		io.WriteString(stdout, b.String())
 		return 0
 	}
@@ -172,39 +133,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := []finding{} // non-nil so -json prints [] on a clean tree
-	var manifestPkgs []string
 	for _, pkg := range pkgs {
-		var pkgFindings []finding
-		cached := false
-		if cache != nil {
-			pkgFindings, cached = cache.load(pkg.Path)
+		active := lint.AnalyzersFor(loader.ModulePath, pkg.Path, analyzers)
+		if len(active) == 0 {
+			continue
 		}
-		if !cached {
-			if active := lint.AnalyzersFor(loader.ModulePath, pkg.Path, analyzers); len(active) > 0 {
-				for _, d := range lint.Run(pkg, active) {
-					pkgFindings = append(pkgFindings, finding{
-						Check:   d.Check,
-						File:    relToModule(loader.ModuleDir, d.Pos.Filename),
-						Line:    d.Pos.Line,
-						Col:     d.Pos.Column,
-						Message: d.Message,
-					})
-				}
-			}
+		for _, d := range lint.Run(pkg, active) {
+			findings = append(findings, finding{
+				Check:   d.Check,
+				File:    relToModule(loader.ModuleDir, d.Pos.Filename),
+				Line:    d.Pos.Line,
+				Col:     d.Pos.Column,
+				Message: d.Message,
+			})
 		}
-		if cache != nil {
-			if cached {
-				cache.stats.Hits++
-			} else {
-				cache.stats.Misses++
-				cache.store(pkg.Path, pkgFindings)
-			}
-			manifestPkgs = append(manifestPkgs, pkg.Path)
-		}
-		findings = append(findings, pkgFindings...)
-	}
-	if cache != nil {
-		cache.storeManifest(manifestPkgs, prog.Graph.Stats(), prog.LockStats())
 	}
 
 	if *bench != "" {
@@ -215,29 +157,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %s\n", *bench)
 	}
 
-	rep := report{CallGraph: prog.Graph.Stats(), LockGraph: prog.LockStats(), Findings: findings}
-	if cache != nil {
-		rep.Cache = &cache.stats
-	}
-	return emit(stdout, stderr, *jsonOut, rep)
-}
-
-// emit renders the report (JSON or line-per-finding) and returns the
-// process exit code — shared by the live path and the cache replay.
-func emit(stdout, stderr io.Writer, jsonOut bool, rep report) int {
-	if jsonOut {
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := enc.Encode(report{CallGraph: prog.Graph.Stats(), Findings: findings}); err != nil {
 			fmt.Fprintln(stderr, "imclint:", err)
 			return 2
 		}
 	} else {
-		for _, f := range rep.Findings {
+		for _, f := range findings {
 			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Check, f.Message)
 		}
 	}
-	if len(rep.Findings) > 0 {
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0
@@ -254,8 +186,9 @@ type benchEntry struct {
 // benchSchema versions the -bench output shape so downstream tooling
 // can reject files it does not understand. v2 added the platform field
 // (the layout analyzers' timings are shaped by the size model, which
-// is per-platform) alongside the v6 memory-layout analyzer rows.
-const benchSchema = "imclint-bench/v2"
+// is per-platform); v3 dropped the lockgraph block along with the
+// lock-order analyzer.
+const benchSchema = "imclint-bench/v3"
 
 // benchReport is the -bench output shape: per-analyzer wall time and
 // reported-findings count, plus the sizes of the interprocedural
@@ -268,14 +201,13 @@ type benchReport struct {
 	Platform  string              `json:"platform"`
 	Packages  int                 `json:"packages"`
 	CallGraph lint.CallGraphStats `json:"callgraph"`
-	LockGraph lint.LockGraphStats `json:"lockgraph"`
 	Analyzers []benchEntry        `json:"analyzers"`
 }
 
 // writeBench times each analyzer in isolation across every loaded
 // package (respecting the same per-package gating the real run uses)
 // and writes the report to path. Timing runs after the real findings
-// pass, so the program-wide caches (call graph, lock info) are warm and
+// pass, so the program-wide caches (call graph, summaries) are warm and
 // the numbers measure the analyzers themselves, not one lucky analyzer
 // paying for shared construction. Findings counts come from the real
 // pass — the timing runs re-execute analyzers one at a time, which
@@ -291,7 +223,6 @@ func writeBench(path string, prog *lint.Program, pkgs []*lint.Package, loader *l
 		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
 		Packages:  len(pkgs),
 		CallGraph: prog.Graph.Stats(),
-		LockGraph: prog.LockStats(),
 	}
 	for _, a := range analyzers {
 		start := time.Now()

@@ -140,16 +140,6 @@ func IMCtx(ctx context.Context, g *graph.Graph, part *community.Partition, k int
 	return sol.Seeds, nil
 }
 
-// HighDegree returns the k nodes of largest out-degree — the classic
-// degree heuristic, exposed for ablations.
-func HighDegree(g *graph.Graph, k int) []graph.NodeID {
-	score := make([]float64, g.NumNodes())
-	for u := range score {
-		score[u] = float64(g.OutDegree(graph.NodeID(u)))
-	}
-	return topK(score, k)
-}
-
 func check(g *graph.Graph, part *community.Partition, k int) error {
 	if k < 1 {
 		return fmt.Errorf("baselines: k=%d must be ≥ 1", k)

@@ -131,25 +131,6 @@ func TestIMBaseline(t *testing.T) {
 	distinct(t, "IM", seeds, 4)
 }
 
-func TestHighDegree(t *testing.T) {
-	b := graph.NewBuilder(4)
-	b.AddEdge(2, 0, 1)
-	b.AddEdge(2, 1, 1)
-	b.AddEdge(2, 3, 1)
-	b.AddEdge(0, 1, 1)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := HighDegree(g, 2)
-	if seeds[0] != 2 {
-		t.Fatalf("HighDegree first pick = %d, want hub 2", seeds[0])
-	}
-	if seeds[1] != 0 {
-		t.Fatalf("HighDegree second pick = %d, want 0", seeds[1])
-	}
-}
-
 func TestValidation(t *testing.T) {
 	g, part := instance(t)
 	if _, err := HBC(g, part, 0); err == nil {

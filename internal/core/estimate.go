@@ -138,8 +138,6 @@ func EstimateCtx(ctx context.Context, g *graph.Graph, part *community.Partition,
 
 // stoppingThreshold is Alg. 6's Λ′ = 1 + 4(e−2)·ln(2/δ′)·(1+ε′)/ε′²: the
 // influenced mass at which the Dagum–Karp–Luby–Ross rule stops.
-//
-//imc:pure
 func stoppingThreshold(eps, delta float64) float64 {
 	return 1 + 4*(math.E-2)*math.Log(2/delta)*(1+eps)/(eps*eps)
 }

@@ -485,8 +485,6 @@ func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Opt
 
 // checkTMax is the sample cap of a round's stop check over a pool of
 // the given size: |R|·(1+ε₂)/(1−ε₂)·ε₃²/ε₂², at least 1.
-//
-//imc:pure
 func checkTMax(samples int, se2, se3 float64) int {
 	tmax := int(float64(samples) * (1 + se2) / (1 - se2) * (se3 * se3) / (se2 * se2))
 	return max(tmax, 1)

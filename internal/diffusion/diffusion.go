@@ -229,7 +229,6 @@ func sortNodes(s []graph.NodeID) {
 // the sum of b_i over communities with at least h_i active members.
 //
 //imc:hotpath
-//imc:pure
 func CommunityBenefit(p *community.Partition, active []bool) float64 {
 	benefit := 0.0
 	for i := 0; i < p.NumCommunities(); i++ {
@@ -255,7 +254,6 @@ func CommunityBenefit(p *community.Partition, active []bool) float64 {
 // ν(S) upper-bound function (eq. 6), used in Fig. 8.
 //
 //imc:hotpath
-//imc:pure
 func FractionalBenefit(p *community.Partition, active []bool) float64 {
 	total := 0.0
 	for i := 0; i < p.NumCommunities(); i++ {
@@ -429,20 +427,14 @@ type StoppingRuleResult struct {
 	Converged bool
 }
 
-// StoppingRule estimates the mean of a [0, 1]-valued random variable to
-// within relative error eps with probability ≥ 1−delta using the
-// Stopping Rule Algorithm of Dagum, Karp, Luby and Ross (SIAM J.
-// Comput. 2000, §2.1) — the engine of the paper's Estimate procedure
-// (Alg. 6). sample must return draws in [0, 1].
-func StoppingRule(sample func(*xrand.RNG) float64, eps, delta float64, maxSamples int, rng *xrand.RNG) (StoppingRuleResult, error) {
-	return StoppingRuleCtx(context.Background(), sample, eps, delta, maxSamples, rng)
-}
-
-// StoppingRuleCtx is StoppingRule with cooperative cancellation: the
-// draw loop polls ctx every ctxPollBatch samples (never per draw, so
-// the hot path stays allocation-free), returning the ctx error with a
-// zero result on cancellation. A completed run is byte-identical to
-// StoppingRule: the poll never touches the PRNG stream.
+// StoppingRuleCtx estimates the mean of a [0, 1]-valued random
+// variable to within relative error eps with probability ≥ 1−delta
+// using the Stopping Rule Algorithm of Dagum, Karp, Luby and Ross (SIAM
+// J. Comput. 2000, §2.1) — the engine of the paper's Estimate procedure
+// (Alg. 6). sample must return draws in [0, 1]. The draw loop polls ctx
+// every ctxPollBatch samples (never per draw, so the hot path stays
+// allocation-free), returning the ctx error with a zero result on
+// cancellation; the poll never touches the PRNG stream.
 //
 //imc:hotpath
 //imc:longrun

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestMCDeterministicAcrossWorkers(t *testing.T) {
 
 func TestStoppingRuleEstimatesBernoulli(t *testing.T) {
 	const p = 0.3
-	res, err := StoppingRule(func(r *xrand.RNG) float64 {
+	res, err := StoppingRuleCtx(context.Background(), func(r *xrand.RNG) float64 {
 		if r.Bernoulli(p) {
 			return 1
 		}
@@ -174,7 +175,7 @@ func TestStoppingRuleEstimatesBernoulli(t *testing.T) {
 }
 
 func TestStoppingRuleHitsCap(t *testing.T) {
-	res, err := StoppingRule(func(*xrand.RNG) float64 { return 0 }, 0.2, 0.2, 100, xrand.New(1))
+	res, err := StoppingRuleCtx(context.Background(), func(*xrand.RNG) float64 { return 0 }, 0.2, 0.2, 100, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +189,13 @@ func TestStoppingRuleHitsCap(t *testing.T) {
 
 func TestStoppingRuleValidation(t *testing.T) {
 	sample := func(*xrand.RNG) float64 { return 1 }
-	if _, err := StoppingRule(sample, 0, 0.1, 10, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0, 0.1, 10, xrand.New(1)); err == nil {
 		t.Fatal("want eps error")
 	}
-	if _, err := StoppingRule(sample, 0.1, 1.5, 10, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 1.5, 10, xrand.New(1)); err == nil {
 		t.Fatal("want delta error")
 	}
-	if _, err := StoppingRule(sample, 0.1, 0.1, 0, xrand.New(1)); err == nil {
+	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 0.1, 0, xrand.New(1)); err == nil {
 		t.Fatal("want maxSamples error")
 	}
 }

@@ -5,7 +5,7 @@ import (
 )
 
 func TestRMATShapeAndSkew(t *testing.T) {
-	a, b, c, d := Graph500()
+	a, b, c, d := 0.57, 0.19, 0.19, 0.05 // the Graph500 initiator
 	g, err := RMAT(12, 40000, a, b, c, d, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func TestRMATShapeAndSkew(t *testing.T) {
 }
 
 func TestRMATDeterministic(t *testing.T) {
-	a, b, c, d := Graph500()
+	a, b, c, d := 0.57, 0.19, 0.19, 0.05 // the Graph500 initiator
 	g1, err := RMAT(8, 2000, a, b, c, d, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -195,6 +195,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			g.inEID[pos] = g.outEID[idx]
 		}
 	}
-	g.fillCoins()
+	g.derive()
 	return g, nil
 }

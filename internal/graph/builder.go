@@ -127,7 +127,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.inW[pos] = e.Weight
 		g.inEID[pos] = EdgeID(i)
 	}
-	g.fillCoins()
+	g.derive()
 	return g, nil
 }
 

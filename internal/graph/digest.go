@@ -15,7 +15,13 @@ import "math"
 // (wrong file for the instance), not adversarial collisions. The
 // content-addressed pool cache layers a SHA-256 key on top for
 // addressing.
-func (g *Graph) WeightDigest() uint64 {
+//
+// Every constructor hashes the digest once (see derive), so a call is
+// a field read; the zero-value Graph reports 0.
+func (g *Graph) WeightDigest() uint64 { return g.digest }
+
+// hashWeights computes the digest WeightDigest reports.
+func (g *Graph) hashWeights() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

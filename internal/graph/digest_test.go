@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -101,5 +102,69 @@ func TestWeightDigestBitIdentical(t *testing.T) {
 	b := mustFromEdges(t, 2, []Edge{{From: 0, To: 1, Weight: 0.3}})
 	if a.WeightDigest() == b.WeightDigest() {
 		t.Error("digest should separate weights that differ only in low bits")
+	}
+}
+
+// TestWeightDigestStoredMatchesRehash: every constructor stores the
+// digest once; the stored value must equal a fresh hash of the graph
+// it built, including ApplyWeights' reweighted copies (which must not
+// inherit the source graph's digest).
+func TestWeightDigestStoredMatchesRehash(t *testing.T) {
+	edges := []Edge{
+		{From: 0, To: 1, Weight: 0.5},
+		{From: 0, To: 2, Weight: 0.25},
+		{From: 2, To: 3, Weight: 1},
+		{From: 3, To: 0, Weight: 0.125},
+		{From: 1, To: 3, Weight: 0.75},
+	}
+	built := mustFromEdges(t, 4, edges)
+
+	b := NewBuilder(4)
+	for _, e := range edges {
+		b.AddEdge(e.From, e.To, e.Weight)
+	}
+	fromBuilder, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var text bytes.Buffer
+	if err := WriteEdgeList(&text, built); err != nil {
+		t.Fatal(err)
+	}
+	fromText, err := ReadEdgeList(&text, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var bin bytes.Buffer
+	if err := WriteBinary(&bin, built); err != nil {
+		t.Fatal(err)
+	}
+	fromBinary, err := ReadBinary(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	graphs := map[string]*Graph{
+		"FromEdges":    built,
+		"Build":        fromBuilder,
+		"ReadEdgeList": fromText,
+		"ReadBinary":   fromBinary,
+	}
+	for name, scheme := range map[string]WeightScheme{
+		"WeightedCascade": WeightedCascade,
+		"ConstantWeight":  ConstantWeight,
+		"Trivalency":      Trivalency,
+	} {
+		graphs["ApplyWeights/"+name] = ApplyWeights(built, scheme, 0.1, 7)
+	}
+	for name, g := range graphs {
+		if got, want := g.WeightDigest(), g.hashWeights(); got != want {
+			t.Errorf("%s: stored digest %#x, fresh hash %#x", name, got, want)
+		}
+	}
+	if built.WeightDigest() == graphs["ApplyWeights/ConstantWeight"].WeightDigest() {
+		t.Error("reweighted copy reports its source graph's digest")
 	}
 }

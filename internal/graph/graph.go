@@ -58,6 +58,10 @@ type Graph struct {
 	inCoin   []uint64
 	countAt  []int32
 	countCDF []uint64
+
+	// digest is WeightDigest's value, hashed once by every constructor
+	// (the graph is immutable, so it cannot go stale).
+	digest uint64
 }
 
 // NumNodes returns the node count n.
@@ -105,10 +109,11 @@ func (g *Graph) InCoins(v NodeID) (froms []NodeID, coins, cdf []uint64) {
 	return g.inFrom[lo:hi], g.inCoin[lo:hi], cdf
 }
 
-// fillCoins derives inCoin from inW, and the live-count tables of the
-// nodes xrand.UseCount admits; every constructor calls it once the
-// reverse weights are final.
-func (g *Graph) fillCoins() {
+// derive fills what every constructor derives once the weights are
+// final: inCoin from inW, the live-count tables of the nodes
+// xrand.UseCount admits, and the weight digest.
+func (g *Graph) derive() {
+	g.digest = g.hashWeights()
 	g.inCoin = make([]uint64, len(g.inW))
 	for i, w := range g.inW {
 		g.inCoin[i] = xrand.Threshold(w)

@@ -59,7 +59,7 @@ func ApplyWeights(g *Graph, scheme WeightScheme, p float64, seed uint64) *Graph 
 			out.inW[i] = perEdge[out.inEID[i]]
 		}
 	}
-	out.fillCoins()
+	out.derive()
 	return out
 }
 

@@ -71,18 +71,18 @@ type journalRecord struct {
 // resumes from its side files.
 type journal struct {
 	// Staging half, guarded by smu (taken with the owner's mutex held;
-	// always innermost, so the lock-order graph stays acyclic).
+	// always innermost, so the lock order stays acyclic).
 	smu     sync.Mutex
-	pending []byte //imc:guardedby smu
-	staged  uint64 //imc:guardedby smu — tickets issued
+	pending []byte
+	staged  uint64 // tickets issued
 
 	// Writer half, guarded by mu — deliberately held across the fsync
 	// so concurrent commits batch behind one sync.
 	mu     sync.Mutex
-	file   *os.File      //imc:guardedby mu
-	bw     *bufio.Writer //imc:guardedby mu
-	synced uint64        //imc:guardedby mu — tickets durably on disk
-	werr   error         //imc:guardedby mu — sticky write/sync failure
+	file   *os.File
+	bw     *bufio.Writer
+	synced uint64 // tickets durably on disk
+	werr   error  // sticky write/sync failure
 }
 
 // replayJournal reads every intact record from path, reporting the
@@ -192,8 +192,6 @@ func (j *journal) Commit(ticket uint64) error {
 
 // flushAndSync pushes buf through the buffered writer to the kernel
 // and fsyncs. Called with j.mu held.
-//
-//imc:locked mu
 func (j *journal) flushAndSync(buf []byte) error {
 	if _, err := j.bw.Write(buf); err != nil {
 		return fmt.Errorf("job: append journal: %w", err)

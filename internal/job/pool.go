@@ -38,25 +38,25 @@ type PoolOptions struct {
 // boundary; interrupted jobs return to pending and resume from their
 // checkpoint on the next Start.
 type Pool struct {
-	store   *Store                                            //imc:guardedby immutable
-	workers int                                               //imc:guardedby immutable
-	now     clock.Func                                        //imc:guardedby immutable
-	log     *slog.Logger                                      //imc:guardedby immutable
-	build   func(expt.InstanceConfig) (*expt.Instance, error) //imc:guardedby immutable
-	cache   *poolcache.Cache                                  //imc:guardedby immutable — nil disables
+	store   *Store                                            // immutable
+	workers int                                               // immutable
+	now     clock.Func                                        // immutable
+	log     *slog.Logger                                      // immutable
+	build   func(expt.InstanceConfig) (*expt.Instance, error) // immutable
+	cache   *poolcache.Cache                                  // immutable — nil disables
 
-	baseCtx    context.Context    //imc:guardedby immutable
-	baseCancel context.CancelFunc //imc:guardedby immutable
+	baseCtx    context.Context    // immutable
+	baseCancel context.CancelFunc // immutable
 	wg         sync.WaitGroup
 
 	mu        sync.Mutex
-	cond      *sync.Cond            //imc:guardedby immutable — set once in NewPool
-	queue     []string              //imc:guardedby mu
-	queued    map[string]bool       //imc:guardedby mu
-	running   map[string]*runHandle //imc:guardedby mu
-	draining  bool                  //imc:guardedby mu
-	started   bool                  //imc:guardedby mu
-	durations *stats.Histogram      //imc:guardedby mu — completed-run durations, seconds
+	cond      *sync.Cond            // immutable — set once in NewPool
+	queue     []string              // guarded by mu
+	queued    map[string]bool       // guarded by mu
+	running   map[string]*runHandle // guarded by mu
+	draining  bool                  // guarded by mu
+	started   bool                  // guarded by mu
+	durations *stats.Histogram      // guarded by mu — completed-run durations, seconds
 
 	// checkpointHook, when set before Start, observes every durable
 	// checkpoint. Tests use it to interrupt a solve at a deterministic
@@ -126,7 +126,7 @@ func (p *Pool) Enqueue(id string) {
 	p.enqueueLocked(id)
 }
 
-//imc:locked mu
+// enqueueLocked queues id for the workers; the caller holds p.mu.
 func (p *Pool) enqueueLocked(id string) {
 	if p.queued[id] || p.running[id] != nil || p.draining {
 		return

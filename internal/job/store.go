@@ -21,15 +21,15 @@ import (
 // per-job side files, and the whole state is rebuilt by replay on Open.
 // All methods are safe for concurrent use.
 type Store struct {
-	dir string     //imc:guardedby immutable
-	now clock.Func //imc:guardedby immutable
+	dir string     // immutable
+	now clock.Func // immutable
 
 	mu    sync.Mutex
-	jl    *journal          //imc:guardedby mu
-	jobs  map[string]*Job   //imc:guardedby mu
-	order []string          //imc:guardedby mu — job IDs in submission order
-	byKey map[string]string //imc:guardedby mu — idempotency key → job ID
-	seq   int               //imc:guardedby mu
+	jl    *journal          // guarded by mu
+	jobs  map[string]*Job   // guarded by mu
+	order []string          // guarded by mu — job IDs in submission order
+	byKey map[string]string // guarded by mu — idempotency key → job ID
+	seq   int               // guarded by mu
 }
 
 // ErrNotFound reports an unknown job ID.
@@ -81,8 +81,6 @@ func Open(dir string, now clock.Func) (*Store, error) {
 
 // apply folds one journal record into the in-memory state during
 // replay, before the store is visible to any other goroutine.
-//
-//imc:prepublish
 func (s *Store) apply(rec journalRecord) error {
 	switch rec.Op {
 	case opSubmit:

@@ -6,22 +6,12 @@ import "strings"
 var All = []*Analyzer{
 	Determinism,
 	FloatCompare,
-	GoroutineLeak,
-	Printer,
 	SeedPlumb,
-	CtxFirst,
 	CtxPlumb,
 	AllocFree,
-	ErrFlow,
-	Purity,
-	ShareMut,
 	Layering,
 	APISurface,
-	Exhaustive,
-	ChanCtx,
-	GuardedBy,
 	LockHeld,
-	LockOrder,
 	HotPath,
 	IfaceDispatch,
 	StructLayout,
@@ -30,7 +20,7 @@ var All = []*Analyzer{
 	Presize,
 }
 
-// ByName resolves a comma-separated analyzer list ("determinism,printer").
+// ByName resolves a comma-separated analyzer list ("determinism,floatcompare").
 func ByName(names string) ([]*Analyzer, bool) {
 	parts := strings.Split(names, ",")
 	out := make([]*Analyzer, 0, len(parts))
@@ -82,25 +72,13 @@ const clockPackage = "/internal/clock"
 //
 //   - determinism: library packages only, except internal/clock (the
 //     sanctioned time.Now wrapper);
-//   - floatcompare, printer: library packages only;
 //   - seedplumb: the four sampling packages;
-//   - allocfree, purity, ctxplumb: library packages only (the //imc:
-//     annotation contracts live in library code; cmd/ and examples/ are
-//     not on the sampling hot path);
-//   - apisurface: library packages only (cmd/ binaries and examples/
-//     have no API consumers);
-//   - exhaustive: the dispatch packages (expt, serve) whose switches
-//     route on registered algorithm/scheme const sets;
-//   - chanctx, guardedby, lockheld: library packages only (cmd/
-//     binaries hold no long-lived locks and their signal-wait selects
-//     are the process's own lifetime, not a leaked goroutine's);
-//   - hotpath, ifacedispatch: library packages only (the //imc:hotpath
-//     perf contracts live in library code, like allocfree);
-//   - structlayout, falseshare, valuecopy, presize: library packages
-//     only (the memory-layout contracts guard the pooled kernel
-//     structs and worker fan-outs; cmd/ wiring is not bandwidth-bound);
-//   - goroutineleak, ctxfirst, errflow, sharemut, layering, lockorder:
-//     everywhere (a lock-order cycle is a deadlock wherever it lives).
+//   - layering: everywhere;
+//   - everything else: library packages only. The //imc: contracts
+//     (allocfree, ctxplumb, hotpath, ifacedispatch, valuecopy) and the
+//     memory-layout contracts live in library code, cmd/ binaries and
+//     examples/ have no API consumers, and they hold no long-lived
+//     locks.
 func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 	lib := isLibraryPackage(modulePath, path)
 	out := make([]*Analyzer, 0, len(candidates))
@@ -110,31 +88,17 @@ func AnalyzersFor(modulePath, path string, candidates []*Analyzer) []*Analyzer {
 			if lib && path != modulePath+clockPackage {
 				out = append(out, a)
 			}
-		case "floatcompare", "printer", "allocfree", "purity", "ctxplumb", "apisurface",
-			"chanctx", "guardedby", "lockheld",
-			"hotpath", "ifacedispatch",
-			"structlayout", "falseshare", "valuecopy", "presize":
-			if lib {
-				out = append(out, a)
-			}
 		case "seedplumb":
 			if samplingPackages[path] {
 				out = append(out, a)
 			}
-		case "exhaustive":
-			if dispatchPackages[path] {
+		case "layering":
+			out = append(out, a)
+		default:
+			if lib {
 				out = append(out, a)
 			}
-		default:
-			out = append(out, a)
 		}
 	}
 	return out
-}
-
-// dispatchPackages route requests to algorithms by name — the switches
-// the exhaustive analyzer polices.
-var dispatchPackages = map[string]bool{
-	"imc/internal/expt":  true,
-	"imc/internal/serve": true,
 }

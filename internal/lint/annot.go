@@ -1,39 +1,22 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// annot.go parses the `//imc:` directive comments that opt functions
-// into the flow-sensitive contracts:
+// annot.go parses the `//imc:` directive comments that opt
+// declarations into the suite's contracts:
 //
 //	//imc:hotpath   — the function is on the sampling hot path; the
-//	                  allocfree analyzer forbids per-iteration
-//	                  allocation inside its loops.
-//	//imc:pure      — the function is an estimator/comparator; the
-//	                  purity analyzer forbids writes to package state,
-//	                  impure callees, and retention of argument slices.
+//	                  allocfree, hotpath, ifacedispatch and valuecopy
+//	                  analyzers hold its loops to their contracts.
 //	//imc:longrun   — the function is a long-running compute entry
 //	                  point; the ctxplumb analyzer requires it to take
 //	                  context.Context first and to forward that context
 //	                  to any longrun callee.
-//	//imc:guardedby <mutex|immutable>
-//	                — a STRUCT FIELD directive: every access to the
-//	                  field must sit on a path dominated by
-//	                  <receiver>.<mutex>.Lock() (RLock suffices for
-//	                  reads); "immutable" instead forbids writes outside
-//	                  construction. Enforced by the guardedby analyzer.
-//	//imc:locked <mutex>
-//	                — the function must only be called with the named
-//	                  receiver mutex already held (the *Locked helper
-//	                  idiom); its body is checked as if the guard were
-//	                  held, and its callers are checked to hold it.
-//	//imc:prepublish
-//	                — the function runs before its receiver is
-//	                  published to other goroutines (construction or
-//	                  replay); guardedby skips it.
 //	//imc:compact   — a STRUCT TYPE directive: the struct's field order
 //	                  must be padding-minimal; the structlayout analyzer
 //	                  reports ANY reorderable padding waste on it.
@@ -44,24 +27,33 @@ import (
 //	                  from false-sharing findings; structlayout skips it
 //	                  (the padding is the point).
 //
-// Grammar: the directive must be its own comment line, attached to the
-// function declaration (in its doc comment or on the line of / above
-// the func keyword) — or, for guardedby, to a struct field (doc or
-// trailing line comment), or, for compact/padded, to a type
-// declaration's doc comment — exactly `//imc:<name>` with an optional
-// argument and trailing prose after a space. Like `//go:` directives
-// there is no space after the slashes.
+// Grammar: the directive must be its own comment line in the doc
+// comment of the declaration it applies to — a function declaration
+// for hotpath/longrun, a type declaration for compact/padded — exactly
+// `//imc:<name>` with optional trailing prose after a space. Like
+// `//go:` directives there is no space after the slashes. A directive
+// anywhere else, or with any other name, would silently do nothing, so
+// directiveFindings reports it.
 
 const (
-	directiveHotPath    = "hotpath"
-	directivePure       = "pure"
-	directiveLongRun    = "longrun"
-	directiveGuardedBy  = "guardedby"
-	directiveLocked     = "locked"
-	directivePrepublish = "prepublish"
-	directiveCompact    = "compact"
-	directivePadded     = "padded"
+	directiveHotPath = "hotpath"
+	directiveLongRun = "longrun"
+	directiveCompact = "compact"
+	directivePadded  = "padded"
 )
+
+// directiveTargets maps each known directive to the declaration kind
+// whose doc comment it must sit in.
+var directiveTargets = map[string]token.Token{
+	directiveHotPath: token.FUNC,
+	directiveLongRun: token.FUNC,
+	directiveCompact: token.TYPE,
+	directivePadded:  token.TYPE,
+}
+
+// directiveCheck is the pseudo-check name for directive hygiene
+// findings. Like suppression findings, they cannot be allowed away.
+const directiveCheck = "directive"
 
 // parseDirective extracts the name of an `//imc:` directive comment
 // ("hotpath" from "//imc:hotpath — inner sampling loop").
@@ -76,11 +68,9 @@ func parseDirective(text string) (string, bool) {
 	return rest, rest != ""
 }
 
-// funcDirectives returns the set of //imc: directives attached to each
-// function declaration of the package, plus the position of every
-// directive that is NOT attached to any function (misplaced directives
-// silently doing nothing are their own bug class; the annotation
-// analyzers report them).
+// funcDirectives returns the set of //imc: directives in each function
+// declaration's doc comment. Directives anywhere else are reported by
+// directiveFindings, not returned here.
 func funcDirectives(pkg *Package) map[*ast.FuncDecl]map[string]bool {
 	out := make(map[*ast.FuncDecl]map[string]bool)
 	for _, f := range pkg.Files {
@@ -149,4 +139,57 @@ func typeDirectives(pkg *Package) map[*ast.TypeSpec]map[string]bool {
 		}
 	}
 	return out
+}
+
+// directiveFindings files every //imc: directive of the package that
+// does nothing: one whose name is unknown, and a known one that is not
+// in the doc comment of the declaration kind it applies to (the places
+// funcDirectives and typeDirectives read).
+func (r *Reporter) directiveFindings() {
+	pkg := r.pkg
+	for _, f := range pkg.Files {
+		placed := make(map[*ast.Comment]token.Token)
+		mark := func(doc *ast.CommentGroup, kind token.Token) {
+			if doc == nil {
+				return
+			}
+			for _, c := range doc.List {
+				placed[c] = kind
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				mark(d.Doc, token.FUNC)
+			case *ast.GenDecl:
+				if d.Tok != token.TYPE {
+					continue
+				}
+				if len(d.Specs) == 1 {
+					mark(d.Doc, token.TYPE)
+				}
+				for _, spec := range d.Specs {
+					mark(spec.(*ast.TypeSpec).Doc, token.TYPE)
+				}
+			}
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				name, ok := parseDirective(c.Text)
+				if !ok {
+					continue
+				}
+				var msg string
+				switch target, known := directiveTargets[name]; {
+				case !known:
+					msg = fmt.Sprintf("unknown directive //imc:%s; the known directives are //imc:hotpath, //imc:longrun, //imc:compact and //imc:padded", name)
+				case placed[c] != target:
+					msg = fmt.Sprintf("//imc:%s is not in the doc comment of a %s declaration, so it applies to nothing", name, target)
+				default:
+					continue
+				}
+				r.diags = append(r.diags, Diagnostic{Check: directiveCheck, Pos: pkg.Fset.Position(c.Pos()), Message: msg})
+			}
+		}
+	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file builds the whole-program call graph — the substrate of the
-// suite's interprocedural analyzers (transitive allocfree/purity,
-// layering's call-DAG view, and the -graph debug dump). The v2 layer
+// suite's interprocedural analyzers (transitive allocfree,
+// ifacedispatch, lockheld, and the -graph debug dump). The v2 layer
 // stopped at function boundaries: allocfree could prove "this loop does
 // not allocate" but not "…and neither does anything it calls", so a
 // `//imc:hotpath` kernel calling an unannotated helper that allocates
@@ -32,8 +32,7 @@ import (
 //   - function literals are not separate nodes: a literal's body is
 //     folded into its enclosing declared function (its effects and
 //     call edges are attributed to the function that created it). This
-//     over-approximates (the closure may never run) but matches how
-//     the v2 purity pass already treated nested literals;
+//     over-approximates (the closure may never run);
 //   - calls into packages outside the loaded program (the standard
 //     library) become external edges, classified by the effect table
 //     in summary.go rather than by analyzing their bodies.
@@ -64,9 +63,6 @@ type Program struct {
 	// apiSnap caches the parsed API snapshot (lazy; see apisurface.go).
 	apiSnap map[string]map[string]string
 	apiErr  error
-	// lockinfo caches the lock-order graph and per-function acquired-lock
-	// facts (lazy; see locks.go).
-	lockinfo *lockInfo
 
 	// The flag bytes sit together at the tail so they pack into one
 	// word instead of each padding out an 8-byte-aligned neighbor (the
@@ -145,8 +141,6 @@ type FuncNode struct {
 	// Summary is the function's effect summary (set by the summary
 	// pass; see summary.go).
 	Summary *Summary
-
-	scc int
 }
 
 // Name renders the node as "pkgpath.Func" or "pkgpath.(*Recv).Method".

@@ -6,19 +6,17 @@ import (
 )
 
 // This file builds per-function control-flow graphs — the substrate of
-// the suite's flow-sensitive analyzers (allocfree, errflow, sharemut).
-// PR-1-era analyzers were purely syntactic: they could say "this
-// expression allocates" but not "…and it does so on every iteration of
-// the sampling loop" or "…only on the error path that never merges back
-// before the check". The CFG gives them three things:
+// the suite's flow-sensitive analyzers (allocfree, hotpath,
+// ifacedispatch, valuecopy, and lockheld's must-held walk). A purely
+// syntactic check can say "this expression allocates" but not "…and it
+// does so on every iteration of the sampling loop". The CFG gives them
+// two things:
 //
 //   - basic blocks with successor/predecessor edges, so a forward
-//     dataflow pass (see dataflow.go) can propagate facts around
-//     branches, loops, and early returns;
+//     dataflow pass can propagate facts around branches, loops, and
+//     early returns;
 //   - a per-statement loop depth, so allocation checks can distinguish
-//     one-time setup from per-iteration churn;
-//   - dominators, so an analyzer can ask "is this check guaranteed to
-//     run before that use".
+//     one-time setup from per-iteration churn.
 //
 // The builder is deliberately conservative where Go's control flow gets
 // exotic: a goto to an unresolvable label, or a panic/recover pair, is
@@ -444,80 +442,6 @@ type rangeBind struct {
 // Pos/End make rangeBind an ast.Node.
 func (r rangeBind) Pos() token.Pos { return r.Range.Pos() }
 func (r rangeBind) End() token.Pos { return r.Range.TokPos }
-
-// Dominators computes the immediate-dominator relation with the
-// classic iterative algorithm over a reverse postorder. idom[i] is the
-// immediate dominator of Blocks[i] (entry's idom is itself);
-// unreachable blocks get -1.
-func (c *CFG) Dominators() []int {
-	n := len(c.Blocks)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	rpo := c.reversePostorder()
-	order := make([]int, n) // block index → rpo position
-	for i := range order {
-		order[i] = -1
-	}
-	for pos, blk := range rpo {
-		order[blk.Index] = pos
-	}
-	idom[c.Entry.Index] = c.Entry.Index
-	intersect := func(a, b int) int {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range rpo {
-			if blk == c.Entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range blk.Preds {
-				if idom[p.Index] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(newIdom, p.Index)
-				}
-			}
-			if newIdom != -1 && idom[blk.Index] != newIdom {
-				idom[blk.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b under idom (as
-// returned by Dominators).
-func (c *CFG) Dominates(idom []int, a, b int) bool {
-	if idom[b] == -1 {
-		return false
-	}
-	for {
-		if b == a {
-			return true
-		}
-		next := idom[b]
-		if next == b || next == -1 {
-			return b == a
-		}
-		b = next
-	}
-}
 
 // reversePostorder returns the reachable blocks in reverse postorder
 // (entry first) — the iteration order under which forward dataflow

@@ -98,11 +98,19 @@ func h(n int) {
 		t.Errorf("loop depth of done = %d, want 0", got)
 	}
 	// The post-loop code must be reachable despite break/continue.
-	idom := cfg.Dominators()
 	blk := blockAssigning(t, cfg, "done")
-	if idom[blk.Index] == -1 {
+	if !reachable(cfg)[blk] {
 		t.Error("block after loop with break/continue is unreachable")
 	}
+}
+
+// reachable returns the set of blocks reachable from entry.
+func reachable(cfg *CFG) map[*Block]bool {
+	out := make(map[*Block]bool)
+	for _, blk := range cfg.reversePostorder() {
+		out[blk] = true
+	}
+	return out
 }
 
 // blockAssigning finds the block containing the assignment to name.
@@ -125,44 +133,6 @@ func blockAssigning(t *testing.T, cfg *CFG, name string) *Block {
 	return nil
 }
 
-func TestCFGDominators(t *testing.T) {
-	src := `package p
-func g(c bool) int {
-	x := 0
-	if c {
-		y := 1
-		_ = y
-	} else {
-		z := 2
-		_ = z
-	}
-	w := 3
-	return w
-}`
-	cfg := parseFuncCFG(t, src, "g")
-	idom := cfg.Dominators()
-	entry := cfg.Entry.Index
-	thenB := blockAssigning(t, cfg, "y").Index
-	elseB := blockAssigning(t, cfg, "z").Index
-	joinB := blockAssigning(t, cfg, "w").Index
-
-	if !cfg.Dominates(idom, entry, joinB) {
-		t.Error("entry must dominate the join block")
-	}
-	if cfg.Dominates(idom, thenB, joinB) {
-		t.Error("then-arm must not dominate the join block")
-	}
-	if cfg.Dominates(idom, elseB, joinB) {
-		t.Error("else-arm must not dominate the join block")
-	}
-	if !cfg.Dominates(idom, entry, thenB) || !cfg.Dominates(idom, entry, elseB) {
-		t.Error("entry must dominate both arms")
-	}
-	if idom[joinB] != entry {
-		t.Errorf("idom(join) = %d, want entry %d", idom[joinB], entry)
-	}
-}
-
 func TestCFGUnreachableAfterReturn(t *testing.T) {
 	src := `package p
 func r(c bool) int {
@@ -174,19 +144,11 @@ func r(c bool) int {
 }`
 	cfg := parseFuncCFG(t, src, "r")
 	// Both arms return, so the if's join block exists but is
-	// unreachable — dominators must mark it so, and exit must still see
-	// both return blocks.
+	// unreachable, and exit must still see both return blocks.
 	if len(cfg.Exit.Preds) < 2 {
 		t.Fatalf("exit has %d predecessors, want >= 2", len(cfg.Exit.Preds))
 	}
-	idom := cfg.Dominators()
-	reachable := 0
-	for _, blk := range cfg.Blocks {
-		if blk == cfg.Entry || idom[blk.Index] != -1 {
-			reachable++
-		}
-	}
-	if reachable == len(cfg.Blocks) {
+	if len(reachable(cfg)) == len(cfg.Blocks) {
 		t.Error("expected at least one unreachable block (the post-if join)")
 	}
 }

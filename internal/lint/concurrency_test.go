@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-// TestLockOrderFixture runs the deadlock analyzer over its golden
-// fixture and pins the part a substring want cannot: the inverted-pair
-// cycle must print BOTH witness call chains, so the report alone tells
-// the reader which two stacks to break apart.
-func TestLockOrderFixture(t *testing.T) {
-	t.Parallel()
-	prog := loadProgram(t, false, "lockorder")
-	pkg := progPkg(t, prog, "lockorder")
-	diags := Run(pkg, []*Analyzer{LockOrder})
-	matchWants(t, wantsIn(t, pkg), diags)
-
-	var cycleMsg string
-	for _, d := range diags {
-		if strings.Contains(d.Message, "lock-order cycle") {
-			cycleMsg = d.Message
-		}
-	}
-	if cycleMsg == "" {
-		t.Fatal("no lock-order cycle reported")
-	}
-	for _, frag := range []string{"TakeAB", "lockB", "TakeBA", "lockA"} {
-		if !strings.Contains(cycleMsg, frag) {
-			t.Errorf("cycle message missing witness fragment %q:\n%s", frag, cycleMsg)
-		}
-	}
-}
-
 // TestLockHeldFixture runs the blocking-under-mutex analyzer over its
 // golden fixture.
 func TestLockHeldFixture(t *testing.T) {
@@ -54,37 +27,5 @@ func TestLockHeldFixture(t *testing.T) {
 	}
 	if !found {
 		t.Error("no transitive finding through (*Logger).sync")
-	}
-}
-
-// TestLockGraphStats pins the fixture's lock-order graph: three locks,
-// three witness edges (the duplicate muA → muB from TakeABDirect folds
-// into the first witness), and two cycles — the inversion and the
-// self-edge.
-func TestLockGraphStats(t *testing.T) {
-	t.Parallel()
-	prog := loadProgram(t, false, "lockorder")
-	want := LockGraphStats{Locks: 3, Edges: 3, Cycles: 2}
-	if got := prog.LockStats(); got != want {
-		t.Errorf("LockStats = %+v, want %+v", got, want)
-	}
-}
-
-// TestDumpLocksDeterministic builds the program twice and requires
-// byte-identical lock-graph dumps: map-ordered iteration anywhere in
-// the pipeline would flake CI diffs.
-func TestDumpLocksDeterministic(t *testing.T) {
-	t.Parallel()
-	render := func() string {
-		var sb strings.Builder
-		loadProgram(t, false, "lockorder").DumpLocks(&sb)
-		return sb.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Errorf("lock dump not deterministic:\n--- first\n%s\n--- second\n%s", a, b)
-	}
-	if !strings.Contains(a, "lockgraph: locks=3 edges=3 cycles=2") {
-		t.Errorf("lock dump missing header:\n%s", a)
 	}
 }

@@ -88,3 +88,13 @@ func firstParamIsContext(pkg *Package, file *ast.File, ft *ast.FuncType) bool {
 	}
 	return isContextType(pkg, file, ft.Params.List[0].Type)
 }
+
+// isContextType matches the type expression context.Context.
+func isContextType(pkg *Package, file *ast.File, expr ast.Expr) bool {
+	sel, ok := expr.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Context" {
+		return false
+	}
+	path, ok := pkg.importedPkgName(file, sel.X)
+	return ok && path == "context"
+}

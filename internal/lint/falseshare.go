@@ -9,9 +9,9 @@ import (
 // detector cannot see: distinct goroutines writing bytes that never
 // overlap but live in the same 64-byte cache line, so every write
 // invalidates the other workers' copies and the "parallel" scan
-// serializes on line ownership. It reuses sharemut's goroutine-spawn
-// view of the function — `go func(...){…}` literals and the variables
-// they capture — and the canonical layout model from layout.go.
+// serializes on line ownership. It reads the function's goroutine
+// spawns — `go func(...){…}` literals and the variables they capture —
+// against the canonical layout model from layout.go.
 //
 // Two shapes fire:
 //

@@ -41,8 +41,8 @@ import (
 // callee belongs to that callee, which is checked at its own
 // declaration, so the caller does not answer for it.
 //
-// The findings are the compiler's, so they depend on the toolchain; the
-// fact cache keys on it. The missed-inlining check and the inlined-callee
+// The findings are the compiler's, so they depend on the toolchain (CI
+// pins it). The missed-inlining check and the inlined-callee
 // attribution need the call graph (a whole-program load).
 var HotPath = &Analyzer{
 	Name: "hotpath",

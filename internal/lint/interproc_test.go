@@ -91,7 +91,7 @@ func matchWants(t *testing.T, wants map[string][]string, diags []Diagnostic) {
 func TestCallGraphTransitiveFixture(t *testing.T) {
 	prog := loadProgram(t, false, "transitive", "transitive/dep")
 	stats := prog.Graph.Stats()
-	want := CallGraphStats{Nodes: 11, Edges: 8, DynamicSites: 0, SCCs: 11, LargestSCC: 1}
+	want := CallGraphStats{Nodes: 7, Edges: 5, DynamicSites: 0, SCCs: 7, LargestSCC: 1}
 	if stats != want {
 		t.Errorf("stats = %+v, want %+v", stats, want)
 	}
@@ -114,16 +114,12 @@ func TestCallGraphTransitiveFixture(t *testing.T) {
 	if level1.Summary.Effects&EffAlloc == 0 {
 		t.Error("dep.Level1 should inherit EffAlloc from level2")
 	}
-	if level1.Summary.Local&EffAlloc != 0 {
-		t.Error("dep.Level1 has no local allocation; Local must not contain EffAlloc")
+	if ev := level1.Summary.EvidenceFor(EffAlloc); ev == nil || ev.Via == nil {
+		t.Error("dep.Level1 has no local allocation; its EffAlloc evidence must come through a callee")
 	}
 	level2 := nodeNamed(t, prog, "dep.level2")
-	if level2.Summary.Local&EffAlloc == 0 {
-		t.Error("dep.level2 calls make; Local must contain EffAlloc")
-	}
-	bump := nodeNamed(t, prog, "dep.Bump")
-	if bump.Summary.Effects&EffGlobalWrite == 0 {
-		t.Error("dep.Bump should inherit EffGlobalWrite from bump2")
+	if ev := level2.Summary.EvidenceFor(EffAlloc); ev == nil || ev.Via != nil {
+		t.Error("dep.level2 calls make; its EffAlloc evidence must be local")
 	}
 	if sum := nodeNamed(t, prog, "dep.Sum"); sum.Summary.Effects != 0 {
 		t.Errorf("dep.Sum effects = %v, want none", sum.Summary.Effects)
@@ -144,7 +140,7 @@ func TestCallGraphTransitiveFixture(t *testing.T) {
 func TestTransitiveEnforcement(t *testing.T) {
 	prog := loadProgram(t, false, "transitive", "transitive/dep")
 	pkg := progPkg(t, prog, "src/transitive")
-	diags := Run(pkg, []*Analyzer{AllocFree, Purity})
+	diags := Run(pkg, []*Analyzer{AllocFree})
 	matchWants(t, wantsIn(t, pkg), diags)
 
 	chain := false
@@ -160,7 +156,7 @@ func TestTransitiveEnforcement(t *testing.T) {
 	}
 
 	dep := progPkg(t, prog, "transitive/dep")
-	if depDiags := Run(dep, []*Analyzer{AllocFree, Purity}); len(depDiags) != 0 {
+	if depDiags := Run(dep, []*Analyzer{AllocFree}); len(depDiags) != 0 {
 		t.Errorf("dep package should be clean, got %v", depDiags)
 	}
 }
@@ -340,13 +336,4 @@ func TestAPISurfaceMissingSection(t *testing.T) {
 		t.Errorf("missing-section findings incomplete (noSection=%v vanished=%v): %v",
 			noSection, vanished, diags)
 	}
-}
-
-// TestExhaustiveCrossPackage: a switch over another package's enum
-// resolves through the program-level registry, not object identity —
-// the loader gives each package its own type-check universe.
-func TestExhaustiveCrossPackage(t *testing.T) {
-	prog := loadProgram(t, false, "exhaustive", "exhaustive/client")
-	client := progPkg(t, prog, "exhaustive/client")
-	matchWants(t, wantsIn(t, client), Run(client, []*Analyzer{Exhaustive}))
 }

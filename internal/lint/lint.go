@@ -1,6 +1,7 @@
 // Package lint is a small static-analysis framework, built only on the
 // standard library's go/parser, go/ast, and go/types, that machine-checks
-// the invariants the rest of this repository merely documents:
+// the invariants the rest of this repository merely documents (the
+// roster is in analyzers.go; `imclint -list` prints it). Among them:
 //
 //   - determinism — library code must draw randomness from
 //     internal/xrand and time from internal/clock, because the RIC
@@ -9,12 +10,10 @@
 //     the wall clock;
 //   - floatcompare — benefit/threshold math must not use exact ==/!= on
 //     floats;
-//   - goroutineleak — worker fan-out must follow the repo's
-//     leak-free patterns (WaitGroup.Add before go, no naked unbuffered
-//     sends inside spawned goroutines);
-//   - printer — internal packages return values, they do not print;
 //   - seedplumb — exported APIs that spawn workers must be seedable;
-//   - ctxfirst — context.Context comes first.
+//   - the //imc: contracts — hot-path kernels neither allocate nor
+//     dispatch dynamically in their loops, and long-running entry
+//     points take and forward a context.
 //
 // Violations that are intentional carry a
 // `//lint:allow <check>: <reason>` comment on the offending line (or
@@ -22,7 +21,9 @@
 // the suite polices its own escape hatch: an allow comment that names
 // an unknown check, omits the reason, or no longer suppresses anything
 // (stale — the violation it excused was fixed or moved) is itself
-// reported under the pseudo-check "suppression".
+// reported under the pseudo-check "suppression". An //imc: directive
+// that would silently do nothing — an unknown name, or one outside the
+// doc comment it applies to — is reported under "directive".
 package lint
 
 import (
@@ -301,14 +302,15 @@ func (r *Reporter) Diagnostics() []Diagnostic {
 }
 
 // Run applies every analyzer in the list to pkg and returns the merged,
-// sorted diagnostics — including the suppression hygiene findings for
-// the package's allow comments.
+// sorted diagnostics — including the hygiene findings for the
+// package's allow comments and //imc: directives.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	r := NewReporter(pkg)
 	for _, a := range analyzers {
 		a.Run(pkg, r)
 	}
 	r.diags = append(r.diags, r.suppressionFindings(analyzers)...)
+	r.directiveFindings()
 	return r.Diagnostics()
 }
 
@@ -385,4 +387,15 @@ func (p *Package) selectorCall(file *ast.File, call *ast.CallExpr, pkgPath strin
 		}
 	}
 	return nil, false
+}
+
+// identObject resolves an identifier to its object (def or use).
+func identObject(pkg *Package, id *ast.Ident) types.Object {
+	if pkg.Info == nil {
+		return nil
+	}
+	if obj := pkg.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return pkg.Info.Uses[id]
 }

@@ -56,36 +56,25 @@ func wantsIn(t *testing.T, pkg *Package) map[string][]string {
 // matching diagnostic, and no unannotated line may fire.
 func TestAnalyzerFixtures(t *testing.T) {
 	fixtures := map[string]*Analyzer{
-		"determinism":   Determinism,
-		"floatcompare":  FloatCompare,
-		"goroutineleak": GoroutineLeak,
-		"printer":       Printer,
-		"seedplumb":     SeedPlumb,
-		"ctxfirst":      CtxFirst,
-		"ctxplumb":      CtxPlumb,
-		"allocfree":     AllocFree,
-		"errflow":       ErrFlow,
-		"purity":        Purity,
-		"sharemut":      ShareMut,
-		"exhaustive":    Exhaustive,
-		"chanctx":       ChanCtx,
-		"guardedby":     GuardedBy,
-		"structlayout":  StructLayout,
-		"falseshare":    FalseShare,
-		"valuecopy":     ValueCopy,
-		"presize":       Presize,
+		"determinism":  Determinism,
+		"floatcompare": FloatCompare,
+		"seedplumb":    SeedPlumb,
+		"ctxplumb":     CtxPlumb,
+		"allocfree":    AllocFree,
+		"structlayout": StructLayout,
+		"falseshare":   FalseShare,
+		"valuecopy":    ValueCopy,
+		"presize":      Presize,
 	}
 	// layering and apisurface need a whole Program (contract file, API
-	// snapshot) rather than a bare fixture package; lockorder and
-	// lockheld need the call graph; hotpath and ifacedispatch need
-	// call-graph nodes and effect summaries. Their fixture coverage
-	// lives in interproc_test.go, concurrency_test.go, and
-	// perfcontract_test.go. Everything else must have a golden fixture
-	// here.
+	// snapshot) rather than a bare fixture package; lockheld, hotpath
+	// and ifacedispatch need call-graph nodes and effect summaries.
+	// Their fixture coverage lives in interproc_test.go,
+	// concurrency_test.go, and perfcontract_test.go. Everything else
+	// must have a golden fixture here.
 	programOnly := map[string]bool{
 		"layering": true, "apisurface": true,
-		"lockorder": true, "lockheld": true,
-		"hotpath": true, "ifacedispatch": true,
+		"lockheld": true, "hotpath": true, "ifacedispatch": true,
 	}
 	if len(fixtures)+len(programOnly) != len(All) {
 		t.Fatalf("fixture table covers %d analyzers (+%d program-level), suite has %d",
@@ -100,34 +89,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // fixtures load into independent packages
 			pkg := loadFixture(t, name)
-			wants := wantsIn(t, pkg)
-			diags := Run(pkg, []*Analyzer{analyzer})
-
-			matched := make(map[string]int)
-			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-				subs, ok := wants[key]
-				if !ok {
-					t.Errorf("unexpected diagnostic: %s", d)
-					continue
-				}
-				found := false
-				for _, sub := range subs {
-					if strings.Contains(d.Message, sub) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("diagnostic at %s does not match any want %q: %s", key, subs, d.Message)
-				}
-				matched[key]++
-			}
-			for key, subs := range wants {
-				if matched[key] != len(subs) {
-					t.Errorf("%s: want %d diagnostic(s) matching %q, got %d", key, len(subs), subs, matched[key])
-				}
-			}
+			matchWants(t, wantsIn(t, pkg), Run(pkg, []*Analyzer{analyzer}))
 		})
 	}
 }
@@ -194,33 +156,15 @@ func TestParseAllow(t *testing.T) {
 // reported; a live, well-formed allow is not.
 func TestSuppressionHygiene(t *testing.T) {
 	pkg := loadFixture(t, "suppression")
-	diags := Run(pkg, []*Analyzer{Determinism})
-	wants := wantsIn(t, pkg)
-	matched := make(map[string]int)
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		subs, ok := wants[key]
-		if !ok {
-			t.Errorf("unexpected diagnostic: %s", d)
-			continue
-		}
-		found := false
-		for _, sub := range subs {
-			if strings.Contains(d.Message, sub) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("diagnostic at %s does not match any want %q: %s", key, subs, d.Message)
-		}
-		matched[key]++
-	}
-	for key, subs := range wants {
-		if matched[key] != len(subs) {
-			t.Errorf("%s: want %d diagnostic(s) matching %q, got %d", key, len(subs), subs, matched[key])
-		}
-	}
+	matchWants(t, wantsIn(t, pkg), Run(pkg, []*Analyzer{Determinism}))
+}
+
+// TestDirectiveHygiene: an //imc: directive with an unknown name, or a
+// known one outside the doc comment of the declaration kind it applies
+// to, is reported; correctly placed directives are not.
+func TestDirectiveHygiene(t *testing.T) {
+	pkg := loadFixture(t, "directives")
+	matchWants(t, wantsIn(t, pkg), Run(pkg, nil))
 }
 
 // TestAnalyzersFor checks the driver's per-package gating.
@@ -236,15 +180,15 @@ func TestAnalyzersFor(t *testing.T) {
 		path string
 		want string
 	}{
-		{"imc", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/graph", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/ric", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/maxr", "determinism,floatcompare,goroutineleak,printer,seedplumb,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/clock", "floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/expt", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/internal/serve", "determinism,floatcompare,goroutineleak,printer,ctxfirst,ctxplumb,allocfree,errflow,purity,sharemut,layering,apisurface,exhaustive,chanctx,guardedby,lockheld,lockorder,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
-		{"imc/cmd/imcrun", "goroutineleak,ctxfirst,errflow,sharemut,layering,lockorder"},
-		{"imc/examples/quickstart", "goroutineleak,ctxfirst,errflow,sharemut,layering,lockorder"},
+		{"imc", "determinism,floatcompare,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/graph", "determinism,floatcompare,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/ric", "determinism,floatcompare,seedplumb,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/maxr", "determinism,floatcompare,seedplumb,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/clock", "floatcompare,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/expt", "determinism,floatcompare,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/internal/serve", "determinism,floatcompare,ctxplumb,allocfree,layering,apisurface,lockheld,hotpath,ifacedispatch,structlayout,falseshare,valuecopy,presize"},
+		{"imc/cmd/imcrun", "layering"},
+		{"imc/examples/quickstart", "layering"},
 	}
 	for _, c := range cases {
 		if got := names(AnalyzersFor("imc", c.path, All)); got != c.want {
@@ -254,8 +198,8 @@ func TestAnalyzersFor(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	as, ok := ByName("determinism, printer")
-	if !ok || len(as) != 2 || as[0].Name != "determinism" || as[1].Name != "printer" {
+	as, ok := ByName("determinism, lockheld")
+	if !ok || len(as) != 2 || as[0].Name != "determinism" || as[1].Name != "lockheld" {
 		t.Fatalf("ByName = %v, %v", as, ok)
 	}
 	if _, ok := ByName("nosuch"); ok {

@@ -14,12 +14,11 @@ import (
 // lock; the canonical repo case was the job journal's fsync inside
 // Store.mu, which serialized all job-state reads behind disk latency.
 //
-// The walk is the same must-held dataflow lockorder uses (locks.go):
-// intersection meet, so conditionally-held locks don't flag, and
-// go/defer/closure subtrees excluded. Acquiring a NESTED lock is
-// deliberately not a lockheld finding — waiting on a lock is
-// lockorder's domain, and double-reporting every nested critical
-// section would bury the real stalls. Dynamic calls are also quiet
+// The walk is a must-held dataflow (locks.go): intersection meet, so
+// conditionally-held locks don't flag, and go/defer/closure subtrees
+// excluded. Acquiring a NESTED lock is deliberately not a lockheld
+// finding — reporting every nested critical section would bury the
+// real stalls. Dynamic calls are also quiet
 // (EffDynamic, not EffBlock): a documented gap that keeps clock-func
 // fields and injected builders from flagging every caller.
 
@@ -36,7 +35,6 @@ func runLockHeld(pkg *Package, r *Reporter) {
 	if prog == nil || prog.Graph == nil {
 		return
 	}
-	prog.locks() // summaries already computed; force the lock view for consistency
 	for _, node := range prog.Graph.Nodes {
 		if node.Pkg != pkg {
 			continue
@@ -45,13 +43,13 @@ func runLockHeld(pkg *Package, r *Reporter) {
 		if w == nil {
 			continue
 		}
-		w.walk(func(held map[lockID]heldLock, op lockOp) {
+		w.walk(func(held heldSet, op lockOp) {
 			if len(held) == 0 {
 				return
 			}
 			ids := sortedLockIDs(held)
 			hid := ids[0]
-			acq := shortPos(pkg.Fset.Position(held[hid].pos))
+			acq := shortPos(pkg.Fset.Position(held[hid]))
 			switch op.kind {
 			case opBlock:
 				r.Reportf("lockheld", op.pos,
@@ -63,7 +61,7 @@ func runLockHeld(pkg *Package, r *Reporter) {
 					if e.Callee.Summary == nil || e.Callee.Summary.Effects&EffBlock == 0 {
 						return
 					}
-					names, local := e.Callee.Chain(EffBlock)
+					names, local := chainThrough(e.Callee, EffBlock, "")
 					if local == nil {
 						return
 					}

@@ -1,32 +1,23 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
-// This file is the concurrency substrate of the v4 analyzers: lock
-// identities, per-function acquired-lock facts propagated bottom-up
-// over the call graph, a CFG-accurate "which locks are must-held here"
-// walker, and the global lock-order graph with its cycle detection.
-// lockorder and lockheld are thin consumers; the substrate is computed
-// once per Program and cached (same lazy pattern as the layering
-// contract and the API snapshot).
+// This file is the concurrency substrate of the lockheld analyzer:
+// lock identities and a CFG-accurate "which locks are must-held here"
+// walker.
 //
 // Lock identity is TYPE-level, not instance-level: `s.mu` on any
 // *Store resolves to "imc/internal/job.Store.mu". Two instances of the
-// same struct are indistinguishable, which over-approximates (locking
-// a.mu then b.mu of two different Stores reports a self-edge) but is
-// exactly the granularity a lock-ORDER discipline is stated at — "take
-// Pool.mu before Store.mu" is a rule about types. Package-level mutex
-// variables resolve to "pkgpath.varname"; local mutexes are skipped
-// (they cannot participate in a cross-function ordering). Embedded
-// mutexes (method promotion through an anonymous field) are not
-// resolved — a documented gap, the repo convention is named fields.
+// same struct are indistinguishable, which is the granularity a
+// locking rule is stated at. Package-level mutex variables resolve to
+// "pkgpath.varname"; local mutexes are skipped. Embedded mutexes
+// (method promotion through an anonymous field) are not resolved — a
+// documented gap, the repo convention is named fields.
 //
 // Must-held tracking is a forward dataflow over the function's CFG
 // with set-intersection meet: a lock counts as held at a point only if
@@ -37,8 +28,7 @@ import (
 //   - `go` statements: the spawned call runs on another goroutine,
 //     under a schedule where the caller's locks are not held;
 //   - function literals: a closure executes under its invoker's
-//     schedule, not at its creation point (each literal body is a
-//     candidate for its own walk, not part of the encloser's);
+//     schedule, not at its creation point;
 //   - `defer` statements: deferred work runs at return. In the
 //     dominant `defer mu.Unlock()` idiom the lock is simply held to
 //     the end of the function, which the walker models by never seeing
@@ -48,106 +38,6 @@ import (
 // "pkgpath.TypeName.field" for struct-field mutexes,
 // "pkgpath.varname" for package-level mutex variables.
 type lockID string
-
-// lockAcq is one entry of a function's acquired-lock summary: the
-// site where the lock is (transitively) acquired, and the callee the
-// fact arrived through (nil for a direct Lock call).
-type lockAcq struct {
-	pos token.Pos
-	via *FuncNode
-}
-
-// lockEdgeInfo is one lock-order edge witness: fn acquires `to`
-// (directly at pos, or via the callee called at pos) while holding
-// `from` (locked at fromPos).
-type lockEdgeInfo struct {
-	from, to lockID
-	fn       *FuncNode
-	fromPos  token.Pos
-	pos      token.Pos
-	via      *FuncNode
-}
-
-// lockInfo is the program-wide lock view.
-type lockInfo struct {
-	// acquires maps each function to the locks it may acquire
-	// synchronously on the caller's goroutine (transitively closed).
-	acquires map[*FuncNode]map[lockID]lockAcq
-	// edges keeps the first witness per ordered lock pair; edgeList
-	// preserves discovery order (deterministic: graph node order, then
-	// reverse postorder within a function).
-	edges    map[[2]lockID]*lockEdgeInfo
-	edgeList []*lockEdgeInfo
-	// ids lists every distinct lock identity observed, sorted.
-	ids []lockID
-	// cycles lists the strongly connected components of the lock graph
-	// with ≥ 2 locks (or a self-edge), members sorted — each one a
-	// potential deadlock.
-	cycles [][]lockID
-}
-
-// locks returns the program's lock view, computing it on first use.
-func (p *Program) locks() *lockInfo {
-	if p.lockinfo == nil {
-		p.lockinfo = computeLockInfo(p)
-	}
-	return p.lockinfo
-}
-
-// LockGraphStats summarizes the lock-order graph for -graph and the
-// JSON findings artifact.
-type LockGraphStats struct {
-	Locks  int `json:"locks"`
-	Edges  int `json:"edges"`
-	Cycles int `json:"cycles"`
-}
-
-// LockStats returns the lock-graph counts.
-func (p *Program) LockStats() LockGraphStats {
-	li := p.locks()
-	return LockGraphStats{Locks: len(li.ids), Edges: len(li.edgeList), Cycles: len(li.cycles)}
-}
-
-// DumpLocks renders the lock-order graph for `imclint -graph`: a stats
-// header, one line per ordered edge with its witness, then any cycles.
-// Deterministic.
-func (p *Program) DumpLocks(w *strings.Builder) {
-	li := p.locks()
-	w.WriteString("lockgraph: locks=")
-	writeInt(w, len(li.ids))
-	w.WriteString(" edges=")
-	writeInt(w, len(li.edgeList))
-	w.WriteString(" cycles=")
-	writeInt(w, len(li.cycles))
-	w.WriteString("\n")
-	edges := append([]*lockEdgeInfo(nil), li.edgeList...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
-	for _, e := range edges {
-		w.WriteString(string(e.from))
-		w.WriteString(" -> ")
-		w.WriteString(string(e.to))
-		w.WriteString(" (")
-		w.WriteString(e.fn.Name())
-		w.WriteString(" at ")
-		w.WriteString(shortPos(e.fn.Pkg.Fset.Position(e.pos)))
-		w.WriteString(")\n")
-	}
-	for _, cyc := range li.cycles {
-		w.WriteString("cycle: ")
-		for i, id := range cyc {
-			if i > 0 {
-				w.WriteString(" ⇄ ")
-			}
-			w.WriteString(string(id))
-		}
-		w.WriteString("\n")
-	}
-}
 
 // --- lock identity ------------------------------------------------------
 
@@ -248,152 +138,9 @@ func markSubtree(set map[ast.Node]bool, root ast.Node) {
 	})
 }
 
-// --- acquired-lock facts ------------------------------------------------
-
-// computeLockInfo builds the program's lock view: local acquired-lock
-// sets, transitive closure over the call-graph SCC condensation, then
-// one must-held walk per function to record lock-order edges, and
-// finally cycle detection over the resulting lock graph.
-func computeLockInfo(prog *Program) *lockInfo {
-	li := &lockInfo{
-		acquires: make(map[*FuncNode]map[lockID]lockAcq),
-		edges:    make(map[[2]lockID]*lockEdgeInfo),
-	}
-	if prog.Graph == nil {
-		return li
-	}
-	// Per-node goroutine-subtree exclusion, shared by the local pass and
-	// the edge propagation below; transient, dropped when we return.
-	skips := make(map[*FuncNode]map[ast.Node]bool, len(prog.Graph.Nodes))
-
-	// 1. Local acquisitions. Function literals and defers are included
-	// here (consistent with effect folding: the closure MAY run on this
-	// goroutine); go-spawned subtrees are not.
-	for _, node := range prog.Graph.Nodes {
-		if node.Decl.Body == nil {
-			continue
-		}
-		skip := goSubtrees(node.Decl.Body)
-		skips[node] = skip
-		acq := make(map[lockID]lockAcq)
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			if skip[n] {
-				return false
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, method, ok := mutexMethodCall(node.Pkg, call)
-			if !ok || (method != "Lock" && method != "RLock") {
-				return true
-			}
-			if id, ok := lockIdent(node.Pkg, recv); ok {
-				if _, seen := acq[id]; !seen {
-					acq[id] = lockAcq{pos: call.Pos()}
-				}
-			}
-			return true
-		})
-		li.acquires[node] = acq
-	}
-
-	// 2. Transitive closure, callees-first over the SCC condensation
-	// (Tarjan emits SCCs in reverse topological order), iterating each
-	// SCC to a fixed point for recursion cycles.
-	for _, scc := range tarjanSCC(prog.Graph) {
-		for changed := true; changed; {
-			changed = false
-			for _, node := range scc {
-				acq := li.acquires[node]
-				if acq == nil {
-					continue
-				}
-				skip := skips[node]
-				for i := range node.Calls {
-					edge := &node.Calls[i]
-					if edge.Callee == nil || skip[edge.Site] {
-						continue
-					}
-					for id := range li.acquires[edge.Callee] {
-						if _, seen := acq[id]; !seen {
-							acq[id] = lockAcq{pos: edge.Site.Pos(), via: edge.Callee}
-							changed = true
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// 3. Lock-order edges: one must-held walk per function. The first
-	// witness per ordered pair wins; node order (package path, source
-	// position) and the walker's reverse-postorder replay make that
-	// first witness deterministic.
-	for _, node := range prog.Graph.Nodes {
-		w := newHeldWalker(node)
-		if w == nil {
-			continue
-		}
-		w.walk(func(held map[lockID]heldLock, op lockOp) {
-			if len(held) == 0 {
-				return
-			}
-			switch op.kind {
-			case opAcquire:
-				for _, from := range sortedLockIDs(held) {
-					li.addEdge(from, op.id, node, held[from].pos, op.pos, nil)
-				}
-			case opCall:
-				if op.edge.Callee == nil {
-					return
-				}
-				callee := op.edge.Callee
-				tos := make([]lockID, 0, len(li.acquires[callee]))
-				for to := range li.acquires[callee] {
-					tos = append(tos, to)
-				}
-				sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-				for _, to := range tos {
-					for _, from := range sortedLockIDs(held) {
-						li.addEdge(from, to, node, held[from].pos, op.pos, callee)
-					}
-				}
-			}
-		})
-	}
-
-	// 4. Distinct identities (from acquisitions, so a lock never held
-	// concurrently with another still counts toward the stats).
-	idSet := make(map[lockID]bool)
-	for _, acq := range li.acquires {
-		for id := range acq {
-			idSet[id] = true
-		}
-	}
-	for id := range idSet {
-		li.ids = append(li.ids, id)
-	}
-	sort.Slice(li.ids, func(i, j int) bool { return li.ids[i] < li.ids[j] })
-
-	li.cycles = lockCycles(li)
-	return li
-}
-
-// addEdge records the first witness of an ordered lock pair.
-func (li *lockInfo) addEdge(from, to lockID, fn *FuncNode, fromPos, pos token.Pos, via *FuncNode) {
-	key := [2]lockID{from, to}
-	if li.edges[key] != nil {
-		return
-	}
-	e := &lockEdgeInfo{from: from, to: to, fn: fn, fromPos: fromPos, pos: pos, via: via}
-	li.edges[key] = e
-	li.edgeList = append(li.edgeList, e)
-}
-
 // sortedLockIDs returns held's keys in sorted order (map iteration
-// would make witness selection nondeterministic).
-func sortedLockIDs(held map[lockID]heldLock) []lockID {
+// would make the reported lock nondeterministic).
+func sortedLockIDs(held heldSet) []lockID {
 	out := make([]lockID, 0, len(held))
 	for id := range held {
 		out = append(out, id)
@@ -402,148 +149,17 @@ func sortedLockIDs(held map[lockID]heldLock) []lockID {
 	return out
 }
 
-// lockCycles finds the strongly connected components of the lock graph
-// with ≥ 2 members or a self-edge — the potential deadlocks. The lock
-// graph is tiny (a handful of identities), so a recursive Tarjan is
-// fine here.
-func lockCycles(li *lockInfo) [][]lockID {
-	adj := make(map[lockID][]lockID)
-	nodes := make(map[lockID]bool)
-	self := make(map[lockID]bool)
-	for _, e := range li.edgeList {
-		adj[e.from] = append(adj[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
-		if e.from == e.to {
-			self[e.from] = true
-		}
-	}
-	order := make([]lockID, 0, len(nodes))
-	for id := range nodes {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, succs := range adj {
-		sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-	}
-
-	index := make(map[lockID]int)
-	lowlink := make(map[lockID]int)
-	onStack := make(map[lockID]bool)
-	var stack []lockID
-	var cycles [][]lockID
-	counter := 0
-	var strongconnect func(v lockID)
-	strongconnect = func(v lockID) {
-		index[v] = counter
-		lowlink[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
-				}
-			} else if onStack[w] && index[w] < lowlink[v] {
-				lowlink[v] = index[w]
-			}
-		}
-		if lowlink[v] == index[v] {
-			var comp []lockID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 || self[comp[0]] {
-				sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-				cycles = append(cycles, comp)
-			}
-		}
-	}
-	for _, v := range order {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i][0] < cycles[j][0] })
-	return cycles
-}
-
-// cycleEdges returns the witness edges internal to one cycle's member
-// set, sorted by (from, to) — for a two-lock inversion, exactly the
-// two witness chains.
-func (li *lockInfo) cycleEdges(cyc []lockID) []*lockEdgeInfo {
-	in := make(map[lockID]bool, len(cyc))
-	for _, id := range cyc {
-		in[id] = true
-	}
-	out := make([]*lockEdgeInfo, 0, len(cyc))
-	for _, e := range li.edgeList {
-		if in[e.from] && in[e.to] {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].from != out[j].from {
-			return out[i].from < out[j].from
-		}
-		return out[i].to < out[j].to
-	})
-	return out
-}
-
-// witness renders one lock-order edge as a human-readable chain:
-// either "fn locks B at pos while holding A (locked at pos)" or, for
-// an inherited acquisition, the full call chain down to the Lock call.
-func (li *lockInfo) witness(e *lockEdgeInfo) string {
-	fset := e.fn.Pkg.Fset
-	hold := fmt.Sprintf("while holding %s (locked at %s)", e.from, shortPos(fset.Position(e.fromPos)))
-	if e.via == nil {
-		return fmt.Sprintf("%s locks %s at %s %s", e.fn.Name(), e.to, shortPos(fset.Position(e.pos)), hold)
-	}
-	chain := []string{e.fn.Name(), e.via.Name()}
-	cur := e.via
-	terminal := e.pos
-	terminalPkg := e.fn.Pkg
-	seen := make(map[*FuncNode]bool)
-	for cur != nil && !seen[cur] {
-		seen[cur] = true
-		a, ok := li.acquires[cur][e.to]
-		if !ok {
-			break
-		}
-		if a.via == nil {
-			terminal = a.pos
-			terminalPkg = cur.Pkg
-			break
-		}
-		chain = append(chain, a.via.Name())
-		cur = a.via
-	}
-	return fmt.Sprintf("%s locks %s at %s %s", formatChain(chain), e.to, shortPos(terminalPkg.Fset.Position(terminal)), hold)
-}
-
 // --- must-held walker ---------------------------------------------------
 
-// heldLock records where a must-held lock was acquired in the current
-// function and whether in read mode.
-type heldLock struct {
-	pos  token.Pos
-	read bool
-}
+// heldSet maps each must-held lock to where the current function
+// acquired it.
+type heldSet map[lockID]token.Pos
 
 // lockOpKind classifies events the walker reports.
 type lockOpKind int
 
 const (
-	// opAcquire: a Lock/RLock call; the emitted held set is the state
-	// BEFORE the acquisition.
+	// opAcquire: a Lock/RLock call (internal, never emitted).
 	opAcquire lockOpKind = iota
 	// opRelease: an Unlock/RUnlock call (internal, never emitted).
 	opRelease
@@ -559,14 +175,13 @@ type lockOp struct {
 	kind lockOpKind
 	pos  token.Pos
 	id   lockID    // opAcquire / opRelease
-	read bool      // opAcquire / opRelease: RLock/RUnlock
 	edge *CallEdge // opCall
 	desc string    // opBlock
 }
 
 // heldWalker runs the must-held dataflow over one function and replays
 // it, firing a callback per event with the lock set held at that
-// point. Shared by the lock-order edge pass and the lockheld analyzer.
+// point.
 type heldWalker struct {
 	node *FuncNode
 	cfg  *CFG
@@ -625,16 +240,9 @@ func newHeldWalker(node *FuncNode) *heldWalker {
 			case *ast.CallExpr:
 				if recv, method, ok := mutexMethodCall(pkg, n); ok {
 					if id, ok := lockIdent(pkg, recv); ok {
-						op := lockOp{pos: n.Pos(), id: id}
-						switch method {
-						case "Lock":
-							op.kind = opAcquire
-						case "RLock":
-							op.kind, op.read = opAcquire, true
-						case "Unlock":
+						op := lockOp{kind: opAcquire, pos: n.Pos(), id: id}
+						if method == "Unlock" || method == "RUnlock" {
 							op.kind = opRelease
-						case "RUnlock":
-							op.kind, op.read = opRelease, true
 						}
 						ops = append(ops, op)
 					}
@@ -671,14 +279,13 @@ func newHeldWalker(node *FuncNode) *heldWalker {
 
 // walk runs the must-held fixed point (intersection meet over reverse
 // postorder), then replays every reachable block firing emit per
-// acquire/call/block event with the held set at that point. For
-// opAcquire the emitted set is the state before the new lock lands.
-func (w *heldWalker) walk(emit func(held map[lockID]heldLock, op lockOp)) {
+// call/block event with the held set at that point.
+func (w *heldWalker) walk(emit func(held heldSet, op lockOp)) {
 	n := len(w.cfg.Blocks)
-	in := make([]map[lockID]heldLock, n)
-	out := make([]map[lockID]heldLock, n)
+	in := make([]heldSet, n)
+	out := make([]heldSet, n)
 	rpo := w.cfg.reversePostorder()
-	in[w.cfg.Entry.Index] = map[lockID]heldLock{}
+	in[w.cfg.Entry.Index] = heldSet{}
 	for changed := true; changed; {
 		changed = false
 		for _, blk := range rpo {
@@ -708,8 +315,8 @@ func (w *heldWalker) walk(emit func(held map[lockID]heldLock, op lockOp)) {
 }
 
 // apply runs blk's events over a copy of held, optionally emitting.
-func (w *heldWalker) apply(held map[lockID]heldLock, blk *Block, emit func(map[lockID]heldLock, lockOp)) map[lockID]heldLock {
-	cur := make(map[lockID]heldLock, len(held))
+func (w *heldWalker) apply(held heldSet, blk *Block, emit func(heldSet, lockOp)) heldSet {
+	cur := make(heldSet, len(held))
 	for id, h := range held {
 		cur[id] = h
 	}
@@ -717,11 +324,8 @@ func (w *heldWalker) apply(held map[lockID]heldLock, blk *Block, emit func(map[l
 		for _, op := range w.ops[stmt] {
 			switch op.kind {
 			case opAcquire:
-				if emit != nil {
-					emit(cur, op)
-				}
 				if _, ok := cur[op.id]; !ok {
-					cur[op.id] = heldLock{pos: op.pos, read: op.read}
+					cur[op.id] = op.pos
 				}
 			case opRelease:
 				delete(cur, op.id)
@@ -738,8 +342,8 @@ func (w *heldWalker) apply(held map[lockID]heldLock, blk *Block, emit func(map[l
 // meetPreds intersects the out-sets of blk's computed predecessors
 // (must-analysis: held only if held on every incoming path). Returns
 // nil when no predecessor has been computed yet.
-func meetPreds(blk *Block, out []map[lockID]heldLock) map[lockID]heldLock {
-	var merged map[lockID]heldLock
+func meetPreds(blk *Block, out []heldSet) heldSet {
+	var merged heldSet
 	first := true
 	for _, p := range blk.Preds {
 		po := out[p.Index]
@@ -748,25 +352,22 @@ func meetPreds(blk *Block, out []map[lockID]heldLock) map[lockID]heldLock {
 		}
 		if first {
 			first = false
-			merged = make(map[lockID]heldLock, len(po))
+			merged = make(heldSet, len(po))
 			for id, h := range po {
 				merged[id] = h
 			}
 			continue
 		}
-		for id, h := range merged {
-			oh, ok := po[id]
+		for id, pos := range merged {
+			opos, ok := po[id]
 			if !ok {
 				delete(merged, id)
 				continue
 			}
-			// Keep the earlier acquisition site for determinism; a lock
-			// read-locked on any path counts as possibly-read-mode.
-			if oh.pos < h.pos {
-				h.pos = oh.pos
+			// Keep the earlier acquisition site for determinism.
+			if opos < pos {
+				merged[id] = opos
 			}
-			h.read = h.read || oh.read
-			merged[id] = h
 		}
 	}
 	if first {
@@ -776,7 +377,7 @@ func meetPreds(blk *Block, out []map[lockID]heldLock) map[lockID]heldLock {
 }
 
 // heldEqual compares two held sets.
-func heldEqual(a, b map[lockID]heldLock) bool {
+func heldEqual(a, b heldSet) bool {
 	if (a == nil) != (b == nil) || len(a) != len(b) {
 		return false
 	}

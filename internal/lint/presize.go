@@ -311,3 +311,56 @@ func boundish(pkg *Package, e ast.Expr) bool {
 	}
 	return false
 }
+
+// signatureVars collects every variable declared in a function
+// signature (receiver, parameter, result) of the package — computed
+// once so the dataflow transfer function stays cheap.
+func signatureVars(pkg *Package) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	addList := func(fl *ast.FieldList) {
+		if fl == nil {
+			return
+		}
+		for _, f := range fl.List {
+			for _, name := range f.Names {
+				if obj := pkg.Info.Defs[name]; obj != nil {
+					out[obj] = true
+				}
+			}
+		}
+	}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				addList(fn.Recv)
+				addList(fn.Type.Params)
+				addList(fn.Type.Results)
+			case *ast.FuncLit:
+				addList(fn.Type.Params)
+				addList(fn.Type.Results)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// isBodyLocalVar reports whether obj is a slice variable declared in a
+// function body: not a struct field, not a signature variable
+// (receiver/param/result), not package-level. Only such variables can
+// change ownership at a container store — everything else was already
+// long-lived or caller-owned.
+func isBodyLocalVar(sigVars map[types.Object]bool, obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return false
+	}
+	if v.IsField() || sigVars[v] {
+		return false
+	}
+	if v.Parent() != nil && v.Parent().Parent() == types.Universe {
+		return false // package scope
+	}
+	return true
+}

@@ -10,9 +10,8 @@ import (
 
 // This file computes bottom-up function summaries over the call graph:
 // for every declared function, a conservative "may" lattice of effects
-// (allocates, does IO, locks, touches package-level state, channel ops,
-// spawns goroutines, calls through dynamic dispatch) closed under the
-// transitive-callee relation. The computation condenses the graph into
+// (allocates, calls through dynamic dispatch, may block) closed under
+// the transitive-callee relation. The computation condenses the graph into
 // strongly connected components (iterative Tarjan) and propagates in
 // reverse topological order, iterating each SCC to a fixed point —
 // effects only ever grow, so convergence is immediate for acyclic
@@ -31,22 +30,6 @@ const (
 	// literals, closures, string concatenation, interface boxing, or
 	// append to a slice that is not recognized amortized scratch).
 	EffAlloc Effect = 1 << iota
-	// EffIO: the function may perform IO or a syscall (os, io, net,
-	// syscall, fmt printing, …).
-	EffIO
-	// EffLock: the function may take a lock (calls into sync).
-	EffLock
-	// EffGlobalWrite: the function may write package-level state.
-	EffGlobalWrite
-	// EffGlobalRead: the function may read package-level mutable state.
-	EffGlobalRead
-	// EffParamWrite: the function may write through a parameter or
-	// receiver (an effect its caller observes).
-	EffParamWrite
-	// EffChan: the function may perform a channel operation.
-	EffChan
-	// EffGo: the function may spawn a goroutine.
-	EffGo
 	// EffDynamic: the function makes a call the graph cannot resolve
 	// (interface dispatch or a function value) — its true effect set is
 	// unknown past that point.
@@ -54,11 +37,10 @@ const (
 	// EffBlock: the function may block indefinitely — a channel send or
 	// receive outside a select-with-default, a select without a default
 	// clause, file/network IO that can stall on the kernel, or
-	// time.Sleep. Lock ACQUISITION is deliberately not EffBlock (that is
-	// lockorder's domain), and neither are dynamic calls (EffDynamic
-	// already marks the unknown; treating it as blocking would flag
-	// every clock-function field call). The lockheld analyzer consumes
-	// this bit.
+	// time.Sleep. Lock ACQUISITION is deliberately not EffBlock, and
+	// neither are dynamic calls (EffDynamic already marks the unknown;
+	// treating it as blocking would flag every clock-function field
+	// call). The lockheld analyzer consumes this bit.
 	EffBlock
 )
 
@@ -68,13 +50,6 @@ var effectNames = []struct {
 	name string
 }{
 	{EffAlloc, "alloc"},
-	{EffIO, "io"},
-	{EffLock, "lock"},
-	{EffGlobalWrite, "gwrite"},
-	{EffGlobalRead, "gread"},
-	{EffParamWrite, "pwrite"},
-	{EffChan, "chan"},
-	{EffGo, "go"},
 	{EffDynamic, "dynamic"},
 	{EffBlock, "block"},
 }
@@ -106,9 +81,6 @@ type Evidence struct {
 type Summary struct {
 	// Effects is the transitive may-effect set.
 	Effects Effect
-	// Local is the subset of Effects with in-body evidence (before
-	// callee propagation).
-	Local Effect
 	// evidence records, per effect bit, the first explanation found.
 	evidence map[Effect]*Evidence
 }
@@ -119,28 +91,6 @@ func (s *Summary) EvidenceFor(e Effect) *Evidence {
 		return nil
 	}
 	return s.evidence[e]
-}
-
-// Chain reconstructs the call chain behind an inherited effect: the
-// sequence of function names from (but excluding) the starting node
-// down to the local evidence, plus that evidence. A cycle guard caps
-// traversal inside recursive SCCs.
-func (n *FuncNode) Chain(e Effect) (names []string, local *Evidence) {
-	seen := make(map[*FuncNode]bool)
-	cur := n
-	for cur != nil && !seen[cur] {
-		seen[cur] = true
-		ev := cur.Summary.EvidenceFor(e)
-		if ev == nil {
-			return names, nil
-		}
-		if ev.Via == nil {
-			return names, ev
-		}
-		names = append(names, ev.Via.Name())
-		cur = ev.Via
-	}
-	return names, nil
 }
 
 // computeSummaries fills node.Summary for every graph node: local
@@ -211,27 +161,11 @@ var cleanStdlib = map[string]bool{
 	"math/bits": true,
 }
 
-// ioStdlib lists import paths whose calls count as IO/syscall.
-var ioStdlib = map[string]bool{
-	"os":       true,
-	"os/exec":  true,
-	"io":       true,
-	"io/fs":    true,
-	"bufio":    true,
-	"net":      true,
-	"net/http": true,
-	"syscall":  true,
-	"log":      true,
-	"log/slog": true,
-	"time":     true, // clock reads are environment reads
-}
-
 // externalEffects classifies a call into a package outside the loaded
 // program. Unknown packages default to "may allocate" — the safe
-// assumption for hot-path enforcement — but not to IO or global writes,
-// which would drown purity findings in noise. recv is the callee's
-// receiver type name ("WaitGroup" for (*sync.WaitGroup).Wait), empty
-// for package-level functions.
+// assumption for hot-path enforcement. recv is the callee's receiver
+// type name ("WaitGroup" for (*sync.WaitGroup).Wait), empty for
+// package-level functions.
 func externalEffects(pkgPath, recv, name string) (Effect, string) {
 	display := pkgPath + "." + name
 	var block Effect
@@ -242,15 +176,7 @@ func externalEffects(pkgPath, recv, name string) (Effect, string) {
 	case cleanStdlib[pkgPath]:
 		return 0, display
 	case pkgPath == "sync" || pkgPath == "sync/atomic":
-		return EffLock | block, display
-	case pkgPath == "fmt":
-		if strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") ||
-			strings.HasPrefix(name, "Scan") || strings.HasPrefix(name, "Fscan") {
-			return EffAlloc | EffIO, display
-		}
-		return EffAlloc, display
-	case ioStdlib[pkgPath]:
-		return EffAlloc | EffIO | block, display
+		return block, display
 	default:
 		return EffAlloc | block, display
 	}
@@ -263,9 +189,8 @@ func externalEffects(pkgPath, recv, name string) (Effect, string) {
 // wholesale, file operations by name, the sleep/flush/copy helpers that
 // hide IO. Deliberate exclusions, each a policy decision:
 //
-//   - sync.Mutex.Lock and friends: waiting on a LOCK is lockorder's
-//     domain; flagging every nested acquisition as "blocking" would
-//     duplicate the lock-order graph as noise.
+//   - sync.Mutex.Lock and friends: flagging every nested acquisition
+//     as "blocking" would bury the real stalls in noise.
 //   - sync.Cond.Wait: the sanctioned wait-under-mutex idiom — Wait
 //     atomically releases the mutex while parked, so "blocks while
 //     holding" is exactly wrong. WaitGroup.Wait, by contrast, parks
@@ -318,8 +243,7 @@ func localSummary(node *FuncNode, scratch map[types.Object]bool) *Summary {
 	s := &Summary{evidence: make(map[Effect]*Evidence)}
 	if node.Decl.Body == nil {
 		// Unanalyzable body (assembly): assume the worst.
-		s.add(EffAlloc|EffIO|EffGlobalWrite|EffDynamic, node.Decl.Pos(), "has no analyzable body")
-		s.Local = s.Effects
+		s.add(EffAlloc|EffDynamic, node.Decl.Pos(), "has no analyzable body")
 		return s
 	}
 	pkg := node.Pkg
@@ -327,7 +251,6 @@ func localSummary(node *FuncNode, scratch map[types.Object]bool) *Summary {
 	isScratch := func(obj types.Object) bool {
 		return obj != nil && (local[obj] || scratch[obj])
 	}
-	params := paramObjects(pkg, node.Decl)
 	comms := selectCommOps(node.Decl.Body)
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -355,38 +278,21 @@ func localSummary(node *FuncNode, scratch map[types.Object]bool) *Summary {
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringExpr(pkg, n.Lhs[0]) {
 				s.add(EffAlloc, n.TokPos, "concatenates strings (+=)")
 			}
-			for _, lhs := range n.Lhs {
-				classifyStore(pkg, lhs, params, s)
-			}
-		case *ast.IncDecStmt:
-			classifyStore(pkg, n.X, params, s)
 		case *ast.SendStmt:
-			s.add(EffChan, n.Pos(), "performs a channel send")
 			if !comms[n] {
 				s.add(EffBlock, n.Pos(), "blocks on a channel send")
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.add(EffChan, n.Pos(), "performs a channel receive")
-				if !comms[n] {
-					s.add(EffBlock, n.Pos(), "blocks on a channel receive")
-				}
+			if n.Op == token.ARROW && !comms[n] {
+				s.add(EffBlock, n.Pos(), "blocks on a channel receive")
 			}
 		case *ast.SelectStmt:
-			s.add(EffChan, n.Pos(), "executes a select")
 			if !selectHasDefault(n) {
 				s.add(EffBlock, n.Pos(), "blocks in a select without a default case")
-			}
-		case *ast.GoStmt:
-			s.add(EffGo, n.Pos(), "spawns a goroutine")
-		case *ast.Ident:
-			if obj := packageLevelVar(pkg, n); obj != nil {
-				s.add(EffGlobalRead, n.Pos(), "reads package-level state "+n.Name)
 			}
 		}
 		return true
 	})
-	s.Local = s.Effects
 	return s
 }
 
@@ -453,8 +359,8 @@ func (s *Summary) add(e Effect, pos token.Pos, desc string) {
 }
 
 // localCallEffects classifies one call expression's direct effects:
-// allocating builtins, boxing at the call boundary, channel close, and
-// dynamic dispatch. Static in-program callees contribute nothing here —
+// allocating builtins, boxing at the call boundary, and dynamic
+// dispatch. Static in-program callees contribute nothing here —
 // their effects arrive through propagation.
 func localCallEffects(pkg *Package, call *ast.CallExpr, s *Summary, isScratch func(types.Object) bool) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && isBuiltin(pkg, id) {
@@ -467,8 +373,6 @@ func localCallEffects(pkg *Package, call *ast.CallExpr, s *Summary, isScratch fu
 			if len(call.Args) > 0 && !isScratch(sliceBaseObject(pkg, call.Args[0])) {
 				s.add(EffAlloc, call.Pos(), "appends to a non-scratch slice")
 			}
-		case "close":
-			s.add(EffChan, call.Pos(), "closes a channel")
 		}
 		return
 	}
@@ -480,71 +384,6 @@ func localCallEffects(pkg *Package, call *ast.CallExpr, s *Summary, isScratch fu
 	if res := resolveCall(pkg, call); res.kind == callDynamic {
 		s.add(EffDynamic, call.Pos(), "makes a dynamic call (function value or interface method)")
 	}
-}
-
-// classifyStore records the summary effect of one assignment target:
-// EffGlobalWrite for package-level variables, EffParamWrite for writes
-// THROUGH a parameter or receiver (plain reassignment of the parameter
-// variable itself is a local effect). Blank and local targets are free.
-func classifyStore(pkg *Package, lhs ast.Expr, params map[types.Object]bool, s *Summary) {
-	root := storeRoot(lhs)
-	id, ok := root.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if obj := packageLevelVar(pkg, id); obj != nil {
-		s.add(EffGlobalWrite, lhs.Pos(), "writes package-level state "+id.Name)
-		return
-	}
-	if obj := identObject(pkg, id); obj != nil && params[obj] {
-		if _, plain := lhs.(*ast.Ident); !plain {
-			s.add(EffParamWrite, lhs.Pos(), "writes through parameter "+id.Name)
-		}
-	}
-}
-
-// paramObjects collects fd's receiver, parameter, and result objects.
-func paramObjects(pkg *Package, fd *ast.FuncDecl) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	if pkg.Info == nil {
-		return out
-	}
-	collect := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					out[obj] = true
-				}
-			}
-		}
-	}
-	collect(fd.Recv)
-	collect(fd.Type.Params)
-	collect(fd.Type.Results)
-	return out
-}
-
-// packageLevelVar resolves id to a package-scope *types.Var of the
-// analyzed package, or nil.
-func packageLevelVar(pkg *Package, id *ast.Ident) types.Object {
-	if pkg.Info == nil || pkg.Types == nil {
-		return nil
-	}
-	obj, ok := pkg.Info.Uses[id]
-	if !ok {
-		return nil
-	}
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return nil
-	}
-	if v.Parent() != pkg.Types.Scope() {
-		return nil
-	}
-	return v
 }
 
 // boxedArgs returns the call arguments whose concrete non-pointer types
@@ -671,11 +510,9 @@ func tarjanSCC(g *CallGraph) [][]*FuncNode {
 	idx := make(map[*FuncNode]int, n)
 	for i, node := range g.Nodes {
 		idx[node] = i
-		node.scc = -1
 	}
 	var (
 		counter int
-		numSCCs int
 		stack   []int
 		sccs    [][]*FuncNode
 	)
@@ -725,13 +562,11 @@ func tarjanSCC(g *CallGraph) [][]*FuncNode {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
-					g.Nodes[w].scc = numSCCs
 					comp = append(comp, g.Nodes[w])
 					if w == v {
 						break
 					}
 				}
-				numSCCs++
 				sccs = append(sccs, comp)
 			}
 			frames = frames[:len(frames)-1]
@@ -764,22 +599,19 @@ type contractViolation struct {
 }
 
 // walkContract checks every resolved call edge in edges against the
-// banned effect set, traversing through unannotated in-program callees
+// banned effect bit, traversing through unannotated in-program callees
 // and stopping at callees that carry boundary (they are enforced at
-// their own declaration). One violation is reported per offending edge:
-// the first banned effect's chain.
-func walkContract(pkg *Package, edges []*CallEdge, banned Effect, boundary string) []contractViolation {
+// their own declaration). One violation is reported per offending edge.
+func walkContract(pkg *Package, edges []*CallEdge, bit Effect, boundary string) []contractViolation {
 	out := make([]contractViolation, 0, len(edges))
 	for _, edge := range edges {
 		if edge.Callee != nil {
 			if edge.Callee.Directives[boundary] {
 				continue // enforced at its own annotation
 			}
-			hit := edge.Callee.Summary.Effects & banned
-			if hit == 0 {
+			if edge.Callee.Summary.Effects&bit == 0 {
 				continue
 			}
-			bit := firstEffect(hit)
 			names, local := chainThrough(edge.Callee, bit, boundary)
 			if local == nil {
 				continue // the only paths run through annotated boundaries
@@ -795,13 +627,13 @@ func walkContract(pkg *Package, edges []*CallEdge, banned Effect, boundary strin
 			continue
 		}
 		eff, name := externalEffects(edge.ExtPkg, edge.ExtRecv, edge.ExtName)
-		if eff&banned == 0 {
+		if eff&bit == 0 {
 			continue
 		}
 		out = append(out, contractViolation{
 			Edge:  edge,
 			Chain: []string{name},
-			Desc:  effectDesc(firstEffect(eff & banned)),
+			Desc:  effectDesc(bit),
 			Pos:   pkg.Fset.Position(edge.Site.Pos()),
 		})
 	}
@@ -837,34 +669,13 @@ func chainThrough(start *FuncNode, bit Effect, boundary string) (names []string,
 	return names, nil
 }
 
-// firstEffect returns the lowest set bit as an Effect.
-func firstEffect(e Effect) Effect {
-	return e & (-e)
-}
-
 // effectDesc renders a one-word reason for an external-callee effect.
 func effectDesc(e Effect) string {
 	switch e {
 	case EffAlloc:
 		return "may allocate"
-	case EffIO:
-		return "performs IO"
-	case EffLock:
-		return "takes a lock"
-	case EffGlobalWrite:
-		return "writes package-level state"
-	case EffGlobalRead:
-		return "reads package-level state"
-	case EffParamWrite:
-		return "writes through its parameters"
-	case EffChan:
-		return "performs channel operations"
-	case EffGo:
-		return "spawns goroutines"
 	case EffDynamic:
 		return "makes a dynamic call"
-	case EffBlock:
-		return "may block"
 	default:
 		return e.String()
 	}
@@ -883,90 +694,4 @@ func shortPos(p token.Position) string {
 		name = name[i+1:]
 	}
 	return fmt.Sprintf("%s:%d", name, p.Line)
-}
-
-// --- enum registry -----------------------------------------------------
-
-// EnumGroup is one registered enumeration: either all package-level
-// constants of a shared named type, or a block of same-typed untyped
-// constants declared in one const declaration. The exhaustive analyzer
-// checks switch statements against these groups.
-type EnumGroup struct {
-	// Name labels the group in findings: the named type's display name,
-	// or "<file:line> const block" for untyped blocks.
-	Name string
-	// Members maps each constant object to its declared name.
-	Members map[types.Object]string
-	// Order lists member names in declaration order.
-	Order []string
-}
-
-// enumGroups builds the package's enum registry: named-type groups
-// keyed by the type object, plus per-const-block groups for untyped
-// string constants (the dispatch-table idiom: AlgUBG, AlgMAF, …).
-func enumGroups(pkg *Package) map[types.Object]*EnumGroup {
-	byConst := make(map[types.Object]*EnumGroup)
-	if pkg.Info == nil || pkg.Types == nil {
-		return byConst
-	}
-	named := make(map[*types.TypeName]*EnumGroup)
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST {
-				continue
-			}
-			var block *EnumGroup
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, name := range vs.Names {
-					obj, ok := pkg.Info.Defs[name].(*types.Const)
-					if !ok || obj.Parent() != pkg.Types.Scope() {
-						continue
-					}
-					if tn := namedTypeOf(obj.Type()); tn != nil {
-						grp := named[tn]
-						if grp == nil {
-							grp = &EnumGroup{Name: tn.Name(), Members: make(map[types.Object]string)}
-							named[tn] = grp
-						}
-						grp.Members[obj] = name.Name
-						grp.Order = append(grp.Order, name.Name)
-						byConst[obj] = grp
-						continue
-					}
-					if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						if block == nil {
-							pos := pkg.Fset.Position(gd.Pos())
-							block = &EnumGroup{
-								Name:    fmt.Sprintf("const block at %s", shortPos(pos)),
-								Members: make(map[types.Object]string),
-							}
-						}
-						block.Members[obj] = name.Name
-						block.Order = append(block.Order, name.Name)
-						byConst[obj] = block
-					}
-				}
-			}
-		}
-	}
-	return byConst
-}
-
-// namedTypeOf returns the defining TypeName when t is a named
-// non-basic-alias type declared at package scope, else nil.
-func namedTypeOf(t types.Type) *types.TypeName {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil
-	}
-	tn := named.Obj()
-	if tn.Pkg() == nil {
-		return nil // predeclared (error, …)
-	}
-	return tn
 }

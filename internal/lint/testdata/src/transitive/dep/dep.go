@@ -3,22 +3,12 @@
 // callers in the parent package.
 package dep
 
-var hits int
-
 // Level1 forwards to level2 — the allocation is one more frame down.
 func Level1(n int) int { return level2(n) }
 
 func level2(n int) int {
 	buf := make([]int, n)
 	return len(buf)
-}
-
-// Bump forwards to bump2, which writes package-level state.
-func Bump() int { return bump2() }
-
-func bump2() int {
-	hits = hits + 1
-	return hits
 }
 
 // Sum is transitively clean: no allocation, no observable effects.

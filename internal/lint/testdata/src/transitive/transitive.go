@@ -1,6 +1,5 @@
 // Package transitive is the interprocedural golden fixture: annotated
-// hot paths and pure functions whose violations live in callees of the
-// nested package dep, one and two frames down. It is loaded together
+// hot paths whose violations live in callees of the nested package dep, one and two frames down. It is loaded together
 // with ./dep by interproc_test.go — a bare single-package load cannot
 // resolve the cross-package edges, and the analyzers degrade to their
 // intra-procedural behavior.
@@ -39,18 +38,4 @@ func HotClean(xs []int) int {
 //imc:hotpath
 func HotOnce(n int) int {
 	return dep.Level1(n)
-}
-
-// PureBad calls a function that transitively writes package state.
-//
-//imc:pure
-func PureBad(n int) int {
-	return n + dep.Bump() // want "calls Bump, which transitively writes package-level state"
-}
-
-// PureGood's callee is transitively effect-free.
-//
-//imc:pure
-func PureGood(xs []int) int {
-	return dep.Sum(xs)
 }

@@ -128,18 +128,13 @@ func candidates(pool *ric.Pool) []graph.NodeID {
 // rankKey packs the order candidates and BT instances rank nodes by —
 // count descending, then node ascending — into one integer, so a plain
 // slices.Sort puts a key array in that order without a comparator.
-//
-//imc:pure
 func rankKey(count int, v graph.NodeID) uint64 {
 	return uint64(^uint32(count))<<32 | uint64(uint32(v))
 }
 
 // rankNode and rankCount unpack a rankKey.
-//
-//imc:pure
 func rankNode(key uint64) graph.NodeID { return graph.NodeID(uint32(key)) }
 
-//imc:pure
 func rankCount(key uint64) int { return int(^uint32(key >> 32)) }
 
 // padSeeds fills seeds up to k with unused candidate nodes (then any

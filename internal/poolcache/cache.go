@@ -105,20 +105,20 @@ type entry struct {
 // a nil *Cache is a valid no-op cache (Begin returns a no-op session),
 // so callers can wire it unconditionally.
 type Cache struct {
-	dir      string                           //imc:guardedby immutable
-	maxBytes int64                            //imc:guardedby immutable
-	logf     func(format string, args ...any) //imc:guardedby immutable
+	dir      string                           // immutable
+	maxBytes int64                            // immutable
+	logf     func(format string, args ...any) // immutable
 
 	mu      sync.Mutex
-	entries map[Key]*entry //imc:guardedby mu
-	bytes   int64          //imc:guardedby mu
-	seq     uint64         //imc:guardedby mu
-	stats   Stats          //imc:guardedby mu — counter fields only
+	entries map[Key]*entry // guarded by mu
+	bytes   int64          // guarded by mu
+	seq     uint64         // guarded by mu
+	stats   Stats          // guarded by mu — counter fields only
 	// saving marks keys with a snapshot write in flight: a concurrent
 	// Save of the same key skips instead of racing on the shared
 	// temp-file path (the cache is best-effort; the skipped pool will
 	// be offered again at its next checkpoint boundary).
-	saving map[Key]bool //imc:guardedby mu
+	saving map[Key]bool // guarded by mu
 }
 
 // Open loads (or initializes) a cache rooted at dir. Existing cache
@@ -324,9 +324,7 @@ func (c *Cache) drop(k Key, why error) {
 // never happens inside the critical section. keep (when keepSet) is
 // never evicted: the entry being inserted must survive its own
 // insertion even if it alone exceeds the budget (an oversized cache of
-// one is better than write churn).
-//
-//imc:locked mu
+// one is better than write churn). The caller holds c.mu.
 func (c *Cache) evictLocked(keep Key, keepSet bool) []Key {
 	if c.maxBytes <= 0 {
 		return nil

@@ -27,12 +27,12 @@ import (
 // Different sessions over the same key are independent (each loads its
 // own donor), so concurrent requests never share mutable pool state.
 type Session struct {
-	c     *Cache               //imc:guardedby immutable
-	key   Key                  //imc:guardedby immutable
-	g     *graph.Graph         //imc:guardedby immutable
-	part  *community.Partition //imc:guardedby immutable
-	model diffusion.Model      //imc:guardedby immutable
-	seed  uint64               //imc:guardedby immutable
+	c     *Cache               // immutable
+	key   Key                  // immutable
+	g     *graph.Graph         // immutable
+	part  *community.Partition // immutable
+	model diffusion.Model      // immutable
+	seed  uint64               // immutable
 
 	once   sync.Once
 	donor  *ric.Donor // written once inside once.Do(load), read after

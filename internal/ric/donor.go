@@ -23,7 +23,7 @@ import (
 // every call.
 type Donor struct {
 	family
-	raws []rawSample //imc:guardedby immutable
+	raws []rawSample // immutable
 }
 
 // ReadDonor decodes a snapshot written by Pool.Save into a donor over

@@ -12,8 +12,6 @@ const maskWordBits = 64
 
 // maskWords returns the natural mask width of an n-member community:
 // ⌈n/64⌉ words.
-//
-//imc:pure
 func maskWords(n int) int {
 	return (n + maskWordBits - 1) / maskWordBits
 }
@@ -22,15 +20,11 @@ func maskWords(n int) int {
 func (m Mask) set(i int) { m[i/maskWordBits] |= 1 << uint(i%maskWordBits) }
 
 // Test reports whether bit i is on.
-//
-//imc:pure
 func (m Mask) Test(i int) bool {
 	return m[i/maskWordBits]&(1<<uint(i%maskWordBits)) != 0
 }
 
 // OnesCount returns the number of set bits.
-//
-//imc:pure
 func (m Mask) OnesCount() int {
 	c := 0
 	for _, w := range m {
@@ -54,8 +48,6 @@ func (m Mask) OrInto(dst Mask) bool {
 // NewBitsOver returns the number of bits set in m but not in base — the
 // marginal member coverage m adds on top of base. base must be at least
 // as long as m.
-//
-//imc:pure
 func (m Mask) NewBitsOver(base Mask) int {
 	base = base[:len(m)]
 	c := 0

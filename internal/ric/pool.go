@@ -36,18 +36,18 @@ const ctxPollBatch = 1024
 // the property the distributed runtime (internal/shard) rides on.
 type Pool struct {
 	family
-	root    *xrand.RNG //imc:guardedby immutable
-	workers int        //imc:guardedby immutable
+	root    *xrand.RNG // immutable
+	workers int        // immutable
 
 	// words is W, the width of every mask in the index: the largest
 	// natural width ⌈|C|/64⌉ over the partition's communities, fixed at
 	// NewPool so every index run has one stride.
-	words int //imc:guardedby immutable
+	words int // immutable
 
 	// The sample state is single-writer by contract — fold (fed by
 	// GenerateCtx, ReadInto, FoldRange and Donor.ExtendTo) owns it
-	// exclusively, then readers share it frozen (the sharemut analyzer
-	// polices that boundary) — so it carries no guard annotation.
+	// exclusively, then readers share it frozen — so it carries no
+	// guard comment.
 	//
 	// The inverted index is pointer-free per entry: node v's run is
 	// ids[v] (the samples v touches, ascending) and the parallel
@@ -83,11 +83,11 @@ type PoolOptions struct {
 // it is the same sample. Pool and Donor both carry one, and the
 // decoders validate a stream's identity block against it.
 type family struct {
-	g      *graph.Graph         //imc:guardedby immutable
-	part   *community.Partition //imc:guardedby immutable
-	seed   uint64               //imc:guardedby immutable
-	offset int                  //imc:guardedby immutable
-	model  diffusion.Model      //imc:guardedby immutable
+	g      *graph.Graph         // immutable
+	part   *community.Partition // immutable
+	seed   uint64               // immutable
+	offset int                  // immutable
+	model  diffusion.Model      // immutable
 }
 
 // newFamily validates opts against (g, part) and applies the model
@@ -604,8 +604,6 @@ func (p *Pool) CoverageCount(seeds []graph.NodeID) int {
 }
 
 // scale is b/|R|: one influenced sample's contribution to ĉ_R.
-//
-//imc:pure
 func (p *Pool) scale() float64 {
 	return p.part.TotalBenefit() / float64(len(p.samples))
 }

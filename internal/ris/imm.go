@@ -120,8 +120,6 @@ func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, e
 }
 
 // lnChooseFloat returns ln C(n, k) via log-gamma.
-//
-//imc:pure
 func lnChooseFloat(n, k float64) float64 {
 	if k < 0 || k > n {
 		return 0
@@ -130,8 +128,6 @@ func lnChooseFloat(n, k float64) float64 {
 }
 
 // lgammaPlus1 returns ln Γ(x+1) = ln x!.
-//
-//imc:pure
 func lgammaPlus1(x float64) float64 {
 	v, _ := math.Lgamma(x + 1)
 	return v

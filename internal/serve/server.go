@@ -79,51 +79,51 @@ const DefaultSolveTimeout = 60 * time.Second
 // Server is the HTTP handler set. Create with New and mount via
 // Handler.
 type Server struct {
-	logger       *slog.Logger  //imc:guardedby immutable
-	now          clock.Func    //imc:guardedby immutable
-	start        time.Time     //imc:guardedby immutable
-	solveTimeout time.Duration //imc:guardedby immutable
+	logger       *slog.Logger  // immutable
+	now          clock.Func    // immutable
+	start        time.Time     // immutable
+	solveTimeout time.Duration // immutable
 
 	// inflight is the heavy-endpoint admission semaphore: a slot is
 	// acquired non-blocking, so a full channel sheds load immediately
 	// instead of queueing latency.
-	inflight chan struct{} //imc:guardedby immutable
+	inflight chan struct{} // immutable
 
 	mu    sync.Mutex
-	cache map[string]*expt.Instance //imc:guardedby mu
+	cache map[string]*expt.Instance // guarded by mu
 	// maxCached bounds the instance cache (simple clear-all eviction:
 	// instances are cheap to rebuild relative to their memory).
-	maxCached int //imc:guardedby immutable
+	maxCached int // immutable
 	// building holds one in-flight build per cache key (singleflight):
 	// concurrent misses wait on the first builder's done channel instead
 	// of rebuilding the same instance N times.
-	building map[string]*buildResult //imc:guardedby mu
+	building map[string]*buildResult // guarded by mu
 	// buildInstance is the instance factory; a test seam defaulting to
 	// expt.BuildInstance (tests replace it before serving traffic).
-	buildInstance func(expt.InstanceConfig) (*expt.Instance, error) //imc:guardedby immutable
+	buildInstance func(expt.InstanceConfig) (*expt.Instance, error) // immutable
 
 	// Request counters for /metrics, keyed by registered route (anything
 	// else is bucketed under "other" so path scans can't grow the maps).
 	// latency holds per-route request-duration histograms for the
 	// compute-heavy routes, guarded by the same mutex.
 	statsMu   sync.Mutex
-	requests  map[string]int64            //imc:guardedby statsMu
-	errors4xx map[string]int64            //imc:guardedby statsMu
-	errors5xx map[string]int64            //imc:guardedby statsMu
-	latency   map[string]*stats.Histogram //imc:guardedby statsMu
+	requests  map[string]int64            // guarded by statsMu
+	errors4xx map[string]int64            // guarded by statsMu
+	errors5xx map[string]int64            // guarded by statsMu
+	latency   map[string]*stats.Histogram // guarded by statsMu
 
 	// jobStore/jobPool are nil unless Config enabled the job endpoints.
-	jobStore *job.Store //imc:guardedby immutable
-	jobPool  *job.Pool  //imc:guardedby immutable
+	jobStore *job.Store // immutable
+	jobPool  *job.Pool  // immutable
 
 	// poolCache is the shared snapshot store; nil disables caching
 	// (poolcache methods are nil-safe, so call sites stay unconditional).
-	poolCache *poolcache.Cache //imc:guardedby immutable
+	poolCache *poolcache.Cache // immutable
 
 	// shardCoord/shardWorker are nil unless Config enabled the
 	// distributed shard runtime roles.
-	shardCoord  *shard.Coordinator //imc:guardedby immutable
-	shardWorker *shard.Worker      //imc:guardedby immutable
+	shardCoord  *shard.Coordinator // immutable
+	shardWorker *shard.Worker      // immutable
 }
 
 // buildResult is one singleflight build slot. inst and err are written

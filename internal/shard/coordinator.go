@@ -47,20 +47,20 @@ type CoordinatorConfig struct {
 // A nil *Coordinator is valid: Grow degrades to plain local generation,
 // so call sites wire it unconditionally.
 type Coordinator struct {
-	client      *http.Client //imc:guardedby immutable
-	maxAttempts int          //imc:guardedby immutable
-	logger      *slog.Logger //imc:guardedby immutable
-	now         clock.Func   //imc:guardedby immutable
+	client      *http.Client // immutable
+	maxAttempts int          // immutable
+	logger      *slog.Logger // immutable
+	now         clock.Func   // immutable
 
 	mu      sync.Mutex
-	workers map[string]*workerInfo //imc:guardedby mu
+	workers map[string]*workerInfo // guarded by mu
 	// Counters for the /metrics shard section.
-	rangesDispatched int64            //imc:guardedby mu
-	retries          int64            //imc:guardedby mu
-	reassignments    int64            //imc:guardedby mu
-	localFallbacks   int64            //imc:guardedby mu
-	merges           int64            //imc:guardedby mu
-	mergeLatency     *stats.Histogram //imc:guardedby mu
+	rangesDispatched int64            // guarded by mu
+	retries          int64            // guarded by mu
+	reassignments    int64            // guarded by mu
+	localFallbacks   int64            // guarded by mu
+	merges           int64            // guarded by mu
+	mergeLatency     *stats.Histogram // guarded by mu
 }
 
 // workerInfo is one registered worker's health record.

@@ -39,15 +39,15 @@ type WorkerConfig struct {
 // range), which is what makes worker restarts and range reassignment
 // safe without coordination.
 type Worker struct {
-	build  BuildFunc        //imc:guardedby immutable
-	cache  *poolcache.Cache //imc:guardedby immutable
-	logger *slog.Logger     //imc:guardedby immutable
+	build  BuildFunc        // immutable
+	cache  *poolcache.Cache // immutable
+	logger *slog.Logger     // immutable
 
 	mu sync.Mutex
 	// instances holds built (graph, partition) pairs per spec, with one
 	// in-flight build slot each (singleflight): concurrent requests for
 	// the same spec wait on the first build instead of duplicating it.
-	instances map[string]*instanceSlot //imc:guardedby mu
+	instances map[string]*instanceSlot // guarded by mu
 }
 
 // instanceSlot is one singleflight build. g, part, and err are written
