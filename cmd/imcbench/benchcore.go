@@ -117,6 +117,10 @@ func runBenchCore(outPath, basePath string) error {
 		res, err := maxr.BT{MaxRoots: 64}.Solve(p, k)
 		return res.Seeds, err
 	}))
+	add("BT/full/k=10", benchGreedy(pool, k, func(p *ric.Pool, k int) ([]graph.NodeID, error) {
+		res, err := maxr.BT{}.Solve(p, k)
+		return res.Seeds, err
+	}))
 	add("MCBenefit/IC", benchMCBenefit(inst, seeds))
 	// One weighted-cascade node per row, through each live-edge kernel:
 	// the evidence for xrand.UseCount's degree cutoff.

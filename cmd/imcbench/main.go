@@ -41,7 +41,7 @@ func run() error {
 		seed       = flag.Uint64("seed", 42, "random seed")
 		maxSamp    = flag.Int("maxsamples", 1<<16, "RIC sample cap per run")
 		evalTMax   = flag.Int("evaltmax", 1<<16, "benefit-evaluation sample cap")
-		btRoots    = flag.Int("btroots", 64, "BT root cap inside MB (0 = all)")
+		btRoots    = flag.Int("btroots", 64, "BT root cap inside MB (0 = all; either way BT solves only the roots whose touch count can still win)")
 		ksFlag     = flag.String("ks", "", "comma-separated k sweep override, e.g. 5,10,20")
 		capsFlag   = flag.String("caps", "", "comma-separated size-cap sweep override (fig4)")
 		dsFlag     = flag.String("datasets", "", "comma-separated dataset override")

@@ -42,7 +42,7 @@ func run() error {
 		formation = flag.String("formation", "louvain", "community formation: louvain|random")
 		bounded   = flag.Bool("bounded", false, "bounded thresholds h=2 (default: 50% of population)")
 		maxSamp   = flag.Int("maxsamples", 1<<17, "RIC sample cap")
-		btRoots   = flag.Int("btroots", 64, "BT root cap inside MB (0 = all)")
+		btRoots   = flag.Int("btroots", 64, "BT root cap inside MB (0 = all; either way BT solves only the roots whose touch count can still win)")
 		commFile  = flag.String("communities", "", "partition JSON to load (skips formation/threshold flags)")
 		saveComm  = flag.String("save-communities", "", "write the instance's partition JSON here")
 	)

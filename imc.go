@@ -272,11 +272,15 @@ func NewUBG() Solver { return maxr.UBG{} }
 func NewMAF(seed uint64) Solver { return maxr.MAF{Seed: seed} }
 
 // NewBT returns the bounded-threshold solver; maxRoots caps the root
-// scan (0 = all), depth is the threshold bound d (0 = 2).
+// scan (0 = all), depth is the threshold bound d (0 = 2). The scan
+// solves only the roots whose touch count can still beat the best
+// score found, so the full scan costs a handful of subproblems in
+// practice, not one per node.
 func NewBT(maxRoots, depth int) Solver { return maxr.BT{MaxRoots: maxRoots, Depth: depth} }
 
 // NewMB returns the combined MAF∨BT solver with Θ(√((1−1/e)/r))
-// guarantee for thresholds ≤ 2.
+// guarantee for thresholds ≤ 2; maxRoots caps its BT half's root scan
+// as in NewBT (0 = all, which the touch-count prune keeps cheap).
 func NewMB(seed uint64, maxRoots int) Solver {
 	return maxr.MB{MAF: maxr.MAF{Seed: seed}, BT: maxr.BT{MaxRoots: maxRoots}}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"imc/internal/graph"
 	"imc/internal/ric"
@@ -18,14 +19,22 @@ import (
 // (d = 2), recursively otherwise. The root whose seed set influences the
 // most of its own touched samples wins. Guarantee: (1−1/e)/k^(d−1) for
 // the full root scan (MaxRoots 0).
+//
+// A root scores at most its touch count, and the roots are scanned in
+// descending touch-count order, so the scan stops at the first root
+// whose touch count cannot beat the best score found so far (an equal
+// count loses the tie to the earlier root). Every BT^(d) level prunes
+// its positions by entry count the same way. The pruned scan returns
+// exactly the seeds of the unpruned one and usually solves a handful
+// of roots, not one per candidate.
 type BT struct {
 	// MaxRoots caps how many candidate roots are examined at every
 	// recursion level, taken in descending touch-count order. 0 means
-	// all roots — faithful to the paper but O(|V|) subproblems, which
-	// the paper itself reports timing out on its largest dataset. A
-	// capped scan may skip the root the analysis relies on, so it does
-	// not carry the (1−1/e)/k^(d−1) bound; Guarantee still reports that
-	// bound.
+	// all roots — faithful to the paper. The touch-count prune already
+	// skips every root that cannot win, so the full scan no longer
+	// costs O(|V|) subproblems in practice. A capped scan may skip the
+	// root the analysis relies on, so it does not carry the
+	// (1−1/e)/k^(d−1) bound; Guarantee still reports that bound.
 	MaxRoots int
 	// Depth is the threshold bound d ≥ 2; 0 defaults to 2 (Alg. 4).
 	Depth int
@@ -64,8 +73,9 @@ func (b BT) Solve(pool *ric.Pool, k int) (Result, error) {
 // SolveCtx implements CtxSolver: every worker polls ctx once per root
 // subproblem (each root is an independent, typically sizable instance),
 // and the recursion checks ctx at each level's root scan. A completed
-// run is byte-identical to Solve — workers always fill the same
-// per-root result slots, so the poll never perturbs tie-breaking.
+// run is byte-identical to Solve: a root's subproblem does not depend
+// on which worker solves it or when, and the prune never skips a root
+// that could still win.
 //
 //imc:longrun
 func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
@@ -75,59 +85,116 @@ func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	scan := newRootScan(b.capRoots(candidates(pool)))
+	b.scanRoots(ctx, pool, k, scan)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	return finalize(pool, padSeeds(pool, scan.pick(), k)), nil
+}
+
+// rootScan is the shared state of the top-level root scan. Workers
+// claim root indices in order from next and solve each claimed root
+// into its slot of results. best holds the scanKey of the best
+// (score, index) solved so far, 0 before the first.
+type rootScan struct {
+	roots   []graph.NodeID
+	results []rootResult
+	next    atomic.Int64
+	best    atomic.Uint64
+}
+
+func newRootScan(roots []graph.NodeID) *rootScan {
+	return &rootScan{roots: roots, results: make([]rootResult, len(roots))}
+}
+
+// scanKey packs a root's score and index into one word that orders
+// roots the way the scan picks them: higher score first, then the
+// earlier index. Scores and indices both fit in 32 bits, since a pool
+// holds fewer than 2³² samples and a graph fewer than 2³¹ nodes.
+func scanKey(score, i int) uint64 {
+	return uint64(score+1)<<32 | uint64(^uint32(i))
+}
+
+// publish raises best to root i's key if that beats it.
+func (s *rootScan) publish(score, i int) {
+	key := scanKey(score, i)
+	for old := s.best.Load(); key > old; old = s.best.Load() {
+		if s.best.CompareAndSwap(old, key) {
+			return
+		}
+	}
+}
+
+// pick returns the winning root's seeds: the solved root with the
+// highest score, the earliest such root on a tie.
+func (s *rootScan) pick() []graph.NodeID {
+	key := s.best.Load()
+	if key == 0 {
+		return nil
+	}
+	return s.results[^uint32(key)].seeds
+}
+
+// scanRoots solves the roots of s that can still win. Root j scores at
+// most TouchCount(roots[j]), so it cannot win once scanKey(touch count,
+// j) is below best: a higher score is already in, or an equal one at an
+// earlier index. Comparing the keys, not the scores alone, keeps a
+// later root that was solved first from hiding an earlier root that
+// ties it. The roots are sorted by touch count, descending, and best
+// only grows, so once one claimed root is bounded every later one is
+// too, and the worker stops.
+func (b BT) scanRoots(ctx context.Context, pool *ric.Pool, k int, s *rootScan) {
 	covers := pool.SampleCovers()
-	roots := b.capRoots(candidates(pool))
-	results := make([]rootResult, len(roots))
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(roots) {
-		workers = len(roots)
+	if workers > len(s.roots) {
+		workers = len(s.roots)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sc := &btScratch{
-				words:  pool.Words(),
-				local:  make([]int32, pool.Graph().NumNodes()),
-				levels: make([]btInstance, b.depth()),
-			}
-			for i := w; i < len(roots); i += workers {
+			var sc *btScratch
+			for {
+				i := int(s.next.Add(1) - 1)
+				if i >= len(s.roots) || ctx.Err() != nil {
+					return
+				}
+				u := s.roots[i]
+				if scanKey(pool.TouchCount(u), i) < s.best.Load() {
+					return
+				}
+				if sc == nil {
+					sc = &btScratch{
+						words:  pool.Words(),
+						local:  make([]int32, pool.Graph().NumNodes()),
+						levels: make([]btInstance, b.depth()),
+					}
+				}
+				inst := sc.rootInstance(pool, covers, u)
+				team, score := b.solveInstance(ctx, sc, inst, k-1, b.depth()-1)
 				if ctx.Err() != nil {
 					return
 				}
-				u := roots[i]
-				inst := sc.rootInstance(pool, covers, u)
-				team, score := b.solveInstance(ctx, sc, inst, k-1, b.depth()-1)
 				seeds := make([]graph.NodeID, 0, 1+len(team))
 				seeds = append(seeds, u)
 				for _, p := range team {
 					seeds = append(seeds, inst.nodes[p])
 				}
-				results[i] = rootResult{seeds: seeds, score: score}
+				s.results[i] = rootResult{seeds: seeds, score: score}
+				s.publish(score, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	bestScore := -1
-	var bestSeeds []graph.NodeID
-	for _, r := range results {
-		if r.score > bestScore {
-			bestScore = r.score
-			bestSeeds = r.seeds
-		}
-	}
-	return finalize(pool, padSeeds(pool, bestSeeds, k)), nil
 }
 
 // rootResult is one root subproblem's slot in the shared result array
-// SolveCtx's workers fill in parallel. The bare payload is 32 bytes —
+// the scan's workers fill in parallel. The bare payload is 32 bytes —
 // two slots per cache line — so adjacent workers' stores would bounce
 // the line between cores; the pad gives each slot its own line (the
 // falseshare contract verifies the 64-byte size).
@@ -332,9 +399,12 @@ func (sc *btScratch) subInstance(inst *btInstance, pu int, sub *btInstance) {
 // samples base ∪ picks influences. depth ≤ 1 runs the greedy base case
 // (exact (1−1/e) when each residual threshold is ≤ 1, i.e. original
 // thresholds ≤ 2); deeper levels recurse over roots as §IV-C
-// describes. On cancellation it returns early with a partial (possibly
-// nil) team; the caller's post-wait ctx check discards the whole
-// result, so the short-circuit never leaks into a completed run.
+// describes, skipping every position that cannot beat the best team
+// found so far: a sub-solve influences at most its position's entry
+// count of samples, and positions run in entry-count order. On
+// cancellation it returns early with a partial (possibly nil) team;
+// the scan drops it and SolveCtx returns ctx's error, so the
+// short-circuit never leaks into a completed run.
 func (b BT) solveInstance(ctx context.Context, sc *btScratch, inst *btInstance, k, depth int) ([]int32, int) {
 	if k <= 0 || len(inst.nodes) == 0 {
 		return nil, sc.influencedBy(inst, nil)
@@ -350,6 +420,10 @@ func (b BT) solveInstance(ctx context.Context, sc *btScratch, inst *btInstance, 
 	bestScore := -1
 	var best []int32
 	for pu := 0; pu < roots; pu++ {
+		// An equal count cannot win either: ties go to the earlier pu.
+		if inst.start[pu+1]-inst.start[pu] <= bestScore {
+			break
+		}
 		if ctx.Err() != nil {
 			return best, bestScore
 		}
