@@ -357,9 +357,12 @@ func HBC(g *Graph, part *Partition, k int) ([]NodeID, error) { return baselines.
 // KS selects seeds by an exact knapsack over communities.
 func KS(g *Graph, part *Partition, k int) ([]NodeID, error) { return baselines.KS(g, part, k) }
 
-// IM selects seeds by classic influence maximization (RIS).
-func IM(g *Graph, part *Partition, k int, opts RISOptions) ([]NodeID, error) {
-	return baselines.IM(g, part, k, opts)
+// IM selects seeds by classic influence maximization (RIS). The
+// partition is not consulted: IM ignores community structure.
+func IM(g *Graph, _ *Partition, k int, opts RISOptions) ([]NodeID, error) {
+	opts.K = k
+	sol, err := ris.Solve(g, opts)
+	return sol.Seeds, err
 }
 
 // SolveIM runs the SSA-style IM solver directly, returning spread

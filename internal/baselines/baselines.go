@@ -1,17 +1,16 @@
-// Package baselines implements the three heuristic comparators from the
-// paper's evaluation (Section VI-A): HBC (high beneficial connection),
-// KS (knapsack over communities) and IM (classic influence
-// maximization, backed by internal/ris).
+// Package baselines implements heuristic comparators from the paper's
+// evaluation (Section VI-A): HBC (high beneficial connection) and KS
+// (knapsack over communities), plus the degree-discount heuristic. The
+// third comparator, IM (classic influence maximization), is
+// internal/ris, which needs no partition.
 package baselines
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"imc/internal/community"
 	"imc/internal/graph"
-	"imc/internal/ris"
 )
 
 // HBC selects the k nodes with the highest beneficial connection
@@ -116,28 +115,6 @@ func KS(g *graph.Graph, part *community.Partition, k int) ([]graph.NodeID, error
 		}
 	}
 	return seeds, nil
-}
-
-// IM runs classic influence maximization (internal/ris) and returns its
-// seed set, ignoring community structure entirely.
-func IM(g *graph.Graph, part *community.Partition, k int, opts ris.Options) ([]graph.NodeID, error) {
-	return IMCtx(context.Background(), g, part, k, opts)
-}
-
-// IMCtx is IM with cooperative cancellation threaded into the RIS
-// solver.
-//
-//imc:longrun
-func IMCtx(ctx context.Context, g *graph.Graph, part *community.Partition, k int, opts ris.Options) ([]graph.NodeID, error) {
-	if err := check(g, part, k); err != nil {
-		return nil, err
-	}
-	opts.K = k
-	sol, err := ris.SolveCtx(ctx, g, opts)
-	if err != nil {
-		return nil, fmt.Errorf("baselines: IM: %w", err)
-	}
-	return sol.Seeds, nil
 }
 
 func check(g *graph.Graph, part *community.Partition, k int) error {

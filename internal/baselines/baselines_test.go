@@ -6,7 +6,6 @@ import (
 	"imc/internal/community"
 	"imc/internal/gen"
 	"imc/internal/graph"
-	"imc/internal/ris"
 )
 
 func instance(t *testing.T) (*graph.Graph, *community.Partition) {
@@ -120,15 +119,6 @@ func TestKSIsOptimalKnapsack(t *testing.T) {
 			t.Fatalf("KS seeds %v missing member %d of the optimal pack", seeds, m)
 		}
 	}
-}
-
-func TestIMBaseline(t *testing.T) {
-	g, part := instance(t)
-	seeds, err := IM(g, part, 4, ris.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct(t, "IM", seeds, 4)
 }
 
 func TestValidation(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"imc/internal/graph"
 	"imc/internal/xrand"
@@ -49,12 +49,22 @@ func New(n int, memberSets [][]graph.NodeID) (*Partition, error) {
 	for i := range p.of {
 		p.of[i] = Unassigned
 	}
+	// Every member list is a capped window of one backing array, so a
+	// partition of n singletons costs a few allocations, not n.
+	total := 0
+	for _, members := range memberSets {
+		total += len(members)
+	}
+	backing := make([]graph.NodeID, 0, total)
+	p.comms = make([]Community, 0, len(memberSets))
 	for ci, members := range memberSets {
 		if len(members) == 0 {
 			continue
 		}
-		ms := append([]graph.NodeID(nil), members...)
-		sort.Slice(ms, func(a, b int) bool { return ms[a] < ms[b] })
+		lo := len(backing)
+		backing = append(backing, members...)
+		ms := backing[lo:len(backing):len(backing)]
+		slices.Sort(ms)
 		for _, u := range ms {
 			if u < 0 || int(u) >= n {
 				return nil, fmt.Errorf("community: node %d out of range [0, %d)", u, n)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -414,58 +413,4 @@ func mcAverageCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, opt
 type mcPartial struct {
 	sum float64
 	_   [56]byte
-}
-
-// StoppingRuleResult reports a Dagum–Karp–Luby–Ross estimate.
-type StoppingRuleResult struct {
-	// Mean is the estimated expectation of the sampled variable.
-	Mean float64
-	// Samples is the number of draws consumed.
-	Samples int
-	// Converged is false if MaxSamples was hit before the stopping
-	// condition (the estimate is then the best effort running mean).
-	Converged bool
-}
-
-// StoppingRuleCtx estimates the mean of a [0, 1]-valued random
-// variable to within relative error eps with probability ≥ 1−delta
-// using the Stopping Rule Algorithm of Dagum, Karp, Luby and Ross (SIAM
-// J. Comput. 2000, §2.1) — the engine of the paper's Estimate procedure
-// (Alg. 6). sample must return draws in [0, 1]. The draw loop polls ctx
-// every ctxPollBatch samples (never per draw, so the hot path stays
-// allocation-free), returning the ctx error with a zero result on
-// cancellation; the poll never touches the PRNG stream.
-//
-//imc:hotpath
-//imc:longrun
-func StoppingRuleCtx(ctx context.Context, sample func(*xrand.RNG) float64, eps, delta float64, maxSamples int, rng *xrand.RNG) (StoppingRuleResult, error) {
-	if eps <= 0 || eps >= 1 {
-		return StoppingRuleResult{}, fmt.Errorf("diffusion: eps %g out of (0, 1)", eps)
-	}
-	if delta <= 0 || delta >= 1 {
-		return StoppingRuleResult{}, fmt.Errorf("diffusion: delta %g out of (0, 1)", delta)
-	}
-	if maxSamples < 1 {
-		return StoppingRuleResult{}, errors.New("diffusion: maxSamples must be ≥ 1")
-	}
-	if err := ctx.Err(); err != nil {
-		return StoppingRuleResult{}, err
-	}
-	// Υ = 1 + 4(e−2)·ln(2/δ)·(1+ε)/ε².
-	upsilon := 1 + 4*(math.E-2)*math.Log(2/delta)*(1+eps)/(eps*eps)
-	sum := 0.0
-	for t := 1; t <= maxSamples; t++ {
-		if t&(ctxPollBatch-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return StoppingRuleResult{}, err
-			}
-		}
-		//lint:allow ifacedispatch: sample IS the estimator's abstraction point — every draw runs a full cascade behind it, so one indirect call per draw is amortized noise
-		sum += sample(rng)
-		if sum >= upsilon {
-			return StoppingRuleResult{Mean: upsilon / float64(t), Samples: t, Converged: true}, nil
-		}
-	}
-	mean := sum / float64(maxSamples)
-	return StoppingRuleResult{Mean: mean, Samples: maxSamples, Converged: false}, nil
 }

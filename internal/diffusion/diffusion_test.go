@@ -1,7 +1,6 @@
 package diffusion
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -152,51 +151,6 @@ func TestMCDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("MC estimate depends on worker count: %g vs %g", a, b)
-	}
-}
-
-func TestStoppingRuleEstimatesBernoulli(t *testing.T) {
-	const p = 0.3
-	res, err := StoppingRuleCtx(context.Background(), func(r *xrand.RNG) float64 {
-		if r.Bernoulli(p) {
-			return 1
-		}
-		return 0
-	}, 0.1, 0.1, 1_000_000, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("stopping rule did not converge")
-	}
-	if math.Abs(res.Mean-p) > 0.1*p {
-		t.Fatalf("estimated mean %g, want within 10%% of %g", res.Mean, p)
-	}
-}
-
-func TestStoppingRuleHitsCap(t *testing.T) {
-	res, err := StoppingRuleCtx(context.Background(), func(*xrand.RNG) float64 { return 0 }, 0.2, 0.2, 100, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("all-zero stream cannot converge")
-	}
-	if res.Mean != 0 || res.Samples != 100 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestStoppingRuleValidation(t *testing.T) {
-	sample := func(*xrand.RNG) float64 { return 1 }
-	if _, err := StoppingRuleCtx(context.Background(), sample, 0, 0.1, 10, xrand.New(1)); err == nil {
-		t.Fatal("want eps error")
-	}
-	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 1.5, 10, xrand.New(1)); err == nil {
-		t.Fatal("want delta error")
-	}
-	if _, err := StoppingRuleCtx(context.Background(), sample, 0.1, 0.1, 0, xrand.New(1)); err == nil {
-		t.Fatal("want maxSamples error")
 	}
 }
 

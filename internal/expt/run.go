@@ -219,7 +219,8 @@ func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg Run
 		return seeds, now().Sub(start), 0, err
 	case AlgIM:
 		start := now()
-		seeds, err := baselines.IMCtx(ctx, inst.G, inst.Part, k, ris.Options{
+		sol, err := ris.SolveCtx(ctx, inst.G, ris.Options{
+			K:          k,
 			Eps:        cfg.Eps,
 			Delta:      cfg.Delta,
 			Seed:       seed,
@@ -228,7 +229,7 @@ func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg Run
 			Model:      cfg.Model,
 			Clock:      cfg.Now,
 		})
-		return seeds, now().Sub(start), 0, err
+		return sol.Seeds, now().Sub(start), 0, err
 	default:
 		return nil, 0, 0, fmt.Errorf("unknown algorithm %q (valid: %v)", alg, AllAlgorithms)
 	}

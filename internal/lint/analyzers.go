@@ -45,10 +45,9 @@ func ByName(names string) ([]*Analyzer, bool) {
 }
 
 // samplingPackages are the packages under the seedplumb contract: the
-// ones that draw RIC/RR samples or simulate diffusion in parallel.
+// ones that draw RIC samples or simulate diffusion in parallel.
 var samplingPackages = map[string]bool{
 	"imc/internal/ric":       true,
-	"imc/internal/ris":       true,
 	"imc/internal/diffusion": true,
 	"imc/internal/maxr":      true,
 }

@@ -19,7 +19,7 @@ import (
 // Contract file grammar (one layer per line, bottom-up):
 //
 //	# comment
-//	layer internal/bitset internal/clock internal/xrand
+//	layer internal/clock internal/xrand
 //	layer internal/graph
 //	layer cmd/* examples/*
 //

@@ -7,7 +7,7 @@ import (
 )
 
 // SeedPlumb enforces the sampling packages' parallel-determinism
-// contract: any exported function or method in ric, ris, diffusion, or
+// contract: any exported function or method in ric, diffusion, or
 // maxr that spawns worker goroutines must be driven by caller-supplied
 // randomness — an *xrand.RNG parameter, an integer seed parameter, or
 // an options/receiver struct carrying a Seed or *xrand.RNG field. A

@@ -94,18 +94,20 @@ func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error)
 }
 
 // rootScan is the shared state of the top-level root scan. Workers
-// claim root indices in order from next and solve each claimed root
-// into its slot of results. best holds the scanKey of the best
-// (score, index) solved so far, 0 before the first.
+// claim root indices in order from next. best holds the scanKey of the
+// best (score, index) solved so far, 0 before the first. Once the
+// workers join, winner holds the seeds of the root whose key is best,
+// and solved counts the roots they solved.
 type rootScan struct {
-	roots   []graph.NodeID
-	results []rootResult
-	next    atomic.Int64
-	best    atomic.Uint64
+	roots  []graph.NodeID
+	next   atomic.Int64
+	best   atomic.Uint64
+	winner []graph.NodeID
+	solved int
 }
 
 func newRootScan(roots []graph.NodeID) *rootScan {
-	return &rootScan{roots: roots, results: make([]rootResult, len(roots))}
+	return &rootScan{roots: roots}
 }
 
 // scanKey packs a root's score and index into one word that orders
@@ -128,12 +130,14 @@ func (s *rootScan) publish(score, i int) {
 
 // pick returns the winning root's seeds: the solved root with the
 // highest score, the earliest such root on a tie.
-func (s *rootScan) pick() []graph.NodeID {
-	key := s.best.Load()
-	if key == 0 {
-		return nil
-	}
-	return s.results[^uint32(key)].seeds
+func (s *rootScan) pick() []graph.NodeID { return s.winner }
+
+// workerBest is what one scan worker hands back when it stops: the
+// key and seeds of the best root it solved, and how many it solved.
+type workerBest struct {
+	key    uint64
+	seeds  []graph.NodeID
+	solved int
 }
 
 // scanRoots solves the roots of s that can still win. Root j scores at
@@ -143,7 +147,8 @@ func (s *rootScan) pick() []graph.NodeID {
 // later root that was solved first from hiding an earlier root that
 // ties it. The roots are sorted by touch count, descending, and best
 // only grows, so once one claimed root is bounded every later one is
-// too, and the worker stops.
+// too, and the worker stops. Each worker keeps only its own best root;
+// the one whose key ends up as best is the winner.
 func (b BT) scanRoots(ctx context.Context, pool *ric.Pool, k int, s *rootScan) {
 	covers := pool.SampleCovers()
 	workers := b.Workers
@@ -153,12 +158,17 @@ func (b BT) scanRoots(ctx context.Context, pool *ric.Pool, k int, s *rootScan) {
 	if workers > len(s.roots) {
 		workers = len(s.roots)
 	}
+	done := make(chan workerBest, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *btScratch
+			var (
+				sc   *btScratch
+				mine workerBest
+			)
+			defer func() { done <- mine }()
 			for {
 				i := int(s.next.Add(1) - 1)
 				if i >= len(s.roots) || ctx.Err() != nil {
@@ -180,30 +190,27 @@ func (b BT) scanRoots(ctx context.Context, pool *ric.Pool, k int, s *rootScan) {
 				if ctx.Err() != nil {
 					return
 				}
-				seeds := make([]graph.NodeID, 0, 1+len(team))
-				seeds = append(seeds, u)
-				for _, p := range team {
-					seeds = append(seeds, inst.nodes[p])
+				mine.solved++
+				if key := scanKey(score, i); key > mine.key {
+					mine.key = key
+					mine.seeds = append(mine.seeds[:0], u)
+					for _, p := range team {
+						mine.seeds = append(mine.seeds, inst.nodes[p])
+					}
 				}
-				s.results[i] = rootResult{seeds: seeds, score: score}
 				s.publish(score, i)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// rootResult is one root subproblem's slot in the shared result array
-// the scan's workers fill in parallel. The bare payload is 32 bytes —
-// two slots per cache line — so adjacent workers' stores would bounce
-// the line between cores; the pad gives each slot its own line (the
-// falseshare contract verifies the 64-byte size).
-//
-//imc:padded
-type rootResult struct {
-	seeds []graph.NodeID
-	score int
-	_     [32]byte
+	close(done)
+	best := s.best.Load()
+	for r := range done {
+		s.solved += r.solved
+		if r.key == best {
+			s.winner = r.seeds
+		}
+	}
 }
 
 func (b BT) capRoots(roots []graph.NodeID) []graph.NodeID {

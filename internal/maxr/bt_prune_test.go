@@ -16,18 +16,12 @@ import (
 )
 
 // solvedRoots runs b's top-level root scan on pool and returns the
-// scan, whose filled result slots are the roots it solved.
+// scan and the number of roots it solved.
 func solvedRoots(t *testing.T, b BT, pool *ric.Pool, k int) (*rootScan, int) {
 	t.Helper()
 	scan := newRootScan(b.capRoots(candidates(pool)))
 	b.scanRoots(context.Background(), pool, k, scan)
-	n := 0
-	for _, r := range scan.results {
-		if r.seeds != nil {
-			n++
-		}
-	}
-	return scan, n
+	return scan, scan.solved
 }
 
 // TestBTTieGoesToEarlierRoot: on pairPool, nodes 0 and 1 each touch
@@ -66,8 +60,8 @@ func TestBTTieGoesToEarlierRoot(t *testing.T) {
 		scan := newRootScan(roots)
 		scan.publish(pool.TouchCount(1), 1)
 		bt.scanRoots(context.Background(), pool, 2, scan)
-		if scan.results[0].seeds == nil {
-			t.Fatalf("workers=%d: root 0 was skipped behind root 1's equal score", workers)
+		if i := ^uint32(scan.best.Load()); i != 0 {
+			t.Fatalf("workers=%d: root %d holds the best, so root 0 was skipped behind root 1's equal score", workers, i)
 		}
 		if got := scan.pick(); !slices.Equal(got, want.Seeds) {
 			t.Fatalf("workers=%d: picked %v, want root 0's team %v", workers, got, want.Seeds)

@@ -22,6 +22,12 @@ import (
 // reads of the pool changed, to the flat index.
 type btRef BT
 
+// refRootResult is one root's seeds and score in btRef's scan.
+type refRootResult struct {
+	seeds []graph.NodeID
+	score int
+}
+
 // refCover is one (node, mask) pair of the reference's sample-major
 // view.
 type refCover struct {
@@ -68,7 +74,7 @@ func (b btRef) Solve(pool *ric.Pool, k int) (Result, error) {
 	}
 	covers := refCovers(pool)
 	roots := BT(b).capRoots(candidates(pool))
-	results := make([]rootResult, len(roots))
+	results := make([]refRootResult, len(roots))
 	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,7 +91,7 @@ func (b btRef) Solve(pool *ric.Pool, k int) (Result, error) {
 				u := roots[i]
 				inst := b.rootInstance(pool, covers, u)
 				team := b.solveInstance(ctx, inst, k-1, b.depth()-1)
-				results[i] = rootResult{
+				results[i] = refRootResult{
 					seeds: append([]graph.NodeID{u}, team...),
 					score: inst.influencedBy(team),
 				}

@@ -342,7 +342,9 @@ var refSchemes = []struct {
 
 // TestSamplerMatchesReferenceModels extends the Bernoulli reference
 // check to FractionalInfluence and to the LT sampler, on the same
-// karate instance.
+// karate instance. It also runs on karate's singleton partition (one
+// community per node, threshold 1, benefit 1), where a sample is its
+// node's RR set: the instance the IM baseline (internal/ris) samples.
 func TestSamplerMatchesReferenceModels(t *testing.T) {
 	karate, err := gen.Karate()
 	if err != nil {
@@ -354,24 +356,38 @@ func TestSamplerMatchesReferenceModels(t *testing.T) {
 	}
 	part.SetBoundedThresholds(2)
 	part.SetPopulationBenefits()
+	sets := make([][]graph.NodeID, karate.NumNodes())
+	for v := range sets {
+		sets[v] = []graph.NodeID{graph.NodeID(v)}
+	}
+	singletons, err := community.New(karate.NumNodes(), sets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inSeed := make([]bool, karate.NumNodes())
 	for _, s := range []graph.NodeID{0, 5, 24, 33} {
 		inSeed[s] = true
 	}
-	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		for _, sc := range refSchemes {
-			t.Run(fmt.Sprintf("%v/%s", model, sc.name), func(t *testing.T) {
-				sampler, err := NewGenerator(graph.ApplyWeights(karate, sc.scheme, sc.p, 7), part, model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				root := xrand.New(99)
-				for i := uint64(0); i < 2000; i++ {
-					if err := matchReference(sampler, inSeed, root, i); err != nil {
+	parts := []struct {
+		prefix string
+		part   *community.Partition
+	}{{"", part}, {"Singletons/", singletons}}
+	for _, pc := range parts {
+		for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+			for _, sc := range refSchemes {
+				t.Run(fmt.Sprintf("%s%v/%s", pc.prefix, model, sc.name), func(t *testing.T) {
+					sampler, err := NewGenerator(graph.ApplyWeights(karate, sc.scheme, sc.p, 7), pc.part, model)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-			})
+					root := xrand.New(99)
+					for i := uint64(0); i < 2000; i++ {
+						if err := matchReference(sampler, inSeed, root, i); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

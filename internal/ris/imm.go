@@ -2,13 +2,11 @@ package ris
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 
 	"imc/internal/clock"
-	"imc/internal/diffusion"
 	"imc/internal/graph"
+	"imc/internal/maxr"
 )
 
 // SolveIMM picks k seeds with the IMM algorithm (Tang, Xiao & Shi,
@@ -31,26 +29,9 @@ func SolveIMM(g *graph.Graph, opts Options) (Solution, error) {
 //
 //imc:longrun
 func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, error) {
-	if opts.K < 1 {
-		return Solution{}, fmt.Errorf("ris: K=%d must be ≥ 1", opts.K)
-	}
-	if opts.K > g.NumNodes() {
-		return Solution{}, fmt.Errorf("ris: K=%d exceeds node count %d", opts.K, g.NumNodes())
-	}
-	if opts.Eps == 0 {
-		opts.Eps = 0.2
-	}
-	if opts.Delta == 0 {
-		opts.Delta = 0.2
-	}
-	if opts.Eps <= 0 || opts.Eps >= 1 || opts.Delta <= 0 || opts.Delta >= 1 {
-		return Solution{}, errors.New("ris: Eps and Delta must lie in (0, 1)")
-	}
-	if opts.Model == 0 {
-		opts.Model = diffusion.IC
-	}
-	if opts.MaxSamples <= 0 {
-		opts.MaxSamples = 1 << 20
+	opts, pool, err := newPool(g, opts)
+	if err != nil {
+		return Solution{}, err
 	}
 	now := clock.OrWall(opts.Clock)
 	start := now()
@@ -62,7 +43,6 @@ func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, e
 		ell    = math.Max(math.Log(1/opts.Delta)/math.Log(n), 0.1)
 		logNK  = lnChooseFloat(n, float64(k))
 		log2N  = math.Log2(n)
-		pool   = newRRPool(g, opts)
 		lb     = 1.0
 		epsP   = math.Sqrt2 * eps
 		lambdP = (2 + 2*epsP/3) * (logNK + ell*math.Log(n) + math.Log(log2N)) * n / (epsP * epsP)
@@ -81,18 +61,19 @@ func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, e
 		if thetaI > opts.MaxSamples {
 			thetaI = opts.MaxSamples
 		}
-		if deficit := thetaI - pool.size(); deficit > 0 {
-			if err := pool.generateCtx(ctx, deficit); err != nil {
-				return Solution{}, err
-			}
+		if err := pool.EnsureCtx(ctx, thetaI); err != nil {
+			return Solution{}, err
 		}
-		_, coverage := pool.greedyMaxCover(k)
-		est := n * float64(coverage) / float64(pool.size())
+		seeds, err := maxr.GreedyNuCtx(ctx, pool, k)
+		if err != nil {
+			return Solution{}, err
+		}
+		est := pool.CHat(seeds)
 		if est >= (1+epsP)*x {
 			lb = est / (1 + epsP)
 			break
 		}
-		if pool.size() >= opts.MaxSamples {
+		if pool.NumSamples() >= opts.MaxSamples {
 			break
 		}
 	}
@@ -105,16 +86,17 @@ func SolveIMMCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, e
 	if theta > opts.MaxSamples {
 		theta = opts.MaxSamples
 	}
-	if deficit := theta - pool.size(); deficit > 0 {
-		if err := pool.generateCtx(ctx, deficit); err != nil {
-			return Solution{}, err
-		}
+	if err := pool.EnsureCtx(ctx, theta); err != nil {
+		return Solution{}, err
 	}
-	seeds, coverage := pool.greedyMaxCover(k)
+	seeds, err := maxr.GreedyNuCtx(ctx, pool, k)
+	if err != nil {
+		return Solution{}, err
+	}
 	return Solution{
 		Seeds:          seeds,
-		SpreadEstimate: pool.spread(coverage),
-		Samples:        pool.size(),
+		SpreadEstimate: pool.CHat(seeds),
+		Samples:        pool.NumSamples(),
 		Elapsed:        now().Sub(start),
 	}, nil
 }

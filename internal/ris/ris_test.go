@@ -49,19 +49,21 @@ func TestSolveSpreadMatchesMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = graph.ApplyWeights(g, graph.WeightedCascade, 0, 0)
-	sol, err := Solve(g, Options{K: 5, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sol.Seeds) != 5 {
-		t.Fatalf("got %d seeds", len(sol.Seeds))
-	}
-	mc, err := diffusion.EstimateSpread(g, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sol.SpreadEstimate-mc) > 0.2*mc+1 {
-		t.Fatalf("RIS estimate %g vs MC %g", sol.SpreadEstimate, mc)
+	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
+		sol, err := Solve(g, Options{K: 5, Seed: 11, Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sol.Seeds) != 5 {
+			t.Fatalf("%v: got %d seeds", model, len(sol.Seeds))
+		}
+		mc, err := diffusion.EstimateSpread(g, sol.Seeds, diffusion.MCOptions{Iterations: 20000, Seed: 13, Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sol.SpreadEstimate-mc) > 0.2*mc+1 {
+			t.Fatalf("%v: RIS estimate %g vs MC %g", model, sol.SpreadEstimate, mc)
+		}
 	}
 }
 
@@ -125,5 +127,15 @@ func TestSolveDeterministic(t *testing.T) {
 		if a.Seeds[i] != b.Seeds[i] {
 			t.Fatalf("seeds differ across worker counts: %v vs %v", a.Seeds, b.Seeds)
 		}
+	}
+	if len(a.Seeds) != 4 {
+		t.Fatalf("got %d seeds, want 4", len(a.Seeds))
+	}
+	seen := make(map[graph.NodeID]bool)
+	for _, s := range a.Seeds {
+		if seen[s] {
+			t.Fatalf("duplicate seed %d in %v", s, a.Seeds)
+		}
+		seen[s] = true
 	}
 }
