@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"log/slog"
 	"math"
 	"runtime"
 	"strings"
@@ -291,23 +290,55 @@ func TestSolveLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestSolveLogsProgress checks the optional slog hook emits the
-// start/round/done records.
-func TestSolveLogsProgress(t *testing.T) {
-	g, part := testInstance(t, 99)
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	_, err := Solve(g, part, maxr.MAF{}, Options{
-		K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 12, Logger: logger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"imcaf start", "imcaf round", "imcaf done"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("log missing %q:\n%s", want, out)
-		}
+// TestSolveRounds checks the round trace: one entry per loop pass with
+// consecutive Doublings and doubling Samples, skipped rounds unchecked
+// and empty, and a last entry that carries the returned candidate —
+// its CHat is Solution.CHat and, under StopCondition, its Estimate is
+// EstimatedBenefit.
+func TestSolveRounds(t *testing.T) {
+	g, part := testInstance(t, 61)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want StopReason
+	}{
+		{"stop-condition", Options{K: 5, Eps: 0.2, Delta: 0.2, Seed: 3, MaxSamples: 1 << 15}, StopCondition},
+		{"sample-cap", Options{K: 5, Eps: 0.2, Delta: 0.2, Seed: 3, MaxSamples: 1 << 9}, StopSampleCap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol, err := Solve(g, part, maxr.MAF{Seed: 3}, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Stopped != tc.want {
+				t.Fatalf("stopped by %v, want %v", sol.Stopped, tc.want)
+			}
+			rounds := sol.Rounds
+			if len(rounds) != sol.Doublings+1 {
+				t.Fatalf("%d rounds for %d doublings", len(rounds), sol.Doublings)
+			}
+			for i, r := range rounds {
+				if r.Doublings != i {
+					t.Fatalf("round %d has Doublings %d", i, r.Doublings)
+				}
+				if i > 0 && r.Samples != 2*rounds[i-1].Samples {
+					t.Fatalf("round %d has %d samples after %d", i, r.Samples, rounds[i-1].Samples)
+				}
+				if r.Skipped && r != (Round{Doublings: r.Doublings, Samples: r.Samples, Skipped: true}) {
+					t.Fatalf("skipped round %d carries a pass or a check: %+v", i, r)
+				}
+				if !r.Checked && (r.Estimate != 0 || r.Converged) {
+					t.Fatalf("unchecked round %d carries an estimate: %+v", i, r)
+				}
+			}
+			last := rounds[len(rounds)-1]
+			if last.Skipped || last.Samples != sol.Samples || last.CHat != sol.CHat {
+				t.Fatalf("last round %+v does not carry the solution (samples %d, ĉ %g)", last, sol.Samples, sol.CHat)
+			}
+			if tc.want == StopCondition && (!last.Checked || !last.Converged || last.Estimate != sol.EstimatedBenefit) {
+				t.Fatalf("last round %+v does not carry the certifying estimate %g", last, sol.EstimatedBenefit)
+			}
+		})
 	}
 }
 

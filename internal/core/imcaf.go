@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"time"
 
@@ -30,9 +29,12 @@ const (
 	StopSampleCap
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. The zero StopReason, which a run
+// without an IMCAF loop reports, renders as "".
 func (s StopReason) String() string {
 	switch s {
+	case 0:
+		return ""
 	case StopCondition:
 		return "stop-condition"
 	case StopPsiCap:
@@ -68,9 +70,6 @@ type Options struct {
 	// maxr.GreedyNu as the selector, yielding the
 	// (c(S_ν)/ν(S_ν))·(1−1/e−ε) guarantee. Solver is ignored when set.
 	NuGuided bool
-	// Logger, when non-nil, receives per-round progress (pool size,
-	// candidate quality, stop checks) at Debug level.
-	Logger *slog.Logger
 	// Clock supplies timestamps for the Elapsed report; nil means the
 	// real wall clock. Only reporting reads it — never sampling.
 	Clock clock.Func
@@ -174,6 +173,35 @@ type Solution struct {
 	// SandwichRatio is ĉ_R/ν̂_R of the returned seeds (UBG's empirical
 	// factor); 0 when ν̂_R is 0.
 	SandwichRatio float64
+	// Rounds traces the stop-and-stare loop, one entry per pass in
+	// order; a resumed run's trace starts at its resumed round.
+	Rounds []Round
+}
+
+// Round is one pass of the stop-and-stare loop (paper Alg. 5): the pool
+// it ran on and what its solver pass and stop check found. A skipped
+// pass ran neither, and carries only Doublings, Samples and Skipped.
+type Round struct {
+	// Doublings is the round counter: the pool doublings before this
+	// pass.
+	Doublings int
+	// Samples is the pool size |R| the pass ran on.
+	Samples int
+	// CHat is ĉ_R of the pass's candidate seed set.
+	CHat float64
+	// Coverage is the Alg. 5 line-8 statistic of the candidate: its
+	// influenced sample count (the fractional sum when NuGuided).
+	Coverage float64
+	// Estimate is the stop check's Estimate value (0 when not checked).
+	Estimate float64
+	// Skipped means the pass could neither certify (its check would
+	// draw fewer than Λ′ samples) nor reach a cap, so it ran neither the
+	// solver nor the check.
+	Skipped bool
+	// Checked means the pass ran the Alg. 6 stop check.
+	Checked bool
+	// Converged reports whether that Estimate converged within its TMax.
+	Converged bool
 }
 
 // Solve runs the IMC Algorithmic Framework (paper Alg. 5) with the
@@ -269,14 +297,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 		estDelta = 1e-9
 	}
 
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.New(discardHandler{})
-	}
-	logger.Debug("imcaf start",
-		"k", opts.K, "alpha", alpha, "psi", psi, "lambda", lambda,
-		"initialSamples", initial, "resumeDoublings", resumeFrom)
-
 	// Alg. 6's stopping threshold for the stop checks. A check draws at
 	// most checkTMax(|R|) samples, each adding at most 1 to its mass, so
 	// a round whose TMax is below Λ′ cannot certify.
@@ -299,12 +319,12 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 		tmax := checkTMax(samples, se2, se3)
 		certifiable := float64(tmax) >= checkLambda
 		capped := float64(samples) >= psi || samples*2 > opts.MaxSamples
+		sol.Rounds = append(sol.Rounds, Round{Doublings: doublings, Samples: samples})
+		round := &sol.Rounds[len(sol.Rounds)-1]
 		if !certifiable && !capped {
 			// The round can neither certify nor hit a cap, so it doubles
 			// whatever its solver pass returns: skip the pass and the check.
-			logger.Debug("imcaf skip",
-				"round", doublings, "samples", samples,
-				"tmax", tmax, "checkLambda", checkLambda)
+			round.Skipped = true
 		} else {
 			seeds, chat, ratio, err := runSolver(ctx, pool, solver, opts)
 			if err != nil {
@@ -318,9 +338,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 
 			// Alg. 5 line 8: enough influenced samples for a reliable check?
 			coverage := influencedMass(pool, seeds, opts.NuGuided)
-			logger.Debug("imcaf round",
-				"round", doublings, "samples", samples,
-				"chat", chat, "coverage", coverage)
+			round.CHat, round.Coverage = chat, coverage
 			if coverage >= lambda && certifiable {
 				est, err := EstimateCtx(ctx, g, part, seeds, EstimateOptions{
 					Eps:        se2,
@@ -338,9 +356,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 				if opts.NuGuided {
 					objective = pool.NuHat(seeds)
 				}
-				logger.Debug("imcaf estimate check",
-					"round", doublings, "estimate", est.Benefit,
-					"converged", est.Converged, "objective", objective)
+				round.Checked, round.Estimate, round.Converged = true, est.Benefit, est.Converged
 				if est.Converged && objective <= (1+se1)*est.Benefit {
 					sol.EstimatedBenefit = est.Benefit
 					sol.Stopped = StopCondition
@@ -368,9 +384,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 		}
 	}
 	sol.Elapsed = now().Sub(start)
-	logger.Debug("imcaf done",
-		"stopped", sol.Stopped.String(), "samples", sol.Samples,
-		"chat", sol.CHat, "elapsed", sol.Elapsed)
 	return sol, nil
 }
 
@@ -398,15 +411,6 @@ func validateResume(g *graph.Graph, part *community.Partition, opts Options) (*r
 	}
 	return pool, nil
 }
-
-// discardHandler drops every record; it stands in when no Logger is
-// configured so call sites stay unconditional.
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // SolveFixed runs a MAXR solver against a fixed-size pool, skipping the
 // adaptive stop machinery. Benchmarks and examples that want direct

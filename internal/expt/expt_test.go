@@ -108,6 +108,18 @@ func TestRunAlgAllAlgorithms(t *testing.T) {
 		if res.Benefit < 0 || res.Benefit > inst.Part.TotalBenefit() {
 			t.Fatalf("%s benefit %g out of range", alg, res.Benefit)
 		}
+		// The IMCAF algorithms report their final run's stop; the
+		// baselines and IM report none.
+		switch alg {
+		case AlgUBG, AlgMAF, AlgMB:
+			if res.Stopped == 0 || res.Samples < 1 || res.Samples > cfg.MaxSamples || res.Doublings < 0 {
+				t.Fatalf("%s: stop %v after %d samples and %d doublings", alg, res.Stopped, res.Samples, res.Doublings)
+			}
+		default:
+			if res.Stopped != 0 || res.Samples != 0 || res.Doublings != 0 {
+				t.Fatalf("%s reports an IMCAF stop: %v, %d samples, %d doublings", alg, res.Stopped, res.Samples, res.Doublings)
+			}
+		}
 	}
 	if _, err := RunAlg(inst, "nope", 4, cfg); err == nil {
 		t.Fatal("want unknown-algorithm error")

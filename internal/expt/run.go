@@ -32,6 +32,12 @@ const (
 // AllAlgorithms lists every algorithm in the paper's plotting order.
 var AllAlgorithms = []string{AlgUBG, AlgMAF, AlgMB, AlgHBC, AlgKS, AlgIM}
 
+// MaxSamplesLimit is the largest MaxSamples a /solve request or job
+// spec may ask for, equal to the IMCAF default cap (core.Options). A
+// pool costs up to about 1 KiB per sample, so the limit keeps one
+// request from asking for more memory than a machine has.
+const MaxSamplesLimit = 1 << 20
+
 // RunConfig tunes how algorithms are executed and evaluated.
 type RunConfig struct {
 	// Eps, Delta are the paper's ε = δ = 0.2 defaults.
@@ -113,6 +119,12 @@ type AlgResult struct {
 	// Seeds is the seed set of the final run (reported for inspection;
 	// the Benefit average is across runs).
 	Seeds []graph.NodeID
+	// Stopped, Samples and Doublings are the final run's IMCAF stop
+	// reason, pool size and doubling count (see core.Solution); all zero
+	// for the baselines and IM, which run no IMCAF loop.
+	Stopped   core.StopReason
+	Samples   int
+	Doublings int
 }
 
 // RunAlg executes one algorithm on an instance with budget k, averaging
@@ -141,18 +153,19 @@ func RunAlgCtx(ctx context.Context, inst *Instance, alg string, k int, cfg RunCo
 			return AlgResult{}, fmt.Errorf("expt: %s run %d: %w", alg, run, err)
 		}
 		seedBase := cfg.Seed + uint64(run)*1_000_003
-		seeds, elapsed, ratio, err := selectSeeds(ctx, inst, alg, k, cfg, seedBase)
+		sol, err := selectSeeds(ctx, inst, alg, k, cfg, seedBase)
 		if err != nil {
 			return AlgResult{}, fmt.Errorf("expt: %s run %d: %w", alg, run, err)
 		}
-		benefit, err := evaluateBenefit(ctx, inst, seeds, cfg, seedBase)
+		benefit, err := evaluateBenefit(ctx, inst, sol.Seeds, cfg, seedBase)
 		if err != nil {
 			return AlgResult{}, fmt.Errorf("expt: %s run %d eval: %w", alg, run, err)
 		}
 		acc.Add(benefit)
-		out.Runtime += elapsed
-		out.SandwichRatio += ratio
-		out.Seeds = seeds
+		out.Runtime += sol.Elapsed
+		out.SandwichRatio += sol.SandwichRatio
+		out.Seeds = sol.Seeds
+		out.Stopped, out.Samples, out.Doublings = sol.Stopped, sol.Samples, sol.Doublings
 	}
 	out.Benefit = acc.Mean()
 	out.BenefitCI95 = acc.CI95()
@@ -161,7 +174,11 @@ func RunAlgCtx(ctx context.Context, inst *Instance, alg string, k int, cfg RunCo
 	return out, nil
 }
 
-func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg RunConfig, seed uint64) ([]graph.NodeID, time.Duration, float64, error) {
+// selectSeeds runs one repetition's seed selection. The core-solver
+// algorithms return their IMCAF Solution (with SandwichRatio kept only
+// for the UBG family); the baselines and IM return just their seeds and
+// selection time.
+func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg RunConfig, seed uint64) (core.Solution, error) {
 	now := clock.OrWall(cfg.Now)
 	opts := core.Options{
 		K:          k,
@@ -179,46 +196,38 @@ func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg Run
 		Resume:     cfg.Resume,
 		Grow:       cfg.Grow,
 	}
+	var solver maxr.Solver
 	switch alg {
 	case AlgUBG:
-		sol, err := core.SolveCtx(ctx, inst.G, inst.Part, maxr.UBG{}, opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return sol.Seeds, sol.Elapsed, sol.SandwichRatio, nil
+		solver = maxr.UBG{}
 	case AlgUBGLS:
-		sol, err := core.SolveCtx(ctx, inst.G, inst.Part, maxr.Refined{Base: maxr.UBG{}}, opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return sol.Seeds, sol.Elapsed, sol.SandwichRatio, nil
+		solver = maxr.Refined{Base: maxr.UBG{}}
 	case AlgMAF:
-		sol, err := core.SolveCtx(ctx, inst.G, inst.Part, maxr.MAF{Seed: seed}, opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return sol.Seeds, sol.Elapsed, 0, nil
+		solver = maxr.MAF{Seed: seed}
 	case AlgMB:
-		solver := maxr.MB{MAF: maxr.MAF{Seed: seed}, BT: maxr.BT{MaxRoots: cfg.BTMaxRoots}}
-		sol, err := core.SolveCtx(ctx, inst.G, inst.Part, solver, opts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return sol.Seeds, sol.Elapsed, 0, nil
+		solver = maxr.MB{MAF: maxr.MAF{Seed: seed}, BT: maxr.BT{MaxRoots: cfg.BTMaxRoots}}
+	default:
+		start := now()
+		seeds, err := baselineSeeds(ctx, inst, alg, k, cfg, seed)
+		return core.Solution{Seeds: seeds, Elapsed: now().Sub(start)}, err
+	}
+	sol, err := core.SolveCtx(ctx, inst.G, inst.Part, solver, opts)
+	if alg != AlgUBG && alg != AlgUBGLS {
+		sol.SandwichRatio = 0
+	}
+	return sol, err
+}
+
+// baselineSeeds runs one of the algorithms that have no IMCAF loop.
+func baselineSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg RunConfig, seed uint64) ([]graph.NodeID, error) {
+	switch alg {
 	case AlgHBC:
-		start := now()
-		seeds, err := baselines.HBC(inst.G, inst.Part, k)
-		return seeds, now().Sub(start), 0, err
+		return baselines.HBC(inst.G, inst.Part, k)
 	case AlgKS:
-		start := now()
-		seeds, err := baselines.KS(inst.G, inst.Part, k)
-		return seeds, now().Sub(start), 0, err
+		return baselines.KS(inst.G, inst.Part, k)
 	case AlgDD:
-		start := now()
-		seeds, err := baselines.DegreeDiscount(inst.G, k, 0.01)
-		return seeds, now().Sub(start), 0, err
+		return baselines.DegreeDiscount(inst.G, k, 0.01)
 	case AlgIM:
-		start := now()
 		sol, err := ris.SolveCtx(ctx, inst.G, ris.Options{
 			K:          k,
 			Eps:        cfg.Eps,
@@ -229,9 +238,9 @@ func selectSeeds(ctx context.Context, inst *Instance, alg string, k int, cfg Run
 			Model:      cfg.Model,
 			Clock:      cfg.Now,
 		})
-		return sol.Seeds, now().Sub(start), 0, err
+		return sol.Seeds, err
 	default:
-		return nil, 0, 0, fmt.Errorf("unknown algorithm %q (valid: %v)", alg, AllAlgorithms)
+		return nil, fmt.Errorf("unknown algorithm %q (valid: %v)", alg, AllAlgorithms)
 	}
 }
 

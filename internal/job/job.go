@@ -117,6 +117,9 @@ func (s Spec) Validate() error {
 	if s.Scale <= 0 || s.Scale > 1 {
 		return fmt.Errorf("job: scale %g out of (0, 1]", s.Scale)
 	}
+	if s.MaxSamples > expt.MaxSamplesLimit {
+		return fmt.Errorf("job: maxSamples %d exceeds the cap of %d", s.MaxSamples, expt.MaxSamplesLimit)
+	}
 	return nil
 }
 
@@ -154,6 +157,10 @@ type Result struct {
 	Benefit      float64 `json:"benefit"`
 	TotalBenefit float64 `json:"totalBenefit"`
 	ElapsedMS    int64   `json:"elapsedMs"`
+	// Stopped and Samples are /solve's IMCAF stop reason and final
+	// pool size, omitted for the baselines and IM.
+	Stopped string `json:"stopped,omitempty"`
+	Samples int    `json:"samples,omitempty"`
 }
 
 // CheckpointInfo describes a job's latest durable checkpoint.

@@ -11,6 +11,7 @@ import (
 	"imc/internal/core"
 	"imc/internal/expt"
 	"imc/internal/poolcache"
+	"imc/internal/ric"
 	"imc/internal/stats"
 )
 
@@ -322,12 +323,11 @@ func (p *Pool) runJob(ctx context.Context, j *Job) (Result, error) {
 		resume = nil
 	}
 
-	// One cache session per run (nil-safe when no cache is wired): the
-	// solver adopts cached samples through Grow, and each checkpoint
-	// boundary stores the grown pool back. The durable job checkpoint
-	// is written first and its errors still abort the solve — the
+	// One cache session per run (nil-safe when no cache is wired): its
+	// Grow adopts cached samples and stores each grown pool back. The
 	// shared cache is an accelerator, never part of the durability
-	// contract, so its failures are only logged.
+	// contract, so its failures never reach the solve; the durable job
+	// checkpoint's errors still abort it.
 	sess := p.cache.Begin(inst.G, inst.Part, j.Spec.model(), j.Spec.Seed)
 	cfg := expt.RunConfig{
 		Eps:        j.Spec.Eps,
@@ -338,13 +338,12 @@ func (p *Pool) runJob(ctx context.Context, j *Job) (Result, error) {
 		BTMaxRoots: j.Spec.BTMaxRoots,
 		Model:      j.Spec.model(),
 		Now:        p.now,
-		Grow:       sess.Grow,
+		Grow: func(ctx context.Context, pool *ric.Pool, target int) error {
+			return sess.Grow(ctx, pool, target, nil)
+		},
 		Checkpoint: func(cp core.Checkpoint) error {
 			if err := p.store.SaveCheckpoint(j.ID, cp); err != nil {
 				return err
-			}
-			if err := sess.Save(cp.Pool); err != nil {
-				p.log.Warn("pool cache save failed", "job", j.ID, "err", err)
 			}
 			if hook := p.checkpointHook; hook != nil {
 				hook(j.ID, cp)
@@ -367,5 +366,7 @@ func (p *Pool) runJob(ctx context.Context, j *Job) (Result, error) {
 		Benefit:      res.Benefit,
 		TotalBenefit: inst.Part.TotalBenefit(),
 		ElapsedMS:    p.now().Sub(start).Milliseconds(),
+		Stopped:      res.Stopped.String(),
+		Samples:      res.Samples,
 	}, nil
 }

@@ -437,9 +437,6 @@ func (s *Store) DropCheckpoint(id string) error {
 	return nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close flushes and releases the journal handle. The store must not be
 // used after: no method may hold a commit in flight when Close runs.
 func (s *Store) Close() error {

@@ -115,9 +115,9 @@ type Cache struct {
 	seq     uint64         // guarded by mu
 	stats   Stats          // guarded by mu — counter fields only
 	// saving marks keys with a snapshot write in flight: a concurrent
-	// Save of the same key skips instead of racing on the shared
+	// save of the same key skips instead of racing on the shared
 	// temp-file path (the cache is best-effort; the skipped pool will
-	// be offered again at its next checkpoint boundary).
+	// be offered again after its next Grow).
 	saving map[Key]bool // guarded by mu
 }
 

@@ -113,9 +113,10 @@ func TestKeyIdentity(t *testing.T) {
 }
 
 // TestSessionRoundTrip drives the full warm-path contract: a cold
-// session generates and saves; a second session over the same identity
-// hits, adopts the cached samples, and — the determinism pin — the pool
-// it grows to 2Θ is byte-identical to one generated from scratch.
+// session's Grow generates and stores back; a second session over the
+// same identity hits, adopts the cached samples, and — the determinism
+// pin — the pool it grows to 2Θ is byte-identical to one generated
+// from scratch, and replaces the snapshot.
 func TestSessionRoundTrip(t *testing.T) {
 	g, part := smallInstance(t)
 	dir := t.TempDir()
@@ -125,10 +126,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	c := openCache(t, dir, Options{Logf: t.Logf})
 	cold := c.Begin(g, part, diffusion.IC, seed)
 	p1 := newPool(t, g, part, seed)
-	if err := cold.Grow(ctx, p1, theta); err != nil {
-		t.Fatal(err)
-	}
-	if err := cold.Save(p1); err != nil {
+	if err := cold.Grow(ctx, p1, theta, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -142,18 +140,20 @@ func TestSessionRoundTrip(t *testing.T) {
 		t.Fatalf("boot scan found %d entries, want 1", got)
 	}
 	warm := c2.Begin(g, part, diffusion.IC, seed)
-	if warm.Key() != cold.Key() {
+	if warm.key != cold.key {
 		t.Fatal("same identity produced different session keys")
 	}
 	if cached := warm.Cached(); cached == nil || cached.NumSamples() != theta {
 		t.Fatalf("Cached() = %v, want %d-sample pool", cached, theta)
 	}
 	p2 := newPool(t, g, part, seed)
-	if err := warm.Grow(ctx, p2, 2*theta); err != nil {
+	if err := warm.Grow(ctx, p2, 2*theta, nil); err != nil {
 		t.Fatal(err)
 	}
+	// The grow stores the grown pool back, replacing the snapshot in
+	// place.
 	st = c2.Stats()
-	if st.Hits != 1 || st.Extends != 1 || st.AdoptedSamples != theta {
+	if st.Hits != 1 || st.Extends != 1 || st.AdoptedSamples != theta || st.Saves != 1 || st.Entries != 1 {
 		t.Fatalf("after warm grow: %+v", st)
 	}
 
@@ -163,15 +163,6 @@ func TestSessionRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(saveBytes(t, scratch), saveBytes(t, p2)) {
 		t.Fatal("cache-adopted pool diverged from scratch generation")
-	}
-
-	// Store-back of the grown pool replaces the snapshot in place.
-	if err := warm.Save(p2); err != nil {
-		t.Fatal(err)
-	}
-	st = c2.Stats()
-	if st.Entries != 1 || st.Saves != 1 {
-		t.Fatalf("grown save should replace the entry: %+v", st)
 	}
 	c3 := openCache(t, dir, Options{})
 	again := c3.Begin(g, part, diffusion.IC, seed)
@@ -190,17 +181,14 @@ func TestSaveSkipsSmallerPool(t *testing.T) {
 
 	s := c.Begin(g, part, diffusion.IC, 3)
 	big := newPool(t, g, part, 3)
-	if err := s.Grow(ctx, big, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(big); err != nil {
+	if err := s.Grow(ctx, big, 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	small := newPool(t, g, part, 3)
 	if err := small.EnsureCtx(ctx, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Begin(g, part, diffusion.IC, 3).Save(small); err != nil {
+	if err := c.Begin(g, part, diffusion.IC, 3).save(small); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Saves != 1 {
@@ -221,10 +209,7 @@ func TestEvictionLRU(t *testing.T) {
 	probe := openCache(t, dir, Options{})
 	p := newPool(t, g, part, 1)
 	s := probe.Begin(g, part, diffusion.IC, 1)
-	if err := s.Grow(ctx, p, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(p); err != nil {
+	if err := s.Grow(ctx, p, 50, nil); err != nil {
 		t.Fatal(err)
 	}
 	one := probe.Stats().Bytes
@@ -237,10 +222,7 @@ func TestEvictionLRU(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		s := c.Begin(g, part, diffusion.IC, seed)
 		pool := newPool(t, g, part, seed)
-		if err := s.Grow(ctx, pool, 50); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Save(pool); err != nil {
+		if err := s.Grow(ctx, pool, 50, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,10 +257,7 @@ func TestEvictionNeverRemovesInsertedKey(t *testing.T) {
 
 	s := c.Begin(g, part, diffusion.IC, 9)
 	pool := newPool(t, g, part, 9)
-	if err := s.Grow(ctx, pool, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(pool); err != nil {
+	if err := s.Grow(ctx, pool, 40, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -300,10 +279,7 @@ func TestBootEvictsOverBudget(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		s := c.Begin(g, part, diffusion.IC, seed)
 		pool := newPool(t, g, part, seed)
-		if err := s.Grow(ctx, pool, 50); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Save(pool); err != nil {
+		if err := s.Grow(ctx, pool, 50, nil); err != nil {
 			t.Fatal(err)
 		}
 		if seed == 1 {
@@ -329,14 +305,11 @@ func TestCorruptSnapshotDropped(t *testing.T) {
 	c := openCache(t, dir, Options{Logf: t.Logf})
 	s := c.Begin(g, part, diffusion.IC, 4)
 	pool := newPool(t, g, part, 4)
-	if err := s.Grow(ctx, pool, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(pool); err != nil {
+	if err := s.Grow(ctx, pool, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the pool body; the CRC frame catches it on load.
-	path := filepath.Join(dir, s.Key().String()+fileSuffix)
+	path := filepath.Join(dir, s.key.String()+fileSuffix)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -348,12 +321,8 @@ func TestCorruptSnapshotDropped(t *testing.T) {
 
 	c2 := openCache(t, dir, Options{Logf: t.Logf})
 	s2 := c2.Begin(g, part, diffusion.IC, 4)
-	p2 := newPool(t, g, part, 4)
-	if err := s2.Grow(ctx, p2, 30); err != nil {
-		t.Fatal(err) // corrupt cache must degrade to generation, not fail
-	}
-	if p2.NumSamples() != 30 {
-		t.Fatalf("pool has %d samples, want 30", p2.NumSamples())
+	if s2.Cached() != nil {
+		t.Fatal("corrupt snapshot loaded")
 	}
 	st := c2.Stats()
 	if st.Misses != 1 || st.Hits != 0 || st.Errors == 0 {
@@ -365,14 +334,26 @@ func TestCorruptSnapshotDropped(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt file not unlinked")
 	}
+	// The same session then degrades to generation, and its grow writes
+	// a good entry in place of the dropped one.
+	p2 := newPool(t, g, part, 4)
+	if err := s2.Grow(ctx, p2, 30, nil); err != nil {
+		t.Fatal(err) // corrupt cache must degrade to generation, not fail
+	}
+	if p2.NumSamples() != 30 {
+		t.Fatalf("pool has %d samples, want 30", p2.NumSamples())
+	}
+	if st := c2.Stats(); st.Saves != 1 || st.Entries != 1 {
+		t.Fatalf("grow after the drop should store a fresh entry: %+v", st)
+	}
 }
 
 // TestHeaderCountMismatchDropped: a CRC-valid cache file whose IMCC
 // header over-states its sample count is corrupt like any other. The
-// index trusts the header count to decide whether a Save grows the
+// index trusts the header count to decide whether a save grows the
 // entry, so adopting such a file would block every later save of the
 // key; load drops it instead (one error, one miss, file unlinked), and
-// the next Save writes a good entry.
+// the session's next grow writes a good entry.
 func TestHeaderCountMismatchDropped(t *testing.T) {
 	g, part := smallInstance(t)
 	ctx := context.Background()
@@ -381,10 +362,10 @@ func TestHeaderCountMismatchDropped(t *testing.T) {
 	c := openCache(t, dir, Options{Logf: t.Logf})
 	s := c.Begin(g, part, diffusion.IC, 4)
 	pool := newPool(t, g, part, 4)
-	if err := s.Grow(ctx, pool, 30); err != nil {
+	if err := s.Grow(ctx, pool, 30, nil); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, s.Key().String()+fileSuffix)
+	path := filepath.Join(dir, s.key.String()+fileSuffix)
 	// The embedded pool holds 30 samples; the header claims 1000.
 	if err := atomicio.WriteCRCStream(path, func(w io.Writer) error {
 		var hdr [cacheHeaderSize]byte
@@ -401,13 +382,12 @@ func TestHeaderCountMismatchDropped(t *testing.T) {
 
 	c2 := openCache(t, dir, Options{Logf: t.Logf})
 	s2 := c2.Begin(g, part, diffusion.IC, 4)
-	p2 := newPool(t, g, part, 4)
-	if err := s2.Grow(ctx, p2, 60); err != nil {
-		t.Fatal(err)
+	if s2.Cached() != nil {
+		t.Fatal("mis-counted snapshot loaded")
 	}
 	st := c2.Stats()
-	if st.Misses != 1 || st.Hits != 0 || st.Errors != 1 || st.AdoptedSamples != 0 {
-		t.Fatalf("mis-counted snapshot should count one miss and one error and adopt nothing: %+v", st)
+	if st.Misses != 1 || st.Hits != 0 || st.Errors != 1 {
+		t.Fatalf("mis-counted snapshot should count one miss and one error: %+v", st)
 	}
 	if st.Entries != 0 {
 		t.Fatal("mis-counted entry not dropped")
@@ -415,11 +395,12 @@ func TestHeaderCountMismatchDropped(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("mis-counted file not unlinked")
 	}
-	if err := s2.Save(p2); err != nil {
+	p2 := newPool(t, g, part, 4)
+	if err := s2.Grow(ctx, p2, 60, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := c2.Stats(); st.Saves != 1 || st.Entries != 1 {
-		t.Fatalf("Save after the drop should write the 60-sample pool: %+v", st)
+	if st := c2.Stats(); st.AdoptedSamples != 0 || st.Saves != 1 || st.Entries != 1 {
+		t.Fatalf("the grow after the drop should adopt nothing and write the 60-sample pool: %+v", st)
 	}
 	if cached := c2.Begin(g, part, diffusion.IC, 4).Cached(); cached == nil || cached.NumSamples() != 60 {
 		t.Fatal("the 60-sample snapshot does not load")
@@ -481,16 +462,13 @@ func TestOldSamplerEntryNeverAdopted(t *testing.T) {
 	// A v2 stream under the current key, put in place of an indexed
 	// entry after boot, is refused by the decoder.
 	warm := newPool(t, g, part, 4)
-	if err := warm.EnsureCtx(ctx, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Begin(g, part, diffusion.IC, 4).Save(warm); err != nil {
+	if err := c.Begin(g, part, diffusion.IC, 4).Grow(ctx, warm, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	writeV2(key.String())
 	s := c.Begin(g, part, diffusion.IC, 4)
 	p := newPool(t, g, part, 4)
-	if err := s.Grow(ctx, p, 60); err != nil {
+	if err := s.Grow(ctx, p, 60, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.AdoptedSamples != 0 || st.Errors != 2 {
@@ -549,17 +527,11 @@ func TestNilCache(t *testing.T) {
 		t.Fatal("nil session returned a pool")
 	}
 	pool := newPool(t, g, part, 1)
-	if err := s.Grow(ctx, pool, 25); err != nil {
+	if err := s.Grow(ctx, pool, 25, nil); err != nil {
 		t.Fatal(err)
 	}
 	if pool.NumSamples() != 25 {
 		t.Fatalf("nil session Grow generated %d samples, want 25", pool.NumSamples())
-	}
-	if err := s.Save(pool); err != nil {
-		t.Fatal(err)
-	}
-	if s.Key() != (Key{}) {
-		t.Fatal("nil session key should be zero")
 	}
 }
 
@@ -572,10 +544,7 @@ func TestSessionIsolation(t *testing.T) {
 
 	s1 := c.Begin(g, part, diffusion.IC, 1)
 	p1 := newPool(t, g, part, 1)
-	if err := s1.Grow(ctx, p1, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Save(p1); err != nil {
+	if err := s1.Grow(ctx, p1, 40, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Begin(g, part, diffusion.IC, 2).Cached() != nil {
@@ -584,4 +553,95 @@ func TestSessionIsolation(t *testing.T) {
 	if c.Begin(g, part, diffusion.LT, 1).Cached() != nil {
 		t.Fatal("different model hit the cache")
 	}
+}
+
+// TestGrowStoresBack pins the store-back inside Grow: each successful
+// fill writes the grown pool back, so growing cold to Θ and then 2Θ
+// leaves one 2Θ entry with no explicit save; a cancelled fill stores
+// nothing; a nil session runs the fill alone; and a custom fill is the
+// one that runs.
+func TestGrowStoresBack(t *testing.T) {
+	g, part := smallInstance(t)
+	ctx := context.Background()
+	const theta, seed = 40, 6
+
+	t.Run("doubling", func(t *testing.T) {
+		dir := t.TempDir()
+		c := openCache(t, dir, Options{Logf: t.Logf})
+		s := c.Begin(g, part, diffusion.IC, seed)
+		pool := newPool(t, g, part, seed)
+		for _, target := range []int{theta, 2 * theta} {
+			if err := s.Grow(ctx, pool, target, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Stats(); st.Saves != 2 || st.Entries != 1 || st.Errors != 0 {
+			t.Fatalf("two grows should save twice into one entry: %+v", st)
+		}
+		reopened := openCache(t, dir, Options{})
+		if cached := reopened.Begin(g, part, diffusion.IC, seed).Cached(); cached == nil || cached.NumSamples() != 2*theta {
+			t.Fatalf("the stored entry is not the %d-sample pool", 2*theta)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		c := openCache(t, t.TempDir(), Options{Logf: t.Logf})
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		pool := newPool(t, g, part, seed)
+		if err := c.Begin(g, part, diffusion.IC, seed).Grow(cctx, pool, theta, nil); err == nil {
+			t.Fatal("a grow under a cancelled ctx succeeded")
+		}
+		if st := c.Stats(); st.Saves != 0 || st.Entries != 0 {
+			t.Fatalf("a cancelled fill stored a pool: %+v", st)
+		}
+	})
+
+	// fill counts its calls and generates like the default.
+	calls := 0
+	fill := func(ctx context.Context, pool *ric.Pool, target int) error {
+		calls++
+		return pool.EnsureCtx(ctx, target)
+	}
+
+	t.Run("nil-session", func(t *testing.T) {
+		calls = 0
+		var s *Session
+		pool := newPool(t, g, part, seed)
+		if err := s.Grow(ctx, pool, theta, fill); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || pool.NumSamples() != theta {
+			t.Fatalf("nil session: fill ran %d times, pool has %d samples", calls, pool.NumSamples())
+		}
+	})
+
+	t.Run("custom-fill", func(t *testing.T) {
+		calls = 0
+		c := openCache(t, t.TempDir(), Options{Logf: t.Logf})
+		pool := newPool(t, g, part, seed)
+		if err := c.Begin(g, part, diffusion.IC, seed).Grow(ctx, pool, theta, fill); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || pool.NumSamples() != theta {
+			t.Fatalf("custom fill ran %d times, pool has %d samples", calls, pool.NumSamples())
+		}
+		if st := c.Stats(); st.Saves != 1 {
+			t.Fatalf("the custom fill's pool was not stored: %+v", st)
+		}
+		// A fill that grows the pool and then fails: its pool is not
+		// stored, however many samples it holds.
+		failing := func(ctx context.Context, pool *ric.Pool, target int) error {
+			if err := pool.EnsureCtx(ctx, target); err != nil {
+				return err
+			}
+			return io.ErrUnexpectedEOF
+		}
+		if err := c.Begin(g, part, diffusion.IC, seed).Grow(ctx, newPool(t, g, part, seed), 2*theta, failing); err != io.ErrUnexpectedEOF {
+			t.Fatalf("a failing fill returned %v", err)
+		}
+		if st := c.Stats(); st.Saves != 1 {
+			t.Fatalf("a failed fill stored a pool: %+v", st)
+		}
+	})
 }

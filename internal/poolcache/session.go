@@ -18,10 +18,10 @@ import (
 
 // Session is one request's view of the cache for a single pool
 // identity. It lazily decodes the cached snapshot (at most once) into a
-// ric.Donor, satisfies Grow calls from the donor before generating,
-// and writes grown pools back with Save. A nil *Session is valid and
-// degrades to plain generation — callers wire the cache
-// unconditionally and never branch.
+// ric.Donor; each Grow adopts from the donor before filling the rest
+// and writes the grown pool back. A nil *Session is valid and degrades
+// to the fill alone — callers wire the cache unconditionally and never
+// branch.
 //
 // Sessions are not safe for concurrent use; create one per request.
 // Different sessions over the same key are independent (each loads its
@@ -37,14 +37,6 @@ type Session struct {
 	once   sync.Once
 	donor  *ric.Donor // written once inside once.Do(load), read after
 	cached *ric.Pool  // the donor folded into a pool by the first Cached call
-}
-
-// Key returns the session's content address (zero for a nil session).
-func (s *Session) Key() Key {
-	if s == nil {
-		return Key{}
-	}
-	return s.key
 }
 
 // load decodes the cached snapshot (if any) into a donor, counting
@@ -78,7 +70,7 @@ func (s *Session) load() {
 // identity header (seed, model, weight digest) — redundant with the
 // content address, but it means a hand-renamed file fails closed. The
 // cache header's sample count must match the snapshot's: the index
-// trusts it to decide whether a Save grows the entry, so a header that
+// trusts it to decide whether a save grows the entry, so a header that
 // over-states the count would block every later save of the key.
 func (s *Session) readSnapshot() (*ric.Donor, error) {
 	body, err := atomicio.ReadCRCFile(s.c.path(s.key))
@@ -106,7 +98,7 @@ func (s *Session) readSnapshot() (*ric.Donor, error) {
 
 // Cached returns the cache's snapshot for this identity as a pool, or
 // nil on a miss. The first call folds the donor into a fresh pool;
-// Grow and Adopt never need it. Read-only — callers evaluate against it
+// Grow never needs it. Read-only — callers evaluate against it
 // (ĉ_R of a seed set, say) but never mutate or grow it. Safe on nil
 // (always a miss).
 func (s *Session) Cached() *ric.Pool {
@@ -131,13 +123,10 @@ func (s *Session) Cached() *ric.Pool {
 	return s.cached
 }
 
-// Adopt splices cached samples into pool up to target without
-// generating anything, and reports how many were adopted. This is the
-// cache half of Grow, exposed separately so callers with their own
-// generation strategy (the distributed shard coordinator, say) can
-// compose adoption with it instead of pool.EnsureCtx. Safe on nil
+// adopt splices cached samples into pool up to target without
+// generating anything, and reports how many were adopted. Safe on nil
 // (adopts nothing).
-func (s *Session) Adopt(pool *ric.Pool, target int) int {
+func (s *Session) adopt(pool *ric.Pool, target int) int {
 	if s == nil {
 		return 0
 	}
@@ -167,31 +156,42 @@ func (s *Session) Adopt(pool *ric.Pool, target int) int {
 	return adopted
 }
 
-// Grow brings pool up to at least target samples, adopting cached
-// samples first and generating only the missing tail. Because sample i
-// is always drawn from PRNG stream i, the result is byte-identical to
-// growing the pool without a cache — Grow changes where samples come
-// from, never what they are. The signature matches core.Options.Grow,
-// so a session (or method value s.Grow) plugs straight into the
-// solvers. Safe on nil (plain generation).
+// Grow brings pool up to at least target samples: it adopts cached
+// samples first, runs fill for the missing tail, and once fill has
+// succeeded stores the grown pool back to the cache. A nil fill means
+// pool.EnsureCtx; a shard coordinator passes its GrowFunc. Because
+// sample i is always drawn from PRNG stream i, the result is
+// byte-identical to fill alone — Grow changes where samples come from,
+// never what they are. The store-back is best-effort: a failure goes
+// to the cache's Logf and Stats().Errors, never to the caller, and a
+// failed or cancelled fill stores nothing. Safe on nil (fill alone).
 //
 //imc:longrun
-func (s *Session) Grow(ctx context.Context, pool *ric.Pool, target int) error {
-	if s == nil {
-		return pool.EnsureCtx(ctx, target)
+func (s *Session) Grow(ctx context.Context, pool *ric.Pool, target int, fill func(context.Context, *ric.Pool, int) error) error {
+	s.adopt(pool, target)
+	var err error
+	if fill != nil {
+		err = fill(ctx, pool, target)
+	} else {
+		err = pool.EnsureCtx(ctx, target)
 	}
-	s.Adopt(pool, target)
-	return pool.EnsureCtx(ctx, target)
+	if err != nil {
+		return err
+	}
+	if err := s.save(pool); err != nil {
+		s.c.log("%v", err)
+	}
+	return nil
 }
 
-// Save writes pool's samples back to the cache when they extend past
+// save writes pool's samples back to the cache when they extend past
 // the cached snapshot (a pool no larger than what is stored is only
 // touched for recency; a concurrent save of the same key makes this
 // one a no-op). The write is atomic and CRC-framed, and the byte
 // budget is enforced afterwards — evicting other entries, never this
-// one. Errors are returned for logging but leave the cache consistent;
-// callers treat Save as best-effort. Safe on nil (no-op).
-func (s *Session) Save(pool *ric.Pool) error {
+// one. Errors are counted and returned for logging but leave the
+// cache consistent. Safe on nil (no-op).
+func (s *Session) save(pool *ric.Pool) error {
 	if s == nil || pool.NumSamples() == 0 {
 		return nil
 	}

@@ -161,36 +161,38 @@ func TestShardLoadDropsCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestSessionAdoptThenGenerate: Adopt alone splices the cached prefix
-// without generating, so a caller can hand the tail to its own grow
-// strategy; the composed pool still matches pure generation.
+// TestSessionAdoptThenGenerate: Grow adopts the cached prefix before
+// it runs the fill, so a fill with its own strategy (a shard
+// coordinator, say) only produces the tail; the composed pool still
+// matches pure generation.
 func TestSessionAdoptThenGenerate(t *testing.T) {
 	g, part := smallInstance(t)
 	const seed = 19
+	ctx := context.Background()
 	c := openCache(t, t.TempDir(), Options{})
 
 	warmup := newPool(t, g, part, seed)
-	if err := warmup.EnsureCtx(context.Background(), 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Begin(g, part, diffusion.IC, seed).Save(warmup); err != nil {
+	if err := c.Begin(g, part, diffusion.IC, seed).Grow(ctx, warmup, 50, nil); err != nil {
 		t.Fatal(err)
 	}
 
 	sess := c.Begin(g, part, diffusion.IC, seed)
 	pool := newPool(t, g, part, seed)
-	if adopted := sess.Adopt(pool, 80); adopted != 50 {
-		t.Fatalf("adopted %d samples, want 50", adopted)
+	fill := func(ctx context.Context, pool *ric.Pool, target int) error {
+		if pool.NumSamples() != 50 || target != 80 {
+			t.Fatalf("fill got %d samples and target %d, want the 50 adopted and 80", pool.NumSamples(), target)
+		}
+		return pool.EnsureCtx(ctx, target)
 	}
-	if pool.NumSamples() != 50 {
-		t.Fatalf("Adopt generated: pool has %d samples", pool.NumSamples())
-	}
-	if err := pool.EnsureCtx(context.Background(), 80); err != nil {
+	if err := sess.Grow(ctx, pool, 80, fill); err != nil {
 		t.Fatal(err)
+	}
+	if st := c.Stats(); st.AdoptedSamples != 50 {
+		t.Fatalf("adopted %d samples, want 50", st.AdoptedSamples)
 	}
 
 	pure := newPool(t, g, part, seed)
-	if err := pure.EnsureCtx(context.Background(), 80); err != nil {
+	if err := pure.EnsureCtx(ctx, 80); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(saveBytes(t, pure), saveBytes(t, pool)) {

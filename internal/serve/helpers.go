@@ -37,20 +37,17 @@ func traceCascade(inst *expt.Instance, seeds []graph.NodeID, seed uint64) []diff
 // Monte-Carlo-scores the pick. Sampling and scoring — the dominant
 // costs — are ctx-aware; the greedy selection between them runs on an
 // already-bounded pool and gets one up-front check. The cache session
-// (nil-safe) donates cached samples into the pool and receives the
-// grown pool back — best-effort on both sides, and byte-identical to
-// cold sampling because generation is stream-indexed.
+// (nil-safe) donates cached samples into the pool and stores the grown
+// pool back — best-effort on both sides, and byte-identical to cold
+// sampling because generation is stream-indexed.
 func solveBudgeted(ctx context.Context, inst *expt.Instance, budget, costUnit float64, samples int, seed uint64, sess *poolcache.Session) ([]graph.NodeID, float64, float64, error) {
 	pool, err := ric.NewPool(inst.G, inst.Part, ric.PoolOptions{Seed: seed})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if err := sess.Grow(ctx, pool, samples); err != nil {
+	if err := sess.Grow(ctx, pool, samples, nil); err != nil {
 		return nil, 0, 0, err
 	}
-	// Store-back is best-effort: Save counts its own failures and the
-	// request's answer does not depend on it.
-	_ = sess.Save(pool)
 	cost := maxr.UniformCost
 	if costUnit > 0 {
 		cost = maxr.DegreeCost(inst.G, costUnit)

@@ -148,7 +148,7 @@ func TestLoadShedding(t *testing.T) {
 // TestSingleflightConcurrentMisses pins the dogpile fix: N concurrent
 // misses on one cache key must run exactly one build.
 func TestSingleflightConcurrentMisses(t *testing.T) {
-	s := New(nil)
+	s := NewWithOptions(nil, nil, Config{})
 	var builds atomic.Int64
 	release := make(chan struct{})
 	realBuild := s.buildInstance
@@ -190,7 +190,7 @@ func TestSingleflightConcurrentMisses(t *testing.T) {
 // TestSingleflightWaiterHonorsContext: a waiter blocked behind another
 // request's build must abandon the wait when its own context dies.
 func TestSingleflightWaiterHonorsContext(t *testing.T) {
-	s := New(nil)
+	s := NewWithOptions(nil, nil, Config{})
 	release := make(chan struct{})
 	realBuild := s.buildInstance
 	started := make(chan struct{})

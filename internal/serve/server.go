@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"imc/internal/clock"
-	"imc/internal/core"
 	"imc/internal/diffusion"
 	"imc/internal/expt"
 	"imc/internal/gen"
@@ -135,19 +134,10 @@ type buildResult struct {
 	err  error
 }
 
-// New returns a server on the real wall clock. logger may be nil.
-func New(logger *slog.Logger) *Server {
-	return NewWithClock(logger, nil)
-}
-
-// NewWithClock returns a server reading time from now (nil means the
-// real wall clock). Tests inject a pinned clock to make uptime and
-// latency fields reproducible.
-func NewWithClock(logger *slog.Logger, now clock.Func) *Server {
-	return NewWithOptions(logger, now, Config{})
-}
-
 // NewWithOptions returns a server with explicit robustness settings.
+// logger may be nil (slog.Default); now nil means the real wall clock,
+// and tests inject a pinned clock to make uptime and latency fields
+// reproducible.
 func NewWithOptions(logger *slog.Logger, now clock.Func, cfg Config) *Server {
 	if logger == nil {
 		logger = slog.Default()
@@ -453,6 +443,11 @@ type SolveResponse struct {
 	Benefit      float64 `json:"benefit"`
 	TotalBenefit float64 `json:"totalBenefit"`
 	ElapsedMS    int64   `json:"elapsedMs"`
+	// Stopped is the IMCAF stop reason ("stop-condition", "psi-cap" or
+	// the best-effort "sample-cap"); Samples is the final pool size.
+	// Both are omitted for the baselines and IM.
+	Stopped string `json:"stopped,omitempty"`
+	Samples int    `json:"samples,omitempty"`
 }
 
 // knownAlgs is the algorithm whitelist for /solve, validated up front
@@ -475,6 +470,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.K < 1 {
 		writeError(w, http.StatusBadRequest, kindValidation, fmt.Errorf("k must be ≥ 1, got %d", req.K))
+		return
+	}
+	if req.MaxSamples > expt.MaxSamplesLimit {
+		writeError(w, http.StatusBadRequest, kindValidation,
+			fmt.Errorf("maxSamples %d exceeds the cap of %d", req.MaxSamples, expt.MaxSamplesLimit))
 		return
 	}
 	alg := strings.ToUpper(req.Alg)
@@ -501,36 +501,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		MaxSamples: req.MaxSamples,
 		BTMaxRoots: req.BTMaxRoots,
 	}
-	// One cache session per request: the core solvers adopt cached
-	// samples through Grow and store grown pools back at every
-	// checkpoint boundary. Cache trouble is never a solve failure —
-	// Save errors are logged and the request proceeds. (A nil session,
-	// when no cache is configured, adopts and saves nothing.)
-	var sess *poolcache.Session
-	if s.poolCache != nil {
-		sess = s.poolCache.Begin(inst.G, inst.Part, diffusion.IC, req.Seed)
-		cfg.Checkpoint = func(cp core.Checkpoint) error {
-			if err := sess.Save(cp.Pool); err != nil {
-				s.logger.Warn("pool cache save failed", "err", err)
-			}
-			return nil
-		}
+	// One cache session per request (nil when no cache is configured):
+	// its Grow adopts cached samples, fills the rest, and stores the
+	// grown pool back. In coordinator mode the fill farms the missing
+	// tail out to the shard workers. Both halves splice stream-indexed
+	// samples, so the grown pool is byte-identical to local generation.
+	// Cache trouble is never a solve failure.
+	sess := s.poolCache.Begin(inst.G, inst.Part, diffusion.IC, req.Seed)
+	var fill func(context.Context, *ric.Pool, int) error
+	if s.shardCoord != nil {
+		fill = s.shardCoord.GrowFunc(shardSpec(req.InstanceRequest))
 	}
-	switch {
-	case s.shardCoord != nil:
-		// Coordinator mode: adopt whatever the cache holds, then farm the
-		// missing tail out to the shard workers. Both halves splice
-		// stream-indexed samples, so the grown pool is byte-identical to
-		// local generation — distribution changes where samples come
-		// from, never what they are.
-		spec := shardSpec(req.InstanceRequest)
-		coord := s.shardCoord
-		cfg.Grow = func(ctx context.Context, pool *ric.Pool, target int) error {
-			sess.Adopt(pool, target)
-			return coord.Grow(ctx, spec, pool, target)
-		}
-	case sess != nil:
-		cfg.Grow = sess.Grow
+	cfg.Grow = func(ctx context.Context, pool *ric.Pool, target int) error {
+		return sess.Grow(ctx, pool, target, fill)
 	}
 	res, err := expt.RunAlgCtx(ctx, inst, alg, req.K, cfg)
 	if err != nil {
@@ -546,6 +529,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Benefit:      res.Benefit,
 		TotalBenefit: inst.Part.TotalBenefit(),
 		ElapsedMS:    res.Runtime.Milliseconds(),
+		Stopped:      res.Stopped.String(),
+		Samples:      res.Samples,
 	})
 }
 

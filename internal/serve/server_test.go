@@ -210,7 +210,7 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 func TestInstanceCaching(t *testing.T) {
-	s := New(nil)
+	s := NewWithOptions(nil, nil, Config{})
 	ctx := context.Background()
 	req := InstanceRequest{Dataset: "facebook", Scale: 0.03, Seed: 5}
 	a, err := s.instance(ctx, req)

@@ -51,9 +51,6 @@ type Range struct {
 	Hi int `json:"hi"`
 }
 
-// Width returns the number of samples in the range.
-func (r Range) Width() int { return r.Hi - r.Lo }
-
 // SplitRanges cuts [lo, hi) into at most n contiguous, disjoint ranges
 // whose union is exactly [lo, hi), using the same ⌊width·w/n⌋ bounds for
 // every caller — the coordinator, the tests, and the CI smoke job all

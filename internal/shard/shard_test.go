@@ -19,7 +19,7 @@ func TestSplitRanges(t *testing.T) {
 			if r.Lo != next {
 				t.Fatalf("SplitRanges(%d,%d,%d)[%d] starts at %d, want %d", tc.lo, tc.hi, tc.n, i, r.Lo, next)
 			}
-			if r.Width() <= 0 {
+			if r.Hi <= r.Lo {
 				t.Fatalf("SplitRanges(%d,%d,%d)[%d] is empty: %+v", tc.lo, tc.hi, tc.n, i, r)
 			}
 			width := tc.hi - tc.lo

@@ -48,12 +48,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) by
 // linear interpolation inside the bucket the rank falls in. Values in
 // the overflow bucket report the last finite bound — the histogram

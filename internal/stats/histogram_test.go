@@ -10,13 +10,13 @@ func TestHistogramBucketing(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if h.Sum() != 106 {
-		t.Fatalf("sum %g", h.Sum())
-	}
 	snap := h.Snapshot()
+	if snap.Count != 5 {
+		t.Fatalf("count %d", snap.Count)
+	}
+	if snap.Sum != 106 {
+		t.Fatalf("sum %g", snap.Sum)
+	}
 	// Cumulative: ≤1 holds {0.5, 1}, ≤2 adds {1.5}, ≤4 adds {3};
 	// 100 overflows.
 	want := []int64{2, 3, 4}

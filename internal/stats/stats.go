@@ -1,48 +1,30 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses to report averaged results: streaming moments (Welford),
-// normal-approximation confidence intervals, and percentile summaries.
+// harness and the server use to report results: streaming moments
+// (Welford) with normal-approximation confidence intervals, latency
+// histograms, and the χ² upper tail.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Running accumulates streaming mean and variance via Welford's
 // algorithm. The zero value is ready to use. Aggregations hold one
-// accumulator per tracked series, and all five fields are one word
-// wide, so the layout is pinned waste-free (40 bytes).
+// accumulator per tracked series, and all three fields are one word
+// wide, so the layout is pinned waste-free (24 bytes).
 //
 //imc:compact
 type Running struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
 	r.m2 += delta * (x - r.mean)
 }
-
-// N returns the observation count.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean (0 with no observations).
 func (r *Running) Mean() float64 { return r.mean }
@@ -58,12 +40,6 @@ func (r *Running) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
 
-// Min returns the smallest observation (0 with no observations).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 with no observations).
-func (r *Running) Max() float64 { return r.max }
-
 // CI95 returns the half-width of the normal-approximation 95%
 // confidence interval of the mean.
 func (r *Running) CI95() float64 {
@@ -71,88 +47,6 @@ func (r *Running) CI95() float64 {
 		return 0
 	}
 	return 1.96 * r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// Summary is a frozen snapshot of a Running accumulator.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	CI95   float64
-}
-
-// Summarize freezes the accumulator.
-func (r *Running) Summarize() Summary {
-	return Summary{
-		N:      r.n,
-		Mean:   r.Mean(),
-		StdDev: r.StdDev(),
-		Min:    r.min,
-		Max:    r.max,
-		CI95:   r.CI95(),
-	}
-}
-
-// String renders "mean ± ci95 (n=…)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3f ± %.3f (n=%d)", s.Mean, s.CI95, s.N)
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the data using
-// linear interpolation; the input slice is not modified.
-func Percentile(data []float64, p float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of data (0 for empty input).
-func Mean(data []float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range data {
-		sum += x
-	}
-	return sum / float64(len(data))
-}
-
-// GeometricMean returns the geometric mean of positive data; entries
-// ≤ 0 are skipped (0 if none remain).
-func GeometricMean(data []float64) float64 {
-	logSum, n := 0.0, 0
-	for _, x := range data {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
 
 // ChiSquareSurvival returns Pr[X ≥ x] for X ~ χ²(df), the upper-tail
