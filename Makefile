@@ -42,11 +42,12 @@ jobs-test:
 
 # The pool snapshot format (identity headers, IMCP v3) and the shared pool
 # cache, race-enabled: serialization identity checks, donor adoption
-# determinism, cache store/evict/boot behavior, and the serve-level
-# cold-vs-warm byte-identity integration test.
+# determinism, cache store/evict/boot behavior, one save per solver pass
+# of a cold solve, and the serve-level cold-vs-warm byte-identity
+# integration test.
 poolcache-test:
 	$(GO) test -race -count=1 ./internal/ric/ ./internal/poolcache/ \
-		./internal/serve/ -run 'Pool|Donor|Cache|Session|Eviction|Boot|ReadInto|Serial|ColdWarm|Codec|Decode|Failed'
+		./internal/serve/ -run 'Pool|Donor|Cache|Session|Eviction|Boot|ReadInto|Serial|ColdWarm|Codec|Decode|Failed|OncePerPass'
 
 # The distributed shard runtime, race-enabled: stream-family
 # disjointness, offset-pool splice identity, the coordinator/worker

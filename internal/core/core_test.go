@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -397,9 +399,13 @@ func captureCheckpoints(t *testing.T, sink *[]savedCheckpoint) CheckpointFunc {
 }
 
 // TestSolveCheckpointResume pins the resume contract: restarting the
-// stop-and-stare loop from ANY pool-growth boundary reproduces the
-// uninterrupted run's solution exactly — same seeds, same estimates,
-// same stop reason.
+// stop-and-stare loop at ANY round of the uninterrupted run's trace,
+// skipped rounds included, from a pool of that round's size reproduces
+// the uninterrupted run's solution exactly — same seeds, same
+// estimates, same stop reason. A skipped round is where checkpoints
+// taken before the loop grew once per solver pass can sit. The
+// checkpoints the run itself takes must restore to the same solution
+// through the snapshot codec.
 func TestSolveCheckpointResume(t *testing.T) {
 	g, part := testInstance(t, 41)
 	opts := Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 77, MaxSamples: 1 << 12}
@@ -411,8 +417,11 @@ func TestSolveCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ckpts) < 2 {
-		t.Fatalf("want at least 2 checkpoints (initial + a doubling), got %d", len(ckpts))
+	if len(baseline.Rounds) < 2 {
+		t.Fatalf("want at least 2 resume points, the run has %d rounds", len(baseline.Rounds))
+	}
+	if len(ckpts) == 0 {
+		t.Fatal("the run took no checkpoint")
 	}
 
 	// The checkpoint callback must not perturb the solve at all.
@@ -422,6 +431,29 @@ func TestSolveCheckpointResume(t *testing.T) {
 	}
 	assertSameSolution(t, "checkpointing run", baseline, plain)
 
+	resume := func(label string, pool *ric.Pool, doublings int) {
+		t.Helper()
+		resumed := opts
+		resumed.Resume = &Checkpoint{Pool: pool, Doublings: doublings}
+		sol, err := Solve(g, part, maxr.UBG{}, resumed)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameSolution(t, label, baseline, sol)
+		if want := baseline.Rounds[doublings:]; !slices.Equal(sol.Rounds, want) {
+			t.Fatalf("%s: rounds %+v, want %+v", label, sol.Rounds, want)
+		}
+	}
+	for i, r := range baseline.Rounds {
+		pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: opts.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.EnsureCtx(context.Background(), r.Samples); err != nil {
+			t.Fatal(err)
+		}
+		resume(fmt.Sprintf("resume at round %d (skipped %v)", i, r.Skipped), pool, i)
+	}
 	for _, ck := range ckpts {
 		pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: opts.Seed})
 		if err != nil {
@@ -430,13 +462,87 @@ func TestSolveCheckpointResume(t *testing.T) {
 		if err := pool.ReadInto(bytes.NewReader(ck.pool)); err != nil {
 			t.Fatalf("restore checkpoint at round %d: %v", ck.doublings, err)
 		}
-		resumed := opts
-		resumed.Resume = &Checkpoint{Pool: pool, Doublings: ck.doublings}
-		sol, err := Solve(g, part, maxr.UBG{}, resumed)
-		if err != nil {
-			t.Fatalf("resume from round %d: %v", ck.doublings, err)
-		}
-		assertSameSolution(t, fmt.Sprintf("resume from round %d", ck.doublings), baseline, sol)
+		resume(fmt.Sprintf("resume from checkpoint at round %d", ck.doublings), pool, ck.doublings)
+	}
+}
+
+// TestSolveGrowsOncePerSolverPass pins the growth schedule: Grow runs
+// once per round that runs its solver, straight to that round's sample
+// count, and Checkpoint fires once per growth at that round; a run
+// resumed from an initial-size pool grows once, straight to its first
+// solved round.
+func TestSolveGrowsOncePerSolverPass(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		instance uint64
+		solver   maxr.Solver
+		opts     Options
+	}{
+		{"stop-condition", 61, maxr.MAF{Seed: 3}, Options{K: 5, Eps: 0.2, Delta: 0.2, Seed: 3, MaxSamples: 1 << 15}},
+		{"sample-cap", 61, maxr.MAF{Seed: 3}, Options{K: 5, Eps: 0.2, Delta: 0.2, Seed: 3, MaxSamples: 1 << 9}},
+		{"UBG/cap4096", 41, maxr.UBG{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 77, MaxSamples: 1 << 12}},
+		// Two solved rounds: the first one's check does not certify.
+		{"MAF/two-passes", 9, maxr.MAF{Seed: 5}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 16}},
+		{"nu", 21, maxr.UBG{}, Options{K: 3, Eps: 0.3, Delta: 0.3, Seed: 5, MaxSamples: 1 << 15, NuGuided: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, part := testInstance(t, tc.instance)
+			var grows []int
+			var checkpoints []int
+			opts := tc.opts
+			opts.Grow = func(ctx context.Context, pool *ric.Pool, target int) error {
+				grows = append(grows, target)
+				return pool.EnsureCtx(ctx, target)
+			}
+			opts.Checkpoint = func(cp Checkpoint) error {
+				if want := grows[len(grows)-1]; cp.Pool.NumSamples() != want {
+					t.Errorf("checkpoint at round %d holds %d samples, the last growth was to %d", cp.Doublings, cp.Pool.NumSamples(), want)
+				}
+				checkpoints = append(checkpoints, cp.Doublings)
+				return nil
+			}
+			sol, err := Solve(g, part, tc.solver, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantGrows, wantCheckpoints []int
+			for _, r := range sol.Rounds {
+				if !r.Skipped {
+					wantGrows = append(wantGrows, r.Samples)
+					wantCheckpoints = append(wantCheckpoints, r.Doublings)
+				}
+			}
+			if !slices.Equal(grows, wantGrows) {
+				t.Fatalf("grew to %v, want the solved rounds' sizes %v (rounds %+v)", grows, wantGrows, sol.Rounds)
+			}
+			if !slices.Equal(checkpoints, wantCheckpoints) {
+				t.Fatalf("checkpoints at rounds %v, want %v", checkpoints, wantCheckpoints)
+			}
+
+			pool, err := ric.NewPool(g, part, ric.PoolOptions{Seed: opts.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.EnsureCtx(context.Background(), sol.Rounds[0].Samples); err != nil {
+				t.Fatal(err)
+			}
+			grows, checkpoints = nil, nil
+			opts.Resume = &Checkpoint{Pool: pool}
+			resumed, err := Solve(g, part, tc.solver, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSolution(t, "resumed", sol, resumed)
+			// The initial-size pool is round 0's, so only a skipped round 0
+			// leaves a growth before the first solved round.
+			wantResumed := wantGrows
+			if !sol.Rounds[0].Skipped {
+				wantResumed = wantGrows[1:]
+			}
+			if !slices.Equal(grows, wantResumed) || len(checkpoints) != len(grows) {
+				t.Fatalf("resumed run grew to %v with %d checkpoints, want growths %v", grows, len(checkpoints), wantResumed)
+			}
+		})
 	}
 }
 

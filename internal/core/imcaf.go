@@ -73,12 +73,14 @@ type Options struct {
 	// Clock supplies timestamps for the Elapsed report; nil means the
 	// real wall clock. Only reporting reads it — never sampling.
 	Clock clock.Func
-	// Checkpoint, when non-nil, is invoked at every pool-growth boundary
-	// (after the initial generation and after each doubling, before the
-	// round's solver pass) with the live pool and round counter. A
-	// checkpoint error aborts the solve: the caller asked for durable
-	// progress and is not getting it. The callback must not mutate the
-	// pool.
+	// Checkpoint, when non-nil, is invoked after every pool growth with
+	// the live pool and the counter of the round it grew to. The loop
+	// grows once per solver pass, straight past the rounds it skips, so
+	// the callback fires right before each pass that follows a growth; a
+	// resumed run whose pool is already large enough grows nothing before
+	// its first pass and fires nothing there. A checkpoint error aborts
+	// the solve: the caller asked for durable progress and is not getting
+	// it. The callback must not mutate the pool.
 	Checkpoint CheckpointFunc
 	// Resume, when non-nil, restarts the stop-and-stare loop from a
 	// previously checkpointed pool instead of generating the initial
@@ -89,8 +91,9 @@ type Options struct {
 	Resume *Checkpoint
 	// Grow, when non-nil, supplies pool samples in place of plain
 	// generation: the stop-and-stare loop calls it wherever it would
-	// otherwise generate (the initial batch and each doubling), and the
-	// hook must leave the pool with at least target samples. This is
+	// otherwise generate, once per solver pass with the size of the
+	// pass's round (skipped rounds are never grown to), and the hook
+	// must leave the pool with at least target samples. This is
 	// the pool cache's seam — a cached snapshot donates its prefix and
 	// only the missing tail is generated. Because sample i is always
 	// drawn from PRNG stream i, a correct hook is observationally
@@ -271,13 +274,6 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 	if initial > opts.MaxSamples {
 		initial = opts.MaxSamples
 	}
-	grow := opts.growFunc()
-	if opts.Resume == nil {
-		if err := grow(ctx, pool, initial); err != nil {
-			return Solution{}, err
-		}
-	}
-
 	// Checkpoint count for the union bound over stop stages. Ψ can be
 	// infinite when the solver's guarantee is vacuous (e.g. MAF with
 	// h > k), in which case the doubling schedule is bounded by
@@ -301,87 +297,95 @@ func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, so
 	// most checkTMax(|R|) samples, each adding at most 1 to its mass, so
 	// a round whose TMax is below Λ′ cannot certify.
 	checkLambda := stoppingThreshold(se2, estDelta)
+	// solves reports whether the round over a pool of the given size runs
+	// its solver pass: one that can neither certify nor hit a cap doubles
+	// whatever the pass returns, so it runs neither the pass nor the check.
+	solves := func(samples int) bool {
+		certifiable := float64(checkTMax(samples, se2, se3)) >= checkLambda
+		capped := float64(samples) >= psi || samples*2 > opts.MaxSamples
+		return certifiable || capped
+	}
 
+	grow := opts.growFunc()
 	sol := Solution{Alpha: alpha, Stopped: StopSampleCap}
 	doublings := resumeFrom
-	// Boundary checkpoint before the first (or first resumed) solver
-	// round: once this returns, a crash loses at most one round of work.
-	if opts.Checkpoint != nil {
-		if err := opts.Checkpoint(Checkpoint{Pool: pool, Doublings: doublings}); err != nil {
-			return Solution{}, fmt.Errorf("core: checkpoint at round %d: %w", doublings, err)
-		}
+	samples := initial
+	if opts.Resume != nil {
+		samples = pool.NumSamples()
 	}
 	for {
+		// Whether a round solves depends on its sample count alone, so the
+		// skipped rounds ahead are known before any of them is sampled:
+		// trace them, then grow once, straight to the next solved round.
+		for !solves(samples) {
+			sol.Rounds = append(sol.Rounds, Round{Doublings: doublings, Samples: samples, Skipped: true})
+			samples *= 2
+			doublings++
+		}
+		if pool.NumSamples() < samples {
+			if err := grow(ctx, pool, samples); err != nil {
+				return Solution{}, err
+			}
+			// Once the checkpoint returns, a crash loses at most this
+			// growth's work.
+			if opts.Checkpoint != nil {
+				if err := opts.Checkpoint(Checkpoint{Pool: pool, Doublings: doublings}); err != nil {
+					return Solution{}, fmt.Errorf("core: checkpoint at round %d: %w", doublings, err)
+				}
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return Solution{}, err
 		}
-		samples := pool.NumSamples()
 		tmax := checkTMax(samples, se2, se3)
-		certifiable := float64(tmax) >= checkLambda
-		capped := float64(samples) >= psi || samples*2 > opts.MaxSamples
-		sol.Rounds = append(sol.Rounds, Round{Doublings: doublings, Samples: samples})
+		cand, err := runSolver(ctx, pool, solver, opts)
+		if err != nil {
+			return Solution{}, err
+		}
+		sol.Seeds = cand.seeds
+		sol.CHat = cand.chat
+		sol.SandwichRatio = cand.ratio
+		sol.Samples = samples
+		sol.Doublings = doublings
+		sol.Rounds = append(sol.Rounds, Round{Doublings: doublings, Samples: samples, CHat: cand.chat, Coverage: cand.coverage})
 		round := &sol.Rounds[len(sol.Rounds)-1]
-		if !certifiable && !capped {
-			// The round can neither certify nor hit a cap, so it doubles
-			// whatever its solver pass returns: skip the pass and the check.
-			round.Skipped = true
-		} else {
-			seeds, chat, ratio, err := runSolver(ctx, pool, solver, opts)
+
+		// Alg. 5 line 8: enough influenced samples for a reliable check?
+		if cand.coverage >= lambda && float64(tmax) >= checkLambda {
+			est, err := EstimateCtx(ctx, g, part, cand.seeds, EstimateOptions{
+				Eps:        se2,
+				Delta:      estDelta,
+				TMax:       tmax,
+				Model:      opts.Model,
+				Seed:       opts.Seed ^ 0x5e5e5e5e5e5e5e5e ^ uint64(doublings)<<32,
+				Fractional: opts.NuGuided,
+				Workers:    opts.Workers,
+			})
 			if err != nil {
 				return Solution{}, err
 			}
-			sol.Seeds = seeds
-			sol.CHat = chat
-			sol.SandwichRatio = ratio
-			sol.Samples = samples
-			sol.Doublings = doublings
-
-			// Alg. 5 line 8: enough influenced samples for a reliable check?
-			coverage := influencedMass(pool, seeds, opts.NuGuided)
-			round.CHat, round.Coverage = chat, coverage
-			if coverage >= lambda && certifiable {
-				est, err := EstimateCtx(ctx, g, part, seeds, EstimateOptions{
-					Eps:        se2,
-					Delta:      estDelta,
-					TMax:       tmax,
-					Model:      opts.Model,
-					Seed:       opts.Seed ^ 0x5e5e5e5e5e5e5e5e ^ uint64(doublings)<<32,
-					Fractional: opts.NuGuided,
-					Workers:    opts.Workers,
-				})
-				if err != nil {
-					return Solution{}, err
-				}
-				objective := chat
-				if opts.NuGuided {
-					objective = pool.NuHat(seeds)
-				}
-				round.Checked, round.Estimate, round.Converged = true, est.Benefit, est.Converged
-				if est.Converged && objective <= (1+se1)*est.Benefit {
-					sol.EstimatedBenefit = est.Benefit
-					sol.Stopped = StopCondition
-					break
-				}
+			objective := cand.chat
+			if opts.NuGuided {
+				objective = cand.nu
 			}
-
-			if float64(samples) >= psi {
-				sol.Stopped = StopPsiCap
-				break
-			}
-			if samples*2 > opts.MaxSamples {
-				sol.Stopped = StopSampleCap
+			round.Checked, round.Estimate, round.Converged = true, est.Benefit, est.Converged
+			if est.Converged && objective <= (1+se1)*est.Benefit {
+				sol.EstimatedBenefit = est.Benefit
+				sol.Stopped = StopCondition
 				break
 			}
 		}
-		if err := grow(ctx, pool, samples*2); err != nil {
-			return Solution{}, err
+
+		if float64(samples) >= psi {
+			sol.Stopped = StopPsiCap
+			break
 		}
+		if samples*2 > opts.MaxSamples {
+			sol.Stopped = StopSampleCap
+			break
+		}
+		samples *= 2
 		doublings++
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint(Checkpoint{Pool: pool, Doublings: doublings}); err != nil {
-				return Solution{}, fmt.Errorf("core: checkpoint at round %d: %w", doublings, err)
-			}
-		}
 	}
 	sol.Elapsed = now().Sub(start)
 	return sol, nil
@@ -450,41 +454,72 @@ func SolveFixedCtx(ctx context.Context, g *graph.Graph, part *community.Partitio
 	if err := opts.growFunc()(ctx, pool, numSamples); err != nil {
 		return Solution{}, err
 	}
-	seeds, chat, ratio, err := runSolver(ctx, pool, solver, opts)
+	cand, err := runSolver(ctx, pool, solver, opts)
 	if err != nil {
 		return Solution{}, err
 	}
 	return Solution{
-		Seeds:         seeds,
-		CHat:          chat,
+		Seeds:         cand.seeds,
+		CHat:          cand.chat,
 		Samples:       pool.NumSamples(),
 		Stopped:       StopSampleCap,
 		Alpha:         solver.Guarantee(pool, k),
 		Elapsed:       now().Sub(start),
-		SandwichRatio: ratio,
+		SandwichRatio: cand.ratio,
 	}, nil
+}
+
+// candidate is one solver pass's seed set and the pool statistics the
+// loop reads of it, all taken from one coverage state over the pool.
+type candidate struct {
+	seeds []graph.NodeID
+	// chat is ĉ_R: the solver's own report, or the state's under
+	// NuGuided.
+	chat float64
+	// nu is ν̂_R, the submodular upper bound (paper eq. 7).
+	nu float64
+	// coverage is the Alg. 5 line-8 statistic: the influenced sample
+	// count, or the fractional sum under NuGuided.
+	coverage float64
+	// ratio is the sandwich ratio ĉ_R/ν̂_R (UBG's empirical factor), 0
+	// when ν̂_R is 0.
+	ratio float64
 }
 
 // runSolver executes the configured selection step: the MAXR solver, or
 // greedy-on-ν when NuGuided. The ctx reaches solvers that implement
 // maxr.CtxSolver; plain solvers get one up-front cancellation check.
-func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Options) (seeds []graph.NodeID, chat, ratio float64, err error) {
+func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Options) (candidate, error) {
+	var c candidate
 	if opts.NuGuided {
-		seeds, err = maxr.GreedyNuCtx(ctx, pool, opts.K)
+		seeds, err := maxr.GreedyNuCtx(ctx, pool, opts.K)
 		if err != nil {
-			return nil, 0, 0, err
+			return candidate{}, err
 		}
-		chat = pool.CHat(seeds)
+		c.seeds = seeds
 	} else {
-		var res maxr.Result
-		res, err = maxr.SolveWithContext(ctx, solver, pool, opts.K)
+		res, err := maxr.SolveWithContext(ctx, solver, pool, opts.K)
 		if err != nil {
-			return nil, 0, 0, err
+			return candidate{}, err
 		}
-		seeds, chat = res.Seeds, res.CHat
+		c.seeds, c.chat = res.Seeds, res.CHat
 	}
-	ratio = maxr.SandwichRatio(pool, seeds)
-	return seeds, chat, ratio, nil
+	st := pool.NewState()
+	for _, s := range c.seeds {
+		st.Add(s)
+	}
+	influenced, frac := st.InfluencedCount(), st.FractionalSum()
+	chat := pool.Scale() * float64(influenced)
+	c.nu = pool.Scale() * frac
+	if opts.NuGuided {
+		c.chat, c.coverage = chat, frac
+	} else {
+		c.coverage = float64(influenced)
+	}
+	if c.nu > 0 {
+		c.ratio = chat / c.nu
+	}
+	return c, nil
 }
 
 // checkTMax is the sample cap of a round's stop check over a pool of
@@ -492,19 +527,6 @@ func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Opt
 func checkTMax(samples int, se2, se3 float64) int {
 	tmax := int(float64(samples) * (1 + se2) / (1 - se2) * (se3 * se3) / (se2 * se2))
 	return max(tmax, 1)
-}
-
-// influencedMass returns the Alg. 5 line-8 statistic: the influenced
-// sample count (or, in ν-guided mode, the fractional sum).
-func influencedMass(pool *ric.Pool, seeds []graph.NodeID, fractional bool) float64 {
-	st := pool.NewState()
-	for _, s := range seeds {
-		st.Add(s)
-	}
-	if fractional {
-		return st.FractionalSum()
-	}
-	return float64(st.InfluencedCount())
 }
 
 // PsiBound computes Ψ (paper eq. 22): the worst-case number of RIC

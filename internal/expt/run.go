@@ -60,8 +60,9 @@ type RunConfig struct {
 	// wall clock. Tests pin it to make timing-labelled output
 	// reproducible. Only reporting reads it — never sampling.
 	Now clock.Func
-	// Checkpoint, when non-nil, receives solver checkpoints at every
-	// pool-growth boundary so long solves survive a process restart. It
+	// Checkpoint, when non-nil, receives a solver checkpoint after every
+	// pool growth, one per solver pass (see core.Options.Checkpoint), so
+	// long solves survive a process restart. It
 	// only fires for the core-solver algorithms (UBG, UBG+LS, MAF, MB) —
 	// the baselines run to completion or not at all — and requires
 	// Runs == 1: a multi-run average has no single resumable pool.

@@ -28,16 +28,17 @@ type PoolOptions struct {
 	BuildInstance func(expt.InstanceConfig) (*expt.Instance, error)
 	// PoolCache, when set, shares RIC pool snapshots across jobs: a
 	// job whose (instance, model, seed) identity matches a cached pool
-	// adopts its samples instead of regenerating them, and checkpoint
-	// boundaries store grown pools back. Nil disables cache use.
+	// adopts its samples instead of regenerating them, and each growth
+	// (one per solver pass) stores the grown pool back. Nil disables
+	// cache use.
 	PoolCache *poolcache.Cache
 }
 
 // Pool executes the store's pending jobs on a bounded set of workers.
-// Each running solve checkpoints at every pool-growth boundary, so
-// Shutdown (or a crash) loses at most the work since the last
-// boundary; interrupted jobs return to pending and resume from their
-// checkpoint on the next Start.
+// Each running solve checkpoints after every pool growth, one per
+// solver pass, so Shutdown (or a crash) loses at most the work since
+// the last growth; interrupted jobs return to pending and resume from
+// their checkpoint on the next Start.
 type Pool struct {
 	store   *Store                                            // immutable
 	workers int                                               // immutable

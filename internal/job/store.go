@@ -35,11 +35,13 @@ type Store struct {
 // ErrNotFound reports an unknown job ID.
 var ErrNotFound = errors.New("job: not found")
 
-// Open loads (or initializes) a store in dir. Jobs that were running
-// when the previous process died are returned to pending with their
-// resume counter bumped — their latest checkpoint is still on disk, so
-// the next worker to pick them up continues where they stopped. now
-// supplies timestamps (nil means the wall clock).
+// Open loads (or initializes) a store in dir. A job that is not
+// terminal and whose spec fails Spec.Validate is failed with the
+// validation error. Jobs that were running when the previous process
+// died are returned to pending with their resume counter bumped — their
+// latest checkpoint is still on disk, so the next worker to pick them
+// up continues where they stopped. now supplies timestamps (nil means
+// the wall clock).
 func Open(dir string, now clock.Func) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("job: store directory must be non-empty")
@@ -60,6 +62,25 @@ func Open(dir string, now clock.Func) (*Store, error) {
 	}
 	if s.jl, err = openJournalAt(path, intact); err != nil {
 		return nil, err
+	}
+	// Submit validates every spec, but a journal written by an older
+	// build, or by hand, may hold one that today's limits reject. Fail
+	// such a job before anything can run it, and journal why.
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if j.State.Terminal() {
+			continue
+		}
+		verr := j.Spec.Normalize().Validate()
+		if verr == nil {
+			continue
+		}
+		j.State, j.Error, j.FinishedAt = StateFailed, verr.Error(), s.now()
+		if err := s.jl.Append(journalRecord{
+			Op: opState, ID: id, At: j.FinishedAt, State: StateFailed, Error: j.Error, Resumes: j.Resumes,
+		}); err != nil {
+			return nil, err
+		}
 	}
 	// Crash recovery: a "running" job's worker no longer exists. Journal
 	// the demotion so the next replay agrees.

@@ -206,6 +206,53 @@ func TestCrashRecoveryReturnsRunningToPending(t *testing.T) {
 	}
 }
 
+// TestReplayFailsInvalidSpecs: Submit is not the only way a spec enters
+// the store — a journal written by an older build or by hand is replayed
+// as it stands. Open fails every non-terminal job whose spec Validate
+// rejects, journals why, and does so before demoting running jobs, so
+// the bad ones are never resumed; a valid pending job still runs.
+func TestReplayFailsInvalidSpecs(t *testing.T) {
+	dir := t.TempDir()
+	const journal = `{"op":"submit","id":"j00000001","at":"2026-08-06T12:00:00Z","spec":{"dataset":"test","scale":0.1,"seed":21,"alg":"UBG","k":3,"eps":0.3,"delta":0.3,"maxSamples":4096}}
+{"op":"submit","id":"j00000002","at":"2026-08-06T12:00:00Z","spec":{"dataset":"test","scale":0.1,"seed":22,"alg":"UBG","k":3,"eps":0.3,"delta":0.3,"maxSamples":134217728}}
+{"op":"submit","id":"j00000003","at":"2026-08-06T12:00:00Z","spec":{"dataset":"test","scale":0.1,"seed":23,"alg":"UBG","k":3,"eps":0.3,"delta":0.3,"maxSamples":134217728}}
+{"op":"state","id":"j00000003","at":"2026-08-06T12:00:01Z","state":"running"}
+`
+	if err := os.WriteFile(filepath.Join(dir, "journal.log"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		for _, id := range []string{"j00000002", "j00000003"} {
+			j, err := s.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.State != StateFailed || !strings.Contains(j.Error, "maxSamples") || j.Resumes != 0 {
+				t.Fatalf("%s: state=%s resumes=%d error=%q, want failed/0 naming maxSamples", id, j.State, j.Resumes, j.Error)
+			}
+		}
+		if ids := s.PendingIDs(); len(ids) != 1 || ids[0] != "j00000001" {
+			t.Fatalf("pending IDs %v, want only the valid job", ids)
+		}
+	}
+	s := openTestStore(t, dir)
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The failures were journaled, so a second replay agrees.
+	r := openTestStore(t, dir)
+	check(r)
+
+	p := newTestPool(t, r)
+	p.Start()
+	defer shutdownPool(t, p)
+	if done := waitTerminal(t, r, "j00000001"); done.State != StateSucceeded {
+		t.Fatalf("valid job: state %s (%s), want succeeded", done.State, done.Error)
+	}
+}
+
 func TestTornJournalTailIsDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)

@@ -77,7 +77,7 @@ func TestEmpiricalRatiosBeatTheory(t *testing.T) {
 			// UBG's nominal 1−1/e is data-dependent (sandwich); scale it
 			// by the realized ratio as Theorem 2 prescribes.
 			if s.Name() == "UBG" {
-				want *= SandwichRatio(pool, res.Seeds)
+				want *= sandwichRatio(pool, res.Seeds)
 			}
 			if got < want-1e-9 {
 				t.Fatalf("seed %d: %s coverage %v below guarantee %v (α=%g, OPT=%d)",

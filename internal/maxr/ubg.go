@@ -21,7 +21,7 @@ var _ CtxSolver = UBG{}
 func (UBG) Name() string { return "UBG" }
 
 // Guarantee implements Solver. The data-dependent sandwich factor is
-// only known post hoc (see Result-side SandwichRatio); for sample-size
+// only known post hoc (see core.Solution.SandwichRatio); for sample-size
 // planning we use the nominal 1−1/e.
 func (UBG) Guarantee(_ *ric.Pool, _ int) float64 { return 1 - 1/math.E }
 
@@ -64,15 +64,4 @@ func (UBG) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) 
 		return rC, nil
 	}
 	return rNu, nil
-}
-
-// SandwichRatio reports ĉ_R(S)/ν_R(S) for a seed set — the empirical
-// factor in UBG's guarantee, plotted in the paper's Fig. 8 (there
-// against the Monte-Carlo estimates of c and ν).
-func SandwichRatio(pool *ric.Pool, seeds []graph.NodeID) float64 {
-	nu := pool.NuHat(seeds)
-	if nu <= 0 {
-		return 0
-	}
-	return pool.CHat(seeds) / nu
 }

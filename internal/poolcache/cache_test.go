@@ -7,13 +7,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"imc/internal/atomicio"
 	"imc/internal/community"
+	"imc/internal/core"
 	"imc/internal/diffusion"
 	"imc/internal/graph"
+	"imc/internal/maxr"
 	"imc/internal/ric"
 )
 
@@ -644,4 +647,52 @@ func TestGrowStoresBack(t *testing.T) {
 			t.Fatalf("a failed fill stored a pool: %+v", st)
 		}
 	})
+}
+
+// TestColdSolveSavesOncePerPass pins the cache's side of an IMCAF solve
+// whose Grow is the session's: the loop grows once per solver pass,
+// straight past the rounds it skips, so a cold solve stores one
+// snapshot per solved round, the last one the size the solve ended at,
+// and a warm rerun adopts it and gives the same answer.
+func TestColdSolveSavesOncePerPass(t *testing.T) {
+	g, part := smallInstance(t)
+	const seed = 8
+	c := openCache(t, t.TempDir(), Options{Logf: t.Logf})
+	solve := func() core.Solution {
+		t.Helper()
+		s := c.Begin(g, part, diffusion.IC, seed)
+		sol, err := core.SolveCtx(context.Background(), g, part, maxr.UBG{}, core.Options{
+			K: 1, Eps: 0.3, Delta: 0.3, Seed: seed, MaxSamples: 1 << 13,
+			Grow: func(ctx context.Context, pool *ric.Pool, target int) error {
+				return s.Grow(ctx, pool, target, nil)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	cold := solve()
+	passes, skipped := 0, 0
+	for _, r := range cold.Rounds {
+		if r.Skipped {
+			skipped++
+		} else {
+			passes++
+		}
+	}
+	if skipped == 0 {
+		t.Fatalf("no round was skipped, so the test shows nothing: %+v", cold.Rounds)
+	}
+	st := c.Stats()
+	if st.Saves != uint64(passes) || st.Errors != 0 {
+		t.Fatalf("cold solve with %d solver passes over %d rounds saved %d times: %+v", passes, len(cold.Rounds), st.Saves, st)
+	}
+	if cached := c.Begin(g, part, diffusion.IC, seed).Cached(); cached == nil || cached.NumSamples() != cold.Samples {
+		t.Fatalf("the stored entry is not the %d-sample pool the solve ended at", cold.Samples)
+	}
+	warm := solve()
+	if c.Stats().AdoptedSamples != uint64(cold.Samples) || warm.CHat != cold.CHat || !slices.Equal(warm.Seeds, cold.Seeds) {
+		t.Fatalf("warm rerun adopted %d samples for %+v, cold %+v", c.Stats().AdoptedSamples, warm, cold)
+	}
 }

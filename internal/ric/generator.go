@@ -47,6 +47,11 @@ type Generator struct {
 	// Slot-indexed scratch for the member passes and mask propagation.
 	mark  []int32
 	queue []int32
+
+	// Generate carves each sample's cover nodes and mask words out of
+	// these arenas, so a sample costs no allocation of its own.
+	nodes arena[graph.NodeID]
+	bits  arena[uint64]
 }
 
 // slotStamp is one node's (epoch, slot) pair.
@@ -85,8 +90,10 @@ func NewGenerator(g *graph.Graph, part *community.Partition, model diffusion.Mod
 // at least one member (the BFS walks reverse live edges starting FROM
 // the members), so the sample's cover set is exactly the region. That
 // makes the footprint exact — a copy of the region and one flat word
-// run holding every slot's mask at the sample's natural width: two
-// allocations per sample, both read once by the pool's fold.
+// run holding every slot's mask at the sample's natural width, both
+// read once by the pool's fold. Both are carved from the generator's
+// arenas, whose chunks are never reused, so the words start zeroed and
+// a sample allocates nothing while the arenas have room.
 //
 //imc:hotpath
 func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
@@ -94,9 +101,9 @@ func (gen *Generator) Generate(rng *xrand.RNG) rawSample {
 	comm := gen.part.Community(commIdx)
 	numMembers := len(comm.Members)
 	words := maskWords(numMembers)
-	coverNodes := make([]graph.NodeID, len(gen.region))
-	copy(coverNodes, gen.region)
-	coverBits := make([]uint64, len(coverNodes)*words)
+	coverNodes := append(gen.nodes.reserve(len(gen.region)), gen.region...)
+	n := len(coverNodes) * words
+	coverBits := gen.bits.reserve(n)[:n]
 	// Member j is slot j and covers itself.
 	for j, run := 0, coverBits; j < numMembers; j, run = j+1, run[words:] {
 		Mask(run).set(j)

@@ -25,6 +25,7 @@ var (
 
 	// Generator packs pointers first, then its one int32 epoch
 	// counter (padded to a word), then seven slice headers of flat
-	// slot-indexed scratch: 208 bytes.
-	_ = [1]struct{}{}[unsafe.Sizeof(Generator{})-208]
+	// slot-indexed scratch, then the two sample arenas (a slice header
+	// and a chunk length each): 272 bytes.
+	_ = [1]struct{}{}[unsafe.Sizeof(Generator{})-272]
 )

@@ -67,6 +67,20 @@ func (p *Pool) ExportRange(w io.Writer, lo, hi int) error {
 	return nil
 }
 
+// ExportRangeSize returns the exact length in bytes of the IMCS export
+// ExportRange writes for [lo, hi), so a caller can size its buffer once:
+// the header, then per sample 16 bytes plus, per cover, a node, a width
+// and the mask at the sample's natural width. Bounds outside the pool's
+// generated span are clamped to it.
+func (p *Pool) ExportRangeSize(lo, hi int) int {
+	size := poolHeaderSize + 8 // IMCP's header, with lo and hi for its sample count
+	for i := max(lo-p.offset, 0); i < min(hi-p.offset, len(p.samples)); i++ {
+		smp := p.samples[i]
+		size += 16 + int(smp.TouchCount)*(8+8*maskWords(int(smp.NumMembers)))
+	}
+	return size
+}
+
 // ImportRange appends a shard export of global samples [next, hi) to
 // the pool, where next is the pool's next global sample index
 // Offset()+NumSamples(). The export's identity block must match the

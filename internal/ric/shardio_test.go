@@ -259,3 +259,33 @@ func TestShardPoolRefusesPrefixFormats(t *testing.T) {
 		t.Fatal("negative offset accepted")
 	}
 }
+
+// TestShardExportSizeIsExact pins ExportRangeSize to the length
+// ExportRange writes, over a pool whose masks are one, two and three
+// words wide, an offset shard, and an empty range.
+func TestShardExportSizeIsExact(t *testing.T) {
+	const seed = 5
+	g, part := codecInstance(t)
+	full := buildPool(t, g, part, 160, seed)
+	shard, err := NewPool(g, part, PoolOptions{Seed: seed, Offset: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.EnsureCtx(context.Background(), 90); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pool   *Pool
+		lo, hi int
+	}{
+		{full, 0, 160}, {full, 37, 38}, {full, 70, 70}, {shard, 40, 130}, {shard, 90, 101},
+	} {
+		var buf bytes.Buffer
+		if err := tc.pool.ExportRange(&buf, tc.lo, tc.hi); err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.pool.ExportRangeSize(tc.lo, tc.hi); got != buf.Len() {
+			t.Fatalf("[%d,%d) at offset %d: ExportRangeSize %d, ExportRange wrote %d bytes", tc.lo, tc.hi, tc.pool.Offset(), got, buf.Len())
+		}
+	}
+}

@@ -101,8 +101,10 @@ func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	var buf bytes.Buffer
-	if err := pool.ExportRange(&buf, req.Lo, req.Hi); err != nil {
+	// Sized exactly: a growing buffer would copy the export at every
+	// doubling and could hold twice its size at the end.
+	buf := bytes.NewBuffer(make([]byte, 0, pool.ExportRangeSize(req.Lo, req.Hi)))
+	if err := pool.ExportRange(buf, req.Lo, req.Hi); err != nil {
 		writeShardError(rw, http.StatusInternalServerError, err)
 		return
 	}
