@@ -1,6 +1,7 @@
 package imc
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -129,7 +130,7 @@ func benchPool(b *testing.B, bounded bool) *ric.Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(4000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 4000); err != nil {
 		b.Fatal(err)
 	}
 	return pool
@@ -142,7 +143,7 @@ func BenchmarkAblationGreedyNuCELF(b *testing.B) {
 	pool := benchPool(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maxr.GreedyNu(pool, 10); err != nil {
+		if _, err := maxr.GreedyNuCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,7 +155,7 @@ func BenchmarkAblationGreedyCHatPlain(b *testing.B) {
 	pool := benchPool(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maxr.GreedyCHat(pool, 10); err != nil {
+		if _, err := maxr.GreedyCHatCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +191,7 @@ func BenchmarkAblationMAFFull(b *testing.B) {
 	m := maxr.MAF{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(pool, 10); err != nil {
+		if _, err := m.SolveCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkAblationUBGSandwich(b *testing.B) {
 	pool := benchPool(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (maxr.UBG{}).Solve(pool, 10); err != nil {
+		if _, err := (maxr.UBG{}).SolveCtx(context.Background(), pool, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,7 +223,7 @@ func BenchmarkAblationBTRootCap(b *testing.B) {
 		b.Run(roots.name, func(b *testing.B) {
 			solver := maxr.BT{MaxRoots: roots.cap}
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Solve(pool, 10); err != nil {
+				if _, err := solver.SolveCtx(context.Background(), pool, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -234,7 +235,7 @@ func BenchmarkAblationBTRootCap(b *testing.B) {
 // top of MAF — the quality/cost trade beyond the paper's solvers.
 func BenchmarkAblationLocalSearch(b *testing.B) {
 	pool := benchPool(b, true)
-	base, err := (maxr.MAF{}).Solve(pool, 10)
+	base, err := (maxr.MAF{}).SolveCtx(context.Background(), pool, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func BenchmarkAblationBTDepth(b *testing.B) {
 		b.Run("d="+string(rune('0'+depth)), func(b *testing.B) {
 			solver := maxr.BT{MaxRoots: 8, Depth: depth}
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.Solve(pool, 6); err != nil {
+				if _, err := solver.SolveCtx(context.Background(), pool, 6); err != nil {
 					b.Fatal(err)
 				}
 			}

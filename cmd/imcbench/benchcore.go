@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -72,7 +73,8 @@ func runBenchCore(outPath, basePath string) error {
 	if err != nil {
 		return err
 	}
-	if err := pool.Generate(poolSize); err != nil {
+	ctx := context.Background()
+	if err := pool.GenerateCtx(ctx, poolSize); err != nil {
 		return err
 	}
 
@@ -102,7 +104,7 @@ func runBenchCore(outPath, basePath string) error {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, coreBenchmark{Name: name, After: best})
 	}
-	seeds, err := maxr.GreedyCHat(pool, k)
+	seeds, err := maxr.GreedyCHatCtx(ctx, pool, k)
 	if err != nil {
 		return err
 	}
@@ -111,14 +113,14 @@ func runBenchCore(outPath, basePath string) error {
 	add("Influenced/IC", benchInfluenced(inst, seeds))
 	add("PoolGenerate/IC", benchPoolGenerate(inst, poolSize))
 	add("CacheAdopt/IC", benchCacheAdopt(inst, pool))
-	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHat))
-	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNu))
-	add("BT/k=10", benchGreedy(pool, k, func(p *ric.Pool, k int) ([]graph.NodeID, error) {
-		res, err := maxr.BT{MaxRoots: 64}.Solve(p, k)
+	add("GreedyCHat/k=10", benchGreedy(pool, k, maxr.GreedyCHatCtx))
+	add("GreedyNu/k=10", benchGreedy(pool, k, maxr.GreedyNuCtx))
+	add("BT/k=10", benchGreedy(pool, k, func(ctx context.Context, p *ric.Pool, k int) ([]graph.NodeID, error) {
+		res, err := maxr.BT{MaxRoots: 64}.SolveCtx(ctx, p, k)
 		return res.Seeds, err
 	}))
-	add("BT/full/k=10", benchGreedy(pool, k, func(p *ric.Pool, k int) ([]graph.NodeID, error) {
-		res, err := maxr.BT{}.Solve(p, k)
+	add("BT/full/k=10", benchGreedy(pool, k, func(ctx context.Context, p *ric.Pool, k int) ([]graph.NodeID, error) {
+		res, err := maxr.BT{}.SolveCtx(ctx, p, k)
 		return res.Seeds, err
 	}))
 	add("MCBenefit/IC", benchMCBenefit(inst, seeds))
@@ -216,7 +218,7 @@ func benchPoolGenerate(inst *expt.Instance, count int) func(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := p.Generate(count); err != nil {
+			if err := p.GenerateCtx(context.Background(), count); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -260,7 +262,7 @@ func benchMCBenefit(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := diffusion.EstimateBenefit(inst.G, inst.Part, seeds, diffusion.MCOptions{
+			if _, err := diffusion.EstimateBenefitCtx(context.Background(), inst.G, inst.Part, seeds, diffusion.MCOptions{
 				Iterations: 512, Seed: 11, Workers: 4,
 			}); err != nil {
 				b.Fatal(err)
@@ -271,11 +273,11 @@ func benchMCBenefit(inst *expt.Instance, seeds []graph.NodeID) func(b *testing.B
 
 // benchGreedy times one full k-seed selection over a fixed pool — the
 // candidate-scan / CELF-heap hot loops, or BT's root scan.
-func benchGreedy(pool *ric.Pool, k int, algo func(*ric.Pool, int) ([]graph.NodeID, error)) func(b *testing.B) {
+func benchGreedy(pool *ric.Pool, k int, algo func(context.Context, *ric.Pool, int) ([]graph.NodeID, error)) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := algo(pool, k); err != nil {
+			if _, err := algo(context.Background(), pool, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -141,7 +142,7 @@ func run() error {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "algorithm\tbenefit")
 		for _, name := range expt.AllAlgorithms {
-			res, err := expt.RunAlg(inst, name, *k, runCfg)
+			res, err := expt.RunAlgCtx(context.Background(), inst, name, *k, runCfg)
 			if err != nil {
 				return err
 			}
@@ -151,7 +152,7 @@ func run() error {
 		return tw.Flush()
 	}
 	start := time.Now()
-	res, err := expt.RunAlg(inst, strings.ToUpper(*alg), *k, runCfg)
+	res, err := expt.RunAlgCtx(context.Background(), inst, strings.ToUpper(*alg), *k, runCfg)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,10 +62,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := pool.Generate(4000); err != nil {
+	ctx := context.Background()
+	if err := pool.GenerateCtx(ctx, 4000); err != nil {
 		return err
 	}
-	res, err := maxr.UBG{}.Solve(pool, 5)
+	res, err := maxr.UBG{}.SolveCtx(ctx, pool, 5)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package imc
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -168,7 +169,7 @@ func TestPublicAPIPoolAndLT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(200); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 200); err != nil {
 		t.Fatal(err)
 	}
 	if pool.NumSamples() != 200 {

@@ -32,16 +32,3 @@ func OrWall(f Func) Func {
 func Fixed(t time.Time) Func {
 	return func() time.Time { return t }
 }
-
-// Ticking returns a Func that starts at t and advances by step on every
-// read. It lets tests observe elapsed-time plumbing with exact,
-// reproducible durations. The returned Func is not safe for concurrent
-// use; tests that need concurrency should use Fixed.
-func Ticking(t time.Time, step time.Duration) Func {
-	cur := t
-	return func() time.Time {
-		out := cur
-		cur = cur.Add(step)
-		return out
-	}
-}

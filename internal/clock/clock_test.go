@@ -16,20 +16,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestTicking(t *testing.T) {
-	at := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
-	f := Ticking(at, time.Second)
-	if got := f(); !got.Equal(at) {
-		t.Fatalf("first read = %v, want %v", got, at)
-	}
-	if got := f(); !got.Equal(at.Add(time.Second)) {
-		t.Fatalf("second read = %v, want %v", got, at.Add(time.Second))
-	}
-	if got := f(); !got.Equal(at.Add(2 * time.Second)) {
-		t.Fatalf("third read = %v, want %v", got, at.Add(2*time.Second))
-	}
-}
-
 func TestOrWall(t *testing.T) {
 	at := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
 	if got := OrWall(Fixed(at))(); !got.Equal(at) {

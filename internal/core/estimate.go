@@ -70,16 +70,11 @@ type EstimateOptions struct {
 	Workers int
 }
 
-// Estimate implements the paper's Alg. 6: draw fresh RIC samples until
-// the influenced mass reaches the stopping-rule threshold, returning an
-// estimate of c(S) with relative error ≤ ε′ with probability ≥ 1−δ′.
-func Estimate(g *graph.Graph, part *community.Partition, seeds []graph.NodeID, opts EstimateOptions) (EstimateResult, error) {
-	return EstimateCtx(context.Background(), g, part, seeds, opts)
-}
-
-// EstimateCtx is Estimate with cooperative cancellation: workers poll
-// ctx once per block of estimateBlock draws (never per sample). A
-// completed run is byte-identical to the ctx-free path.
+// EstimateCtx implements the paper's Alg. 6: draw fresh RIC samples
+// until the influenced mass reaches the stopping-rule threshold,
+// returning an estimate of c(S) with relative error ≤ ε′ with
+// probability ≥ 1−δ′. Workers poll ctx once per block of estimateBlock
+// draws (never per sample).
 //
 // Sampling runs on opts.Workers goroutines in rounds. Sample t is
 // always drawn from PRNG stream t, and after each round the stopping

@@ -104,7 +104,7 @@ func TestEstimateMatchesSequential(t *testing.T) {
 			for _, w := range estimateWorkers {
 				opts := tc.opts
 				opts.Workers = w
-				got, err := Estimate(g, part, tc.seeds, opts)
+				got, err := EstimateCtx(context.Background(), g, part, tc.seeds, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func TestSolveGolden(t *testing.T) {
 		for _, w := range []int{1, 3} {
 			opts := tc.opts
 			opts.Workers = w
-			sol, err := Solve(g, part, tc.solver, opts)
+			sol, err := SolveCtx(context.Background(), g, part, tc.solver, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestSolveSkipsRoundsThatCannotCertify(t *testing.T) {
 	g, part := testInstance(t, 61)
 	counting := countingSolver{Solver: maxr.MAF{Seed: 3}}
 	opts := Options{K: 5, Eps: 0.2, Delta: 0.2, Seed: 3, MaxSamples: 1 << 15}
-	sol, err := Solve(g, part, &counting, opts)
+	sol, err := SolveCtx(context.Background(), g, part, &counting, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSolveSkipsRoundsThatCannotCertify(t *testing.T) {
 	for _, seeds := range [][]graph.NodeID{sol.Seeds, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}} {
 		for _, fractional := range []bool{false, true} {
 			lambda := stoppingThreshold(0.05, 0.01)
-			est, err := Estimate(g, part, seeds, EstimateOptions{
+			est, err := EstimateCtx(context.Background(), g, part, seeds, EstimateOptions{
 				Eps: 0.05, Delta: 0.01, TMax: int(lambda), Seed: 5, Fractional: fractional,
 			})
 			if err != nil {
@@ -219,9 +219,9 @@ type countingSolver struct {
 	calls int
 }
 
-func (c *countingSolver) Solve(pool *ric.Pool, k int) (maxr.Result, error) {
+func (c *countingSolver) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (maxr.Result, error) {
 	c.calls++
-	return c.Solver.Solve(pool, k)
+	return c.Solver.SolveCtx(ctx, pool, k)
 }
 
 // TestEstimateCancellation checks that a cancelled ctx is returned —
@@ -266,11 +266,11 @@ func TestEstimateRejectsOutOfRangeSeeds(t *testing.T) {
 	g, part := testInstance(t, 3)
 	n := graph.NodeID(g.NumNodes())
 	opts := EstimateOptions{Eps: 0.2, Delta: 0.2, TMax: 1 << 12, Seed: 5}
-	if _, err := Estimate(g, part, []graph.NodeID{0}, opts); err != nil {
+	if _, err := EstimateCtx(context.Background(), g, part, []graph.NodeID{0}, opts); err != nil {
 		t.Fatalf("valid seed set: %v", err)
 	}
 	for _, bad := range []graph.NodeID{-5, n, n + 7} {
-		_, err := Estimate(g, part, []graph.NodeID{0, bad}, opts)
+		_, err := EstimateCtx(context.Background(), g, part, []graph.NodeID{0, bad}, opts)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("seed %d out of range", bad)) {
 			t.Fatalf("seed %d: err = %v, want an out-of-range error", bad, err)
 		}
@@ -285,7 +285,7 @@ func BenchmarkEstimate(b *testing.B) {
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Estimate(g, part, seeds, EstimateOptions{Eps: 0.05, Delta: 0.05, TMax: 1 << 20, Seed: uint64(i), Workers: w}); err != nil {
+				if _, err := EstimateCtx(context.Background(), g, part, seeds, EstimateOptions{Eps: 0.05, Delta: 0.05, TMax: 1 << 20, Seed: uint64(i), Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -67,7 +67,7 @@ type Options struct {
 	MaxSamples int
 	// NuGuided switches to the paper's UBG integration (§V-B end):
 	// stop-and-stare against the submodular ν objective with
-	// maxr.GreedyNu as the selector, yielding the
+	// maxr.GreedyNuCtx as the selector, yielding the
 	// (c(S_ν)/ν(S_ν))·(1−1/e−ε) guarantee. Solver is ignored when set.
 	NuGuided bool
 	// Clock supplies timestamps for the Elapsed report; nil means the
@@ -207,21 +207,17 @@ type Round struct {
 	Converged bool
 }
 
-// Solve runs the IMC Algorithmic Framework (paper Alg. 5) with the
+// SolveCtx runs the IMC Algorithmic Framework (paper Alg. 5) with the
 // given MAXR solver: generate Λ RIC samples, repeatedly solve MAXR and
 // verify the candidate with the Estimate procedure, doubling the pool
 // until a statistical certificate or the Ψ bound is reached.
-func Solve(g *graph.Graph, part *community.Partition, solver maxr.Solver, opts Options) (Solution, error) {
-	return SolveCtx(context.Background(), g, part, solver, opts)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the stop-and-stare
-// loop checks ctx between doubling rounds and threads it into sample
-// generation, the MAXR solver (when it implements maxr.CtxSolver), and
-// the Estimate verification batches. A run that completes returns
-// byte-identical seeds with or without a context — the checks never
-// touch the PRNG streams — while a cancelled run returns the ctx error
-// promptly (within one worker batch, ~1k samples).
+//
+// The stop-and-stare loop checks ctx between doubling rounds and
+// threads it into sample generation, the MAXR solver and the Estimate
+// verification batches. The checks never touch the PRNG streams, so a
+// run that completes returns the same seeds whether or not ctx can be
+// cancelled, while a cancelled run returns the ctx error promptly
+// (within one worker batch, ~1k samples).
 //
 //imc:longrun
 func SolveCtx(ctx context.Context, g *graph.Graph, part *community.Partition, solver maxr.Solver, opts Options) (Solution, error) {
@@ -416,14 +412,9 @@ func validateResume(g *graph.Graph, part *community.Partition, opts Options) (*r
 	return pool, nil
 }
 
-// SolveFixed runs a MAXR solver against a fixed-size pool, skipping the
-// adaptive stop machinery. Benchmarks and examples that want direct
-// control over sampling effort use this entry point.
-func SolveFixed(g *graph.Graph, part *community.Partition, solver maxr.Solver, k, numSamples int, opts Options) (Solution, error) {
-	return SolveFixedCtx(context.Background(), g, part, solver, k, numSamples, opts)
-}
-
-// SolveFixedCtx is SolveFixed with cooperative cancellation threaded
+// SolveFixedCtx runs a MAXR solver against a fixed-size pool, skipping
+// the adaptive stop machinery. Benchmarks and examples that want direct
+// control over sampling effort use this entry point. ctx is threaded
 // into sample generation and the solver.
 //
 //imc:longrun
@@ -487,8 +478,7 @@ type candidate struct {
 }
 
 // runSolver executes the configured selection step: the MAXR solver, or
-// greedy-on-ν when NuGuided. The ctx reaches solvers that implement
-// maxr.CtxSolver; plain solvers get one up-front cancellation check.
+// greedy-on-ν when NuGuided.
 func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Options) (candidate, error) {
 	var c candidate
 	if opts.NuGuided {
@@ -498,7 +488,7 @@ func runSolver(ctx context.Context, pool *ric.Pool, solver maxr.Solver, opts Opt
 		}
 		c.seeds = seeds
 	} else {
-		res, err := maxr.SolveWithContext(ctx, solver, pool, opts.K)
+		res, err := solver.SolveCtx(ctx, pool, opts.K)
 		if err != nil {
 			return candidate{}, err
 		}

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/gen"
@@ -48,7 +49,7 @@ func BenchmarkEstimateSpread1K(b *testing.B) {
 	seeds := []graph.NodeID{0, 100, 200}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimateSpread(g, seeds, MCOptions{Iterations: 1000, Seed: uint64(i)}); err != nil {
+		if _, err := EstimateSpreadCtx(context.Background(), g, seeds, MCOptions{Iterations: 1000, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -297,14 +297,9 @@ func (o MCOptions) normalized() (MCOptions, error) {
 	return o, nil
 }
 
-// EstimateSpread Monte-Carlo-estimates the expected number of activated
-// nodes for the seed set.
-func EstimateSpread(g *graph.Graph, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateSpreadCtx(context.Background(), g, seeds, opts)
-}
-
-// EstimateSpreadCtx is EstimateSpread with cooperative cancellation:
-// workers poll ctx between iteration batches.
+// EstimateSpreadCtx Monte-Carlo-estimates the expected number of
+// activated nodes for the seed set. Workers poll ctx between iteration
+// batches.
 //
 //imc:longrun
 func EstimateSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -313,14 +308,9 @@ func EstimateSpreadCtx(ctx context.Context, g *graph.Graph, seeds []graph.NodeID
 	})
 }
 
-// EstimateBenefit Monte-Carlo-estimates c(S): the expected benefit of
-// influenced communities.
-func EstimateBenefit(g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateBenefitCtx(context.Background(), g, p, seeds, opts)
-}
-
-// EstimateBenefitCtx is EstimateBenefit with cooperative cancellation:
-// workers poll ctx between iteration batches.
+// EstimateBenefitCtx Monte-Carlo-estimates c(S): the expected benefit
+// of influenced communities. Workers poll ctx between iteration
+// batches.
 //
 //imc:longrun
 func EstimateBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -329,13 +319,8 @@ func EstimateBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partit
 	})
 }
 
-// EstimateFractionalBenefit Monte-Carlo-estimates ν(S) (eq. 6).
-func EstimateFractionalBenefit(g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
-	return EstimateFractionalBenefitCtx(context.Background(), g, p, seeds, opts)
-}
-
-// EstimateFractionalBenefitCtx is EstimateFractionalBenefit with
-// cooperative cancellation: workers poll ctx between iteration batches.
+// EstimateFractionalBenefitCtx Monte-Carlo-estimates ν(S) (eq. 6).
+// Workers poll ctx between iteration batches.
 //
 //imc:longrun
 func EstimateFractionalBenefitCtx(ctx context.Context, g *graph.Graph, p *community.Partition, seeds []graph.NodeID, opts MCOptions) (float64, error) {
@@ -346,8 +331,8 @@ func EstimateFractionalBenefitCtx(ctx context.Context, g *graph.Graph, p *commun
 
 // mcAverageCtx fans iterations out over a bounded worker pool. Stream i
 // of the seed RNG drives iteration i, so results are independent of
-// scheduling; the ctx polls never touch the PRNG, so a completed run is
-// byte-identical with or without a live context. On cancellation the
+// scheduling; the ctx polls never touch the PRNG, so a completed run
+// does not depend on whether ctx can be cancelled. On cancellation the
 // partial sums are discarded and the ctx error returned.
 //
 //imc:longrun

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestBenefitMatchesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := diffusion.EstimateBenefit(g, part, seeds, diffusion.MCOptions{Iterations: 200000, Seed: 9})
+	mc, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, diffusion.MCOptions{Iterations: 200000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestSolversNearOptimalOnTinyInstances(t *testing.T) {
 		if opt <= 0 {
 			continue
 		}
-		sol, err := core.Solve(g, part, maxr.UBG{}, core.Options{
+		sol, err := core.SolveCtx(context.Background(), g, part, maxr.UBG{}, core.Options{
 			K: 2, Eps: 0.2, Delta: 0.2, Seed: seed, MaxSamples: 1 << 14,
 		})
 		if err != nil {
@@ -211,7 +212,7 @@ func TestLTPipelineMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := diffusion.EstimateBenefit(g, part, seeds, diffusion.MCOptions{
+	mc, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, diffusion.MCOptions{
 		Iterations: 100000, Seed: 5, Model: diffusion.LT,
 	})
 	if err != nil {
@@ -224,7 +225,7 @@ func TestLTPipelineMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(60000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 60000); err != nil {
 		t.Fatal(err)
 	}
 	if got := pool.CHat(seeds); math.Abs(got-want) > 0.05+0.05*want {
@@ -253,7 +254,7 @@ func TestTheorem7GuaranteeHoldsEmpirically(t *testing.T) {
 	)
 	failures := 0
 	for run := uint64(0); run < runs; run++ {
-		sol, err := core.Solve(g, part, maxr.UBG{}, core.Options{
+		sol, err := core.SolveCtx(context.Background(), g, part, maxr.UBG{}, core.Options{
 			K: 2, Eps: eps, Delta: delta, Seed: run*97 + 1, MaxSamples: 1 << 14,
 		})
 		if err != nil {
@@ -282,7 +283,7 @@ func TestTheorem7GuaranteeHoldsEmpirically(t *testing.T) {
 // more, this time through the exact package's independent enumerator.
 func TestRICPoolUnbiasedAgainstExact(t *testing.T) {
 	g, part := tinyInstance(t, 21)
-	sol, err := core.SolveFixed(g, part, maxr.UBG{}, 2, 40000, core.Options{Seed: 3})
+	sol, err := core.SolveFixedCtx(context.Background(), g, part, maxr.UBG{}, 2, 40000, core.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

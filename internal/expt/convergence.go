@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -28,6 +29,7 @@ func Convergence(cfg Config) ([]Row, error) {
 	if len(cfg.Ks) > 0 {
 		k = cfg.Ks[0]
 	}
+	ctx := context.TODO()
 	var rows []Row
 	for _, ds := range datasets {
 		inst, err := BuildInstance(InstanceConfig{
@@ -45,16 +47,16 @@ func Convergence(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := warm.Generate(2000); err != nil {
+		if err := warm.GenerateCtx(ctx, 2000); err != nil {
 			return nil, err
 		}
-		res, err := (maxr.UBG{}).Solve(warm, k)
+		res, err := maxr.UBG{}.SolveCtx(ctx, warm, k)
 		if err != nil {
 			return nil, err
 		}
 		seeds := res.Seeds
 
-		reference, err := diffusion.EstimateBenefit(inst.G, inst.Part, seeds, diffusion.MCOptions{
+		reference, err := diffusion.EstimateBenefitCtx(ctx, inst.G, inst.Part, seeds, diffusion.MCOptions{
 			Iterations: 20000,
 			Seed:       cfg.Run.Seed + 7,
 			Workers:    cfg.Run.Workers,
@@ -72,7 +74,7 @@ func Convergence(cfg Config) ([]Row, error) {
 		if limit > 1<<15 {
 			limit = 1 << 15
 		}
-		if err := pool.Generate(size); err != nil {
+		if err := pool.GenerateCtx(ctx, size); err != nil {
 			return nil, err
 		}
 		for {
@@ -87,7 +89,7 @@ func Convergence(cfg Config) ([]Row, error) {
 			if pool.NumSamples()*2 > limit {
 				break
 			}
-			if err := pool.Double(); err != nil {
+			if err := pool.DoubleCtx(ctx); err != nil {
 				return nil, err
 			}
 		}

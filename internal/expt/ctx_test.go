@@ -30,18 +30,21 @@ func TestRunAlgCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestRunAlgCtxDeterminism asserts the tentpole contract at the top of
-// the stack: a completed ctx-run selects byte-identical seeds and
-// scores to the ctx-free run for every algorithm.
+// TestRunAlgCtxDeterminism asserts the cancellation contract at the
+// top of the stack: a run under a live, never-cancelled ctx selects
+// byte-identical seeds and scores to a run under context.Background()
+// for every algorithm — polling never touches a PRNG stream.
 func TestRunAlgCtxDeterminism(t *testing.T) {
 	inst := ctxTestInstance(t)
 	cfg := RunConfig{Seed: 3, Runs: 1, MaxSamples: 1 << 11, EvalTMax: 1 << 11, BTMaxRoots: 8}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, alg := range []string{AlgUBG, AlgMAF, AlgMB, AlgHBC, AlgKS, AlgIM} {
-		plain, err := RunAlg(inst, alg, 4, cfg)
+		plain, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
 		if err != nil {
 			t.Fatalf("%s plain: %v", alg, err)
 		}
-		withCtx, err := RunAlgCtx(context.Background(), inst, alg, 4, cfg)
+		withCtx, err := RunAlgCtx(ctx, inst, alg, 4, cfg)
 		if err != nil {
 			t.Fatalf("%s ctx: %v", alg, err)
 		}

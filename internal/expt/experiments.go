@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -356,7 +357,7 @@ func Fig7(cfg Config) ([]Row, error) {
 						rows = append(rows, row)
 						continue
 					}
-					res, err := RunAlg(inst, alg, k, cfg.Run)
+					res, err := RunAlgCtx(context.TODO(), inst, alg, k, cfg.Run)
 					if err != nil {
 						return nil, err
 					}
@@ -445,19 +446,20 @@ func SandwichRatioMC(inst *Instance, k int, cfg RunConfig) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := pool.Generate(poolSize); err != nil {
+	ctx := context.TODO()
+	if err := pool.GenerateCtx(ctx, poolSize); err != nil {
 		return 0, err
 	}
-	seeds, err := maxr.GreedyNu(pool, k)
+	seeds, err := maxr.GreedyNuCtx(ctx, pool, k)
 	if err != nil {
 		return 0, err
 	}
 	mc := diffusion.MCOptions{Iterations: 4000, Seed: cfg.Seed + 1, Workers: cfg.Workers, Model: cfg.Model}
-	c, err := diffusion.EstimateBenefit(inst.G, inst.Part, seeds, mc)
+	c, err := diffusion.EstimateBenefitCtx(ctx, inst.G, inst.Part, seeds, mc)
 	if err != nil {
 		return 0, err
 	}
-	nu, err := diffusion.EstimateFractionalBenefit(inst.G, inst.Part, seeds, mc)
+	nu, err := diffusion.EstimateFractionalBenefitCtx(ctx, inst.G, inst.Part, seeds, mc)
 	if err != nil {
 		return 0, err
 	}

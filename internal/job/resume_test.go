@@ -1,6 +1,7 @@
 package job
 
 import (
+	"context"
 	"encoding/binary"
 	"io"
 	"os"
@@ -160,7 +161,7 @@ func TestV2CheckpointRestartsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(256); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 256); err != nil {
 		t.Fatal(err)
 	}
 	// Write a v3 checkpoint, then re-frame it with the embedded pool's

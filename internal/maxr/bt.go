@@ -45,7 +45,7 @@ type BT struct {
 	Workers int
 }
 
-var _ CtxSolver = BT{}
+var _ Solver = BT{}
 
 // Name implements Solver.
 func (b BT) Name() string { return "BT" }
@@ -65,17 +65,12 @@ func (b BT) depth() int {
 	return b.Depth
 }
 
-// Solve implements Solver.
-func (b BT) Solve(pool *ric.Pool, k int) (Result, error) {
-	return b.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver: every worker polls ctx once per root
+// SolveCtx implements Solver: every worker polls ctx once per root
 // subproblem (each root is an independent, typically sizable instance),
-// and the recursion checks ctx at each level's root scan. A completed
-// run is byte-identical to Solve: a root's subproblem does not depend
-// on which worker solves it or when, and the prune never skips a root
-// that could still win.
+// and the recursion checks ctx at each level's root scan. The result
+// does not depend on the worker count: a root's subproblem does not
+// depend on which worker solves it or when, and the prune never skips
+// a root that could still win.
 //
 //imc:longrun
 func (b BT) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
@@ -532,7 +527,7 @@ func (sc *btScratch) greedy(inst *btInstance, k int) ([]int32, int) {
 			}
 			// positions are sorted by entry count and gain ≤ entry
 			// count, so once the bound drops below the incumbent the
-			// scan can stop (exact prune, mirroring GreedyCHat).
+			// scan can stop (exact prune, mirroring GreedyCHatCtx).
 			if inst.start[p+1]-inst.start[p] < bestGain {
 				break
 			}

@@ -36,7 +36,7 @@ func TestBTTieGoesToEarlierRoot(t *testing.T) {
 		t.Fatalf("pool does not tie roots 0 and 1: roots %v, touch counts %d and %d",
 			roots, pool.TouchCount(0), pool.TouchCount(1))
 	}
-	want, err := btRef(BT{Workers: 1}).Solve(pool, 2)
+	want, err := btRef(BT{Workers: 1}).SolveCtx(context.Background(), pool, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBTTieGoesToEarlierRoot(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		bt := BT{Workers: workers}
 		for rep := 0; rep < 20; rep++ {
-			got, err := bt.Solve(pool, 2)
+			got, err := bt.SolveCtx(context.Background(), pool, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func dblpShapedPool(t *testing.T) *ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(2666); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 2666); err != nil {
 		t.Fatal(err)
 	}
 	return pool
@@ -110,7 +110,7 @@ func TestBTScanPrunesRoots(t *testing.T) {
 				continue // thresholds are 2; depth 2 is what solve-select runs
 			}
 			const k = 4
-			want, err := btRef(BT{Depth: depth}).Solve(pool, k)
+			want, err := btRef(BT{Depth: depth}).SolveCtx(context.Background(), pool, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestBTScanPrunesRoots(t *testing.T) {
 				if solved == 0 || solved >= len(scan.roots) {
 					t.Errorf("%s %+v: solved %d of %d roots", name, bt, solved, len(scan.roots))
 				}
-				got, err := bt.Solve(pool, k)
+				got, err := bt.SolveCtx(context.Background(), pool, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,8 +197,8 @@ func TestBTCancelledMidScan(t *testing.T) {
 	bt := BT{Depth: 3, Workers: 2}
 	cases := []struct {
 		name   string
-		solver CtxSolver
-		before CtxSolver // what runs before the scan
+		solver Solver
+		before Solver // what runs before the scan
 	}{
 		{"BT", bt, nil},
 		{"MB", MB{BT: bt}, MAF{}},
@@ -206,7 +206,7 @@ func TestBTCancelledMidScan(t *testing.T) {
 	runtime.GC()
 	goroutines := runtime.NumGoroutine()
 	for _, c := range cases {
-		polls := func(s CtxSolver) int64 {
+		polls := func(s Solver) int64 {
 			ctx := &pollLimitCtx{Context: context.Background(), limit: math.MaxInt64}
 			if _, err := s.SolveCtx(ctx, pool, 6); err != nil {
 				t.Fatal(err)

@@ -67,8 +67,7 @@ func cloneMask(m ric.Mask) ric.Mask { return append(ric.Mask(nil), m...) }
 
 func (b btRef) depth() int { return BT(b).depth() }
 
-func (b btRef) Solve(pool *ric.Pool, k int) (Result, error) {
-	ctx := context.Background()
+func (b btRef) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {
 	if err := validate(pool, k); err != nil {
 		return Result{}, err
 	}
@@ -345,7 +344,7 @@ func btEquivPools(t *testing.T) map[string]*ric.Pool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Generate(300); err != nil {
+		if err := pool.GenerateCtx(context.Background(), 300); err != nil {
 			t.Fatal(err)
 		}
 		pools[fmt.Sprintf("random%d", seed)] = pool
@@ -375,7 +374,7 @@ func btEquivPools(t *testing.T) map[string]*ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(80); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 80); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Words() != 2 {
@@ -396,11 +395,11 @@ func TestBTMatchesReference(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					bt := BT{Depth: depth, MaxRoots: roots, Workers: workers}
 					for _, k := range []int{1, 4} {
-						got, err := bt.Solve(pool, k)
+						got, err := bt.SolveCtx(context.Background(), pool, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := btRef(bt).Solve(pool, k)
+						want, err := btRef(bt).SolveCtx(context.Background(), pool, k)
 						if err != nil {
 							t.Fatal(err)
 						}

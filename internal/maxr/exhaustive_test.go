@@ -1,6 +1,7 @@
 package maxr
 
 import (
+	"context"
 	"testing"
 
 	"imc/internal/community"
@@ -25,7 +26,7 @@ func smallRandomPool(t *testing.T, seed uint64) *ric.Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(400); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 400); err != nil {
 		t.Fatal(err)
 	}
 	return pool
@@ -39,7 +40,7 @@ func TestExhaustiveOptimumDominatesSolvers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []Solver{UBG{}, MAF{}, BT{}, MB{}} {
-			res, err := s.Solve(pool, 3)
+			res, err := s.SolveCtx(context.Background(), pool, 3)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
@@ -67,7 +68,7 @@ func TestEmpiricalRatiosBeatTheory(t *testing.T) {
 			continue
 		}
 		for _, s := range []Solver{UBG{}, MAF{}, MB{}, BT{}} {
-			res, err := s.Solve(pool, k)
+			res, err := s.SolveCtx(context.Background(), pool, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func tieBreakGain(pool *ric.Pool, st *ric.State, v graph.NodeID) float64 {
 	return gain
 }
 
-// GreedyCHat runs plain greedy directly on ĉ_R. Because ĉ_R is
+// GreedyCHatCtx runs plain greedy directly on ĉ_R. Because ĉ_R is
 // non-submodular, marginals are re-evaluated for every candidate in
 // every round (no lazy evaluation is sound here).
 //
@@ -96,12 +96,8 @@ func tieBreakGain(pool *ric.Pool, st *ric.State, v graph.NodeID) float64 {
 // greedy degenerates to arbitrary picks exactly in the non-submodular
 // regime the paper highlights; with it, the early picks build toward
 // thresholds and later rounds recover the coverage signal.
-func GreedyCHat(pool *ric.Pool, k int) ([]graph.NodeID, error) {
-	return GreedyCHatCtx(context.Background(), pool, k)
-}
-
-// GreedyCHatCtx is GreedyCHat with cooperative cancellation, polled
-// every ctxPollBatch marginal evaluations.
+//
+// ctx is polled every ctxPollBatch marginal evaluations.
 //
 //imc:hotpath
 //imc:longrun
@@ -260,14 +256,9 @@ func (h celfHeap) down(i int) {
 	}
 }
 
-// GreedyNu runs CELF lazy greedy on the submodular upper bound ν_R
+// GreedyNuCtx runs CELF lazy greedy on the submodular upper bound ν_R
 // (Lemma 3 proves submodularity, so stale heap gains are valid upper
-// bounds and lazy evaluation is exact).
-func GreedyNu(pool *ric.Pool, k int) ([]graph.NodeID, error) {
-	return GreedyNuCtx(context.Background(), pool, k)
-}
-
-// GreedyNuCtx is GreedyNu with cooperative cancellation, polled every
+// bounds and lazy evaluation is exact). ctx is polled every
 // ctxPollBatch CELF pops.
 //
 //imc:hotpath

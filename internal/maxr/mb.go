@@ -18,7 +18,7 @@ type MB struct {
 	BT BT
 }
 
-var _ CtxSolver = MB{}
+var _ Solver = MB{}
 
 // Name implements Solver.
 func (MB) Name() string { return "MB" }
@@ -33,12 +33,7 @@ func (m MB) Guarantee(pool *ric.Pool, k int) float64 {
 	return math.Sqrt((1 - 1/math.E) * float64(k/2) / (float64(k) * float64(r)))
 }
 
-// Solve implements Solver.
-func (m MB) Solve(pool *ric.Pool, k int) (Result, error) {
-	return m.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver: ctx reaches both halves.
+// SolveCtx implements Solver: ctx reaches both halves.
 //
 //imc:longrun
 func (m MB) SolveCtx(ctx context.Context, pool *ric.Pool, k int) (Result, error) {

@@ -1,6 +1,7 @@
 package maxr
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,7 +34,7 @@ func propertyPool(seed uint64, bounded bool) (*ric.Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pool.Generate(300); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 300); err != nil {
 		return nil, err
 	}
 	return pool, nil
@@ -177,7 +178,7 @@ func TestQuickSolversWellFormed(t *testing.T) {
 		}
 		k := int(kRaw%6) + 1
 		for _, s := range solvers {
-			res, err := s.Solve(pool, k)
+			res, err := s.SolveCtx(context.Background(), pool, k)
 			if err != nil {
 				return false
 			}

@@ -15,7 +15,7 @@ import (
 // (ĉ_R(S_ν)/ν_R(S_ν))·(1−1/e).
 type UBG struct{}
 
-var _ CtxSolver = UBG{}
+var _ Solver = UBG{}
 
 // Name implements Solver.
 func (UBG) Name() string { return "UBG" }
@@ -25,12 +25,7 @@ func (UBG) Name() string { return "UBG" }
 // planning we use the nominal 1−1/e.
 func (UBG) Guarantee(_ *ric.Pool, _ int) float64 { return 1 - 1/math.E }
 
-// Solve implements Solver.
-func (u UBG) Solve(pool *ric.Pool, k int) (Result, error) {
-	return u.SolveCtx(context.Background(), pool, k)
-}
-
-// SolveCtx implements CtxSolver. The two greedy halves are
+// SolveCtx implements Solver. The two greedy halves are
 // independent — each keeps its own coverage State and only reads the
 // pool — so they run concurrently, and SolveCtx returns once both have.
 // Each polls ctx at batch boundaries; on failure the ν half's error

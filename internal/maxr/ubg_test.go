@@ -34,10 +34,10 @@ func workersPool(t *testing.T, workers int) *ric.Pool {
 		t.Fatal(err)
 	}
 	// Two folds, so the second appends to runs the first left behind.
-	if err := pool.Generate(1000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 1000); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(2000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 2000); err != nil {
 		t.Fatal(err)
 	}
 	return pool
@@ -60,15 +60,15 @@ func TestUBGIndependentOfWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: the folded pool differs from the 1-worker pool", workers)
 		}
 		for _, k := range []int{1, 3, 6} {
-			got, err := UBG{}.Solve(pool, k)
+			got, err := UBG{}.SolveCtx(context.Background(), pool, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sNu, err := GreedyNu(pool, k)
+			sNu, err := GreedyNuCtx(context.Background(), pool, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sC, err := GreedyCHat(pool, k)
+			sC, err := GreedyCHatCtx(context.Background(), pool, k)
 			if err != nil {
 				t.Fatal(err)
 			}

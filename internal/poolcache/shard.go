@@ -40,15 +40,15 @@ func KeyForShard(base Key, lo, hi int) Key {
 	return k
 }
 
-// SaveShard stores pool's global sample range [lo, hi) as a cache
-// entry under KeyForShard(base, lo, hi). The range must lie inside the
-// pool's generated span. Re-saving an existing range only touches its
+// SaveShard stores payload, the IMCS export (ric.ExportRange) of the
+// global sample range [lo, hi), as a cache entry under
+// KeyForShard(base, lo, hi). Re-saving an existing range only touches its
 // recency (same key ⇒ byte-identical payload, nothing to rewrite);
 // a concurrent save of the same range makes this one a no-op. The
 // write is atomic and CRC-framed, and the byte budget is enforced
 // afterwards — evicting other entries, never this one. Safe on nil
 // (no-op).
-func (c *Cache) SaveShard(base Key, pool *ric.Pool, lo, hi int) error {
+func (c *Cache) SaveShard(base Key, payload []byte, lo, hi int) error {
 	if c == nil {
 		return nil
 	}
@@ -80,7 +80,8 @@ func (c *Cache) SaveShard(base Key, pool *ric.Pool, lo, hi int) error {
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
-		return pool.ExportRange(w, lo, hi)
+		_, err := w.Write(payload)
+		return err
 	})
 	if err != nil {
 		c.mu.Lock()

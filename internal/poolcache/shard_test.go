@@ -11,8 +11,9 @@ import (
 	"imc/internal/ric"
 )
 
-// shardPool generates global samples [lo, hi) in an offset pool.
-func shardPool(t testing.TB, lo, hi int, seed uint64) *ric.Pool {
+// shardExport generates global samples [lo, hi) in an offset pool and
+// returns their IMCS export, the payload SaveShard stores.
+func shardExport(t testing.TB, lo, hi int, seed uint64) []byte {
 	t.Helper()
 	g, part := smallInstance(t)
 	p, err := ric.NewPool(g, part, ric.PoolOptions{Seed: seed, Offset: lo})
@@ -22,7 +23,11 @@ func shardPool(t testing.TB, lo, hi int, seed uint64) *ric.Pool {
 	if err := p.EnsureCtx(context.Background(), hi-lo); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	var buf bytes.Buffer
+	if err := p.ExportRange(&buf, lo, hi); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestKeyForShardDistinguishesRanges(t *testing.T) {
@@ -52,8 +57,8 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 	base := KeyFor(g, part, diffusion.IC, seed)
 	c := openCache(t, t.TempDir(), Options{})
 
-	src := shardPool(t, lo, hi, seed)
-	if err := c.SaveShard(base, src, lo, hi); err != nil {
+	want := shardExport(t, lo, hi, seed)
+	if err := c.SaveShard(base, want, lo, hi); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,14 +69,11 @@ func TestShardSaveLoadRoundTrip(t *testing.T) {
 	if !c.LoadShard(base, dst, lo, hi) {
 		t.Fatal("saved shard not found")
 	}
-	var want, got bytes.Buffer
-	if err := src.ExportRange(&want, lo, hi); err != nil {
-		t.Fatal(err)
-	}
+	var got bytes.Buffer
 	if err := dst.ExportRange(&got, lo, hi); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	if !bytes.Equal(want, got.Bytes()) {
 		t.Fatal("loaded shard exports different bytes")
 	}
 
@@ -103,7 +105,7 @@ func TestShardEntriesSurviveReboot(t *testing.T) {
 	dir := t.TempDir()
 
 	c := openCache(t, dir, Options{})
-	if err := c.SaveShard(base, shardPool(t, lo, hi, seed), lo, hi); err != nil {
+	if err := c.SaveShard(base, shardExport(t, lo, hi, seed), lo, hi); err != nil {
 		t.Fatal(err)
 	}
 
@@ -132,7 +134,7 @@ func TestShardLoadDropsCorruptEntry(t *testing.T) {
 	base := KeyFor(g, part, diffusion.IC, seed)
 	dir := t.TempDir()
 	c := openCache(t, dir, Options{})
-	if err := c.SaveShard(base, shardPool(t, lo, hi, seed), lo, hi); err != nil {
+	if err := c.SaveShard(base, shardExport(t, lo, hi, seed), lo, hi); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -167,12 +168,12 @@ func TestSolveDkSViaIMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(2000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 2000); err != nil {
 		t.Fatal(err)
 	}
 	// Budget 3 on the triangle instance: the optimum seeds one copy of
 	// each triangle node, influencing the 3 triangle communities.
-	res, err := maxr.UBG{}.Solve(pool, 3)
+	res, err := maxr.UBG{}.SolveCtx(context.Background(), pool, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

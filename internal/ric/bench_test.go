@@ -2,6 +2,7 @@ package ric
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"imc/internal/community"
@@ -89,7 +90,7 @@ func BenchmarkPoolGenerate1K(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := pool.Generate(1000); err != nil {
+		if err := pool.GenerateCtx(context.Background(), 1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +103,7 @@ func BenchmarkCHatEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(5000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 5000); err != nil {
 		b.Fatal(err)
 	}
 	seeds := make([]graph.NodeID, 20)
@@ -122,7 +123,7 @@ func BenchmarkNuHatEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(5000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 5000); err != nil {
 		b.Fatal(err)
 	}
 	seeds := make([]graph.NodeID, 20)
@@ -143,7 +144,7 @@ func codecBenchPool(b *testing.B) *Pool {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pool.Generate(5000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 5000); err != nil {
 		b.Fatal(err)
 	}
 	return pool

@@ -75,7 +75,7 @@ func TestCodecGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.Generate(600); err != nil {
+		if err := pool.GenerateCtx(context.Background(), 600); err != nil {
 			t.Fatal(err)
 		}
 		var save bytes.Buffer
@@ -225,7 +225,7 @@ func TestDecodeAllocatesNoMoreThanGenerate(t *testing.T) {
 		return p
 	}
 	generate := testing.AllocsPerRun(3, func() {
-		if err := fresh().Generate(count); err != nil {
+		if err := fresh().GenerateCtx(context.Background(), count); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -299,7 +299,7 @@ func TestDecodeStagesInChunks(t *testing.T) {
 		name string
 		fill func(p *Pool) error
 	}{
-		{"GenerateCtx", func(p *Pool) error { return p.Generate(count) }},
+		{"GenerateCtx", func(p *Pool) error { return p.GenerateCtx(context.Background(), count) }},
 		{"ReadInto", func(p *Pool) error { return p.ReadInto(bytes.NewReader(snap.Bytes())) }},
 		{"ImportRange", func(p *Pool) error { return p.ImportRange(bytes.NewReader(export.Bytes()), count) }},
 	} {

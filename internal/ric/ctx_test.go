@@ -73,8 +73,9 @@ func TestGenerateCtxMidFlightCancellation(t *testing.T) {
 	}
 }
 
-// TestGenerateCtxDeterminism is the tentpole invariant: a completed
-// ctx-run folds byte-identical samples in byte-identical order — the
+// TestGenerateCtxDeterminism pins the cancellation invariant: a run
+// under a live, never-cancelled ctx folds byte-identical samples in
+// byte-identical order to a run under context.Background() — the
 // cancellation polls never touch the PRNG streams.
 func TestGenerateCtxDeterminism(t *testing.T) {
 	g, part := ctxInstance(t)
@@ -82,14 +83,14 @@ func TestGenerateCtxDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Generate(600); err != nil {
+	if err := plain.GenerateCtx(context.Background(), 600); err != nil {
 		t.Fatal(err)
 	}
 	withCtx, err := NewPool(g, part, PoolOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if err := withCtx.GenerateCtx(ctx, 600); err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func TestWidePoolPathsBuildOneIndex(t *testing.T) {
 		return p
 	}
 	want := fresh(0)
-	if err := want.Generate(total); err != nil {
+	if err := want.GenerateCtx(context.Background(), total); err != nil {
 		t.Fatal(err)
 	}
 	if want.Words() != 3 {

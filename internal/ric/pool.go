@@ -130,16 +130,10 @@ func NewPool(g *graph.Graph, part *community.Partition, opts PoolOptions) (*Pool
 	}, nil
 }
 
-// Generate draws count additional samples and folds them into the pool.
-func (p *Pool) Generate(count int) error {
-	return p.GenerateCtx(context.Background(), count)
-}
-
 // GenerateCtx draws count additional samples and folds them into the
 // pool, polling ctx between sample batches. On cancellation the pool is
-// left exactly as it was — no partial batch is folded in — so a
-// completed call is byte-identical to the ctx-free path: the check
-// never touches the PRNG streams.
+// left exactly as it was — no partial batch is folded in — and the
+// polls never touch the PRNG streams.
 //
 //imc:longrun
 func (p *Pool) GenerateCtx(ctx context.Context, count int) error {
@@ -322,12 +316,8 @@ func putMask(dst, m []uint64) {
 	}
 }
 
-// Double doubles the pool size (the IMCAF stop-and-stare schedule).
-func (p *Pool) Double() error {
-	return p.DoubleCtx(context.Background())
-}
-
-// DoubleCtx doubles the pool size, polling ctx between sample batches.
+// DoubleCtx doubles the pool size (the IMCAF stop-and-stare schedule),
+// polling ctx between sample batches.
 //
 //imc:longrun
 func (p *Pool) DoubleCtx(ctx context.Context) error {

@@ -1,6 +1,7 @@
 package ric
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func quickPool(seed uint64) (*Pool, *community.Partition, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := pool.Generate(200); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 200); err != nil {
 		return nil, nil, err
 	}
 	return pool, part, nil

@@ -2,6 +2,7 @@ package ric
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -63,7 +64,7 @@ func buildPool(t testing.TB, g *graph.Graph, part *community.Partition, count in
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	if err := pool.Generate(count); err != nil {
+	if err := pool.GenerateCtx(context.Background(), count); err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	return pool
@@ -205,10 +206,10 @@ func TestPoolDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.Generate(500); err != nil {
+	if err := p1.GenerateCtx(context.Background(), 500); err != nil {
 		t.Fatal(err)
 	}
-	if err := p4.Generate(500); err != nil {
+	if err := p4.GenerateCtx(context.Background(), 500); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
@@ -234,7 +235,7 @@ func TestFoldIndependentOfWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := serial.Generate(n); err != nil {
+	if err := serial.GenerateCtx(context.Background(), n); err != nil {
 		t.Fatal(err)
 	}
 	want := capturePool(t, serial)
@@ -247,10 +248,10 @@ func TestFoldIndependentOfWorkers(t *testing.T) {
 			return p
 		}
 		generated := newPool()
-		if err := generated.Generate(n / 4); err != nil {
+		if err := generated.GenerateCtx(context.Background(), n/4); err != nil {
 			t.Fatal(err)
 		}
-		if err := generated.Generate(n - n/4); err != nil {
+		if err := generated.GenerateCtx(context.Background(), n-n/4); err != nil {
 			t.Fatal(err)
 		}
 		loaded := newPool()
@@ -409,11 +410,11 @@ func TestLTCHatMatchesForwardMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(40000); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 40000); err != nil {
 		t.Fatal(err)
 	}
 	fromPool := pool.CHat(seeds)
-	fromMC, err := diffusion.EstimateBenefit(g, part, seeds, diffusion.MCOptions{
+	fromMC, err := diffusion.EstimateBenefitCtx(context.Background(), g, part, seeds, diffusion.MCOptions{
 		Iterations: 40000, Seed: 19, Model: diffusion.LT,
 	})
 	if err != nil {
@@ -430,7 +431,7 @@ func TestLTPoolGenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Generate(500); err != nil {
+	if err := pool.GenerateCtx(context.Background(), 500); err != nil {
 		t.Fatal(err)
 	}
 	all := []graph.NodeID{0, 1, 2, 3, 4, 5}

@@ -272,7 +272,7 @@ func (d *poolDecoder) end() error {
 // against the family: seed, model tag, and weight digest must match
 // exactly — a stream taken under a different seed or diffusion model,
 // or over a different weighted graph of the same shape, is rejected
-// instead of silently forking the PRNG streams on the next Double.
+// instead of silently forking the PRNG streams on the next growth.
 func (p *family) checkIdentity(d *poolDecoder) error {
 	seed, err := d.get64("seed")
 	if err != nil {
@@ -509,7 +509,7 @@ func (p *family) decodeSample(d *poolDecoder, i int) (rawSample, error) {
 // match the pool's exactly — a snapshot taken under a different seed or
 // diffusion model, or over a different weighted graph of the same
 // shape, is rejected instead of silently forking the PRNG streams on
-// the next Double. v1 and v2 streams are rejected with an upgrade
+// the next growth. v1 and v2 streams are rejected with an upgrade
 // error: v1 carries no identity, and v2's samples come from the
 // previous reverse sampler.
 //

@@ -58,18 +58,12 @@ type Solution struct {
 	Elapsed time.Duration
 }
 
-// Solve picks k seeds approximately maximizing expected influence
+// SolveCtx picks k seeds approximately maximizing expected influence
 // spread using a stop-and-stare doubling schedule: grow the RR pool,
 // greedily cover it, and stop once an independent stopping-rule
-// estimate confirms the pool estimate.
-func Solve(g *graph.Graph, opts Options) (Solution, error) {
-	return SolveCtx(context.Background(), g, opts)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the doubling loop
-// checks ctx per round and threads it into pool growth, selection and
-// the stopping-rule verification. A completed run is byte-identical to
-// the ctx-free path.
+// estimate confirms the pool estimate. The doubling loop checks ctx per
+// round and threads it into pool growth, selection and the
+// stopping-rule verification.
 //
 //imc:longrun
 func SolveCtx(ctx context.Context, g *graph.Graph, opts Options) (Solution, error) {

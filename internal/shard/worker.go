@@ -96,30 +96,25 @@ func (w *Worker) handlePool(rw http.ResponseWriter, r *http.Request) {
 		writeShardError(rw, http.StatusBadRequest, err)
 		return
 	}
-	pool, err := w.ensureRange(r, req)
+	payload, err := w.exportRange(r, req)
 	if err != nil {
 		writeShardError(rw, http.StatusInternalServerError, err)
 		return
 	}
-	// Sized exactly: a growing buffer would copy the export at every
-	// doubling and could hold twice its size at the end.
-	buf := bytes.NewBuffer(make([]byte, 0, pool.ExportRangeSize(req.Lo, req.Hi)))
-	if err := pool.ExportRange(buf, req.Lo, req.Hi); err != nil {
-		writeShardError(rw, http.StatusInternalServerError, err)
-		return
-	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	if err := WriteFrame(rw, buf.Bytes()); err != nil {
+	if err := WriteFrame(rw, payload); err != nil {
 		// Headers are gone; all we can do is log and drop the connection.
 		w.logger.Warn("shard pool response failed", "err", err)
 	}
 }
 
-// ensureRange returns a pool holding exactly global samples [Lo, Hi),
-// served from the shard cache when possible and generated (then
-// cached) otherwise. Deterministic streams make the two paths
-// byte-identical, so a cache hit saves work and changes nothing else.
-func (w *Worker) ensureRange(r *http.Request, req GenRequest) (*ric.Pool, error) {
+// exportRange returns the IMCS export of global samples [Lo, Hi),
+// served from the shard cache when possible and generated otherwise.
+// Deterministic streams make the two paths byte-identical, so a cache
+// hit saves work and changes nothing else. A generated range is
+// exported once: the same bytes are saved to the cache, before the
+// reply, and then served.
+func (w *Worker) exportRange(r *http.Request, req GenRequest) ([]byte, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
@@ -137,16 +132,24 @@ func (w *Worker) ensureRange(r *http.Request, req GenRequest) (*ric.Pool, error)
 	}
 	base := poolcache.KeyFor(g, part, model, req.PoolSeed)
 	// A miss, including a dropped corrupt entry, leaves pool empty.
-	if w.cache.LoadShard(base, pool, req.Lo, req.Hi) {
-		return pool, nil
+	hit := w.cache.LoadShard(base, pool, req.Lo, req.Hi)
+	if !hit {
+		if err := pool.EnsureCtx(r.Context(), req.Hi-req.Lo); err != nil {
+			return nil, err
+		}
 	}
-	if err := pool.EnsureCtx(r.Context(), req.Hi-req.Lo); err != nil {
+	// Sized exactly: a growing buffer would copy the export at every
+	// doubling and could hold twice its size at the end.
+	buf := bytes.NewBuffer(make([]byte, 0, pool.ExportRangeSize(req.Lo, req.Hi)))
+	if err := pool.ExportRange(buf, req.Lo, req.Hi); err != nil {
 		return nil, err
 	}
-	if err := w.cache.SaveShard(base, pool, req.Lo, req.Hi); err != nil {
-		w.logger.Warn("shard cache save failed", "err", err)
+	if !hit {
+		if err := w.cache.SaveShard(base, buf.Bytes(), req.Lo, req.Hi); err != nil {
+			w.logger.Warn("shard cache save failed", "err", err)
+		}
 	}
-	return pool, nil
+	return buf.Bytes(), nil
 }
 
 // instance returns the built (graph, partition) for spec, building at
